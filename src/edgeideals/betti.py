@@ -1,8 +1,23 @@
-"""Multigraded Betti numbers of squarefree quotients by subset scanning.
+"""Multigraded Betti numbers of squarefree quotients.
 
-For a squarefree ideal I and a vertex subset W, the induced subcomplex
-of the Stanley-Reisner complex contributes its reduced homology in
-degree d to beta_{|W|-d-1, |W|}(S/I).  Conventions used throughout:
+The engine splits at simplicial vertices.  If y is simplicial in a graph
+G (its neighbourhood N(y) is a clique), Engstrom's lemma gives
+Ind(G) ~ wedge over u in N(y) of the suspension of Ind(G - N[u]), and
+summing this through Hochster's formula over the vertex subsets that
+contain y gives the exact recursion
+
+  beta_{i,j}(G) = beta_{i,j}(G - y)
+      + sum_{u in N(y)} sum_a C(deg u - 1, a) beta_{i-1-a, j-2-a}(G - N[u]),
+
+the binomial counting the neighbours of u other than y that a subset
+may add.  Isolated vertices are free variables and are dropped first.
+Induced subgraphs with no simplicial vertex left go to the subset scan,
+which is also kept whole as the oracle the split engine is tested
+against.
+
+The scan: for a squarefree ideal I and a vertex subset W, the induced
+subcomplex of the Stanley-Reisner complex contributes its reduced
+homology in degree d to beta_{|W|-d-1, |W|}(S/I).  Conventions:
 
   * the empty subset W contributes beta_{0,0} = 1 through the reduced
     homology of the complex {emptyset} in degree -1;
@@ -12,32 +27,27 @@ degree d to beta_{|W|-d-1, |W|}(S/I).  Conventions used throughout:
 
 Degree-1 generators kill their variable: it belongs to no face, but the
 subset W still counts it, which is what produces the linear beta_{i,i}
-strands.  Homology is taken over GF(p); ranks over GF(2) run on packed
-bitmask rows and other primes go through dense elimination.
+strands.  The split engine applies them at the end as one Koszul factor
+per killed variable; ideals with a generator of degree 3 or more are
+scanned whole.  Homology is taken over GF(p); ranks over GF(2) run on
+packed bitmask rows and other primes go through dense elimination.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from .errors import CapExceededError, TooManyVariablesError
 from .gf import check_prime, gf2_rank, gfp_rank
 from .graphs import LabeledGraph
-from .ideals import MonomialIdeal, edge_ideal, graph_parts, mask_of, vars_of
+from .ideals import (MonomialIdeal, compact, edge_ideal, graph_parts, mask_of,
+                     vars_of)
 
 DEFAULT_MAX_VARS = 16
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +192,7 @@ def _fold_down(verts: int, adj: tuple[int, ...]) -> int | None:
     contractible), otherwise the surviving vertex mask.
     """
     while True:
-        vlist = _bits(verts)
+        vlist = vars_of(verts)
         neigh = []
         for v in vlist:
             nv = adj[v] & verts
@@ -204,7 +214,7 @@ def _fold_down(verts: int, adj: tuple[int, ...]) -> int | None:
 
 
 def _core_key(verts: int, adj: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
-    vlist = _bits(verts)
+    vlist = vars_of(verts)
     pos = {v: i for i, v in enumerate(vlist)}
     edges = []
     for v in vlist:
@@ -226,7 +236,7 @@ def _graph_homology(verts: int, adj: tuple[int, ...], char: int, do_fold: bool,
             return ()
     else:
         core = verts
-        for v in _bits(core):
+        for v in vars_of(core):
             if adj[v] & core == 0:
                 return ()
     key = _core_key(core, adj)
@@ -245,17 +255,17 @@ def _graph_homology(verts: int, adj: tuple[int, ...], char: int, do_fold: bool,
 
 def _generic_homology(w2: int, live: list[int], char: int,
                       memo: dict) -> tuple[tuple[int, int], ...]:
-    vlist = _bits(w2)
+    vlist = vars_of(w2)
     m = len(vlist)
     pos = {v: i for i, v in enumerate(vlist)}
-    cgens = tuple(sorted(mask_of(pos[v] for v in _bits(g)) for g in live))
+    cgens = tuple(sorted(mask_of(pos[v] for v in vars_of(g)) for g in live))
     key = (m, cgens)
     cached = memo.get(key)
     if cached is not None:
         return cached
     gens_by_var: list[list[int]] = [[] for _ in range(m)]
     for g in cgens:
-        for v in _bits(g):
+        for v in vars_of(g):
             gens_by_var[v].append(g)
     faces = []
 
@@ -336,6 +346,90 @@ def _chunk_worker(args) -> dict[tuple[int, int], int]:
     return _scan_range(MonomialIdeal(n_vars, gens), char, do_fold, lo, hi)
 
 
+def _scan(ideal: MonomialIdeal, char: int, do_fold: bool,
+          jobs: int) -> dict[tuple[int, int], int]:
+    """Scan every vertex subset; jobs > 1 splits the range over processes."""
+    total = 1 << ideal.n_vars
+    if jobs <= 1:
+        return _scan_range(ideal, char, do_fold, 0, total)
+    step = max(1, total // (jobs * 4))
+    chunks = [(ideal.n_vars, ideal.gens, char, do_fold, lo, min(lo + step, total))
+              for lo in range(0, total, step)]
+    entries: dict[tuple[int, int], int] = {}
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        for part in pool.map(_chunk_worker, chunks):
+            for key, val in part.items():
+                entries[key] = entries.get(key, 0) + val
+    return entries
+
+
+# ---------------------------------------------------------------------------
+# splitting at simplicial vertices
+
+
+def _simplicial_vertex(verts: int, adj: list[int]) -> int | None:
+    """The simplicial vertex of least degree, lowest index first."""
+    best, best_deg = None, 0
+    for v in vars_of(verts):
+        nv = adj[v] & verts
+        d = nv.bit_count()
+        if best is not None and d >= best_deg:
+            continue
+        # N(v) is a clique iff each u in it sees all of N(v) but itself
+        if all(nv & ~adj[u] == 1 << u for u in vars_of(nv)):
+            best, best_deg = v, d
+            if d == 1:
+                break
+    return best
+
+
+def _split(ideal: MonomialIdeal, char: int, do_fold: bool,
+           jobs: int) -> dict[tuple[int, int], int]:
+    """Betti numbers of S/I by the simplicial-vertex recursion.
+
+    Memoised on the induced vertex mask, for this call only.
+    """
+    killed, edge_pairs, _free, higher = graph_parts(ideal)
+    if higher:
+        return _scan(ideal, char, do_fold, jobs)
+    adj = [0] * ideal.n_vars
+    for a, b in edge_pairs:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    memo: dict[int, dict[tuple[int, int], int]] = {}
+
+    def table(verts: int) -> dict[tuple[int, int], int]:
+        verts = mask_of(v for v in vars_of(verts) if adj[v] & verts)
+        if not verts:
+            return {(0, 0): 1}
+        cached = memo.get(verts)
+        if cached is not None:
+            return cached
+        y = _simplicial_vertex(verts, adj)
+        if y is None:
+            out = _scan(compact(ideal, vars_of(verts)), char, do_fold, jobs)
+        else:
+            out = dict(table(verts ^ (1 << y)))
+            for u in vars_of(adj[y] & verts):
+                nu = adj[u] & verts
+                d = nu.bit_count() - 1
+                for (i, j), b in table(verts & ~(nu | 1 << u)).items():
+                    for a in range(d + 1):
+                        key = (i + 1 + a, j + 2 + a)
+                        out[key] = out.get(key, 0) + comb(d, a) * b
+        memo[verts] = out
+        return out
+
+    entries = table(((1 << ideal.n_vars) - 1) & ~killed)
+    for _ in range(killed.bit_count()):
+        # tensor with the Koszul complex of one killed variable
+        shifted = dict(entries)
+        for (i, j), b in entries.items():
+            shifted[(i + 1, j + 1)] = shifted.get((i + 1, j + 1), 0) + b
+        entries = shifted
+    return entries
+
+
 # ---------------------------------------------------------------------------
 # public results
 
@@ -406,35 +500,37 @@ class InvariantBundle:
                 "depth": self.depth}
 
 
-def betti_table(ideal: MonomialIdeal, characteristic: int = 2,
-                max_vars: int = DEFAULT_MAX_VARS, fold: bool = True,
-                jobs: int = 1) -> BettiTable:
-    """Betti table of S/I by the subset scan.
-
-    fold=False disables the dominated-vertex reduction and computes the
-    homology of every induced complex head-on; results must agree.
-    jobs > 1 splits the subset range over worker processes and sums the
-    partial tables, which is order-independent by construction.
-    """
+def _check_input(ideal: MonomialIdeal, characteristic: int, max_vars: int) -> None:
     check_prime(characteristic)
     if ideal.is_unit:
         raise ValueError("S/I is the zero module; its Betti table is empty")
     if ideal.n_vars > max_vars:
         raise TooManyVariablesError(
             f"{ideal.n_vars} variables exceeds the cap of {max_vars}")
-    total = 1 << ideal.n_vars
-    if jobs <= 1:
-        entries = _scan_range(ideal, characteristic, fold, 0, total)
-    else:
-        step = max(1, total // (jobs * 4))
-        chunks = [(ideal.n_vars, ideal.gens, characteristic, fold,
-                   lo, min(lo + step, total))
-                  for lo in range(0, total, step)]
-        entries = {}
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_chunk_worker, chunks):
-                for key, val in part.items():
-                    entries[key] = entries.get(key, 0) + val
+
+
+def betti_table(ideal: MonomialIdeal, characteristic: int = 2,
+                max_vars: int = DEFAULT_MAX_VARS, fold: bool = True,
+                jobs: int = 1) -> BettiTable:
+    """Betti table of S/I by splitting at simplicial vertices.
+
+    Induced subgraphs without a simplicial vertex, and ideals with a
+    generator of degree 3 or more, fall back to the subset scan.  fold
+    and jobs act on that fallback only: fold=False disables its
+    dominated-vertex reduction, and jobs > 1 splits its subset range
+    over worker processes and sums the partial tables.
+    """
+    _check_input(ideal, characteristic, max_vars)
+    entries = _split(ideal, characteristic, fold, jobs)
+    return BettiTable.from_dict(ideal.n_vars, characteristic, entries)
+
+
+def betti_table_scan(ideal: MonomialIdeal, characteristic: int = 2,
+                     max_vars: int = DEFAULT_MAX_VARS, fold: bool = True,
+                     jobs: int = 1) -> BettiTable:
+    """Betti table of S/I by the subset scan alone: the split engine's oracle."""
+    _check_input(ideal, characteristic, max_vars)
+    entries = _scan(ideal, characteristic, fold, jobs)
     return BettiTable.from_dict(ideal.n_vars, characteristic, entries)
 
 

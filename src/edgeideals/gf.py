@@ -29,10 +29,16 @@ def gf2_rank(rows: list[int]) -> int:
 
 
 def gfp_rank(matrix: np.ndarray, p: int) -> int:
-    """Rank mod p by Gaussian elimination; matrix entries may be negative."""
+    """Rank mod p by Gaussian elimination; matrix entries may be negative.
+
+    Below 2^31 a product of two residues fits in int64 with room for the
+    subtraction; from there on the entries are Python ints in an object
+    array, on the same elimination.
+    """
     if matrix.size == 0:
         return 0
-    a = np.array(matrix, dtype=np.int64) % p
+    dtype = np.int64 if p < 1 << 31 else object
+    a = np.array(matrix, dtype=dtype) % p
     n_rows, n_cols = a.shape
     rank = 0
     for col in range(n_cols):

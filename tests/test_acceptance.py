@@ -1,13 +1,10 @@
 """Acceptance suite: one test and one printed pass/fail line per criterion.
 
-Every comparison is exact (tolerance 0).  The two largest cells (a
-14-variable bristled snake and a 16-variable ouroboros) are marked slow;
-enable them with --runslow.
+Every comparison is exact (tolerance 0).  The largest cells are a
+14-variable bristled snake and a 16-variable ouroboros.
 """
 
 import random
-
-import pytest
 
 from edgeideals import (LabeledGraph, betti_table, betti_table_taylor,
                         build_extended, colon_by, disjoint_union, edge_ideal,
@@ -73,7 +70,6 @@ def test_criterion_03_bristled_snake_invariants():
             f"{len(BRS_SNAKE_CELLS)} cells" if not bad else str(bad))
 
 
-@pytest.mark.slow
 def test_criterion_03_slow_cell():
     ok, want, got = _check_bristled_snake_cell(2, 2, 1)
     _report("03-slow", "bristled snake 14-variable cell", ok,
@@ -98,7 +94,6 @@ def test_criterion_05_ouroboros_regularity():
             f"reg {got}, want 1" if got != 1 else "12 variables")
 
 
-@pytest.mark.slow
 def test_criterion_05_slow_cell():
     got = _inv("ouroboros(n=4,p=3)").regularity
     _report("05-slow", "ouroboros 16-variable cell (4,3)", got == 2,
@@ -240,7 +235,6 @@ def test_criterion_11_recursion_cross_check():
             f"{len(grid)} cells" if not bad else str(bad))
 
 
-@pytest.mark.slow
 def test_criterion_11_slow_cells():
     bad = []
     for text in ["brs(q=1,tsnake(n=2,p=2))", "ouroboros(n=4,p=3)"]:

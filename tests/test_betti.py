@@ -1,12 +1,14 @@
-"""Betti tables from the induced-subcomplex homology scan."""
+"""Betti tables: the split engine against the subset scan and the Taylor oracle."""
 
 import random
 
 import pytest
 
 from edgeideals import (LabeledGraph, MonomialIdeal, betti_table,
-                        betti_table_taylor, colon_by, disjoint_union,
-                        edge_ideal, invariants)
+                        betti_table_scan, betti_table_taylor, build_extended,
+                        colon_by, disjoint_union, edge_ideal, invariants,
+                        parse_family)
+from edgeideals import betti
 from edgeideals.betti import StanleyReisnerComplex, independence_complex
 from edgeideals.errors import (NonPrimeCharacteristicError,
                                TooManyVariablesError)
@@ -211,3 +213,87 @@ def test_taylor_generator_cap():
     ideal = cycle_ideal(13)
     with pytest.raises(TooManyGeneratorsError):
         betti_table_taylor(ideal)
+
+
+def random_ideal_with_killed(rng, max_v=9, max_gens=12):
+    """Edge ideal plus a few degree-1 generators, at most max_gens in all."""
+    nv = rng.randint(1, max_v)
+    possible = [(i, j) for i in range(nv) for j in range(i + 1, nv)]
+    edges = rng.sample(possible, rng.randint(0, min(max_gens, len(possible))))
+    gens = [(1 << a) | (1 << b) for a, b in edges]
+    gens += [1 << v for v in range(nv) if rng.random() < 0.15]
+    ideal = MonomialIdeal.make(nv, gens)
+    if ideal.is_unit or len(ideal.gens) > max_gens:
+        return None
+    return ideal
+
+
+def assert_all_engines_agree(ideal, char):
+    split = betti_table(ideal, char).as_dict()
+    assert split == betti_table_scan(ideal, char, fold=True).as_dict()
+    assert split == betti_table_scan(ideal, char, fold=False).as_dict()
+    assert split == betti_table(ideal, char, fold=False).as_dict()
+    assert split == betti_table_taylor(ideal, char).as_dict()
+
+
+@pytest.mark.parametrize("char", [2, 3])
+def test_split_equals_scan_and_taylor_on_random_corpus(char):
+    rng = random.Random(20261018 + char)
+    checked = killed = 0
+    while checked < 200:
+        ideal = random_ideal_with_killed(rng)
+        if ideal is None:
+            continue
+        checked += 1
+        killed += any(g.bit_count() == 1 for g in ideal.gens)
+        assert_all_engines_agree(ideal, char)
+    assert killed >= 50  # the corpus really exercises the Koszul factor
+
+
+@pytest.mark.parametrize("char", [2, 3])
+def test_degree_three_generator_goes_to_the_whole_ideal_scan(char):
+    # x0x1x2, x2x3, x3x4x5 and a killed x6
+    ideal = MonomialIdeal.make(7, [0b0000111, 0b0001100, 0b0111000, 0b1000000])
+    assert_all_engines_agree(ideal, char)
+    # Taylor on x0x1x2, x2x3, x3x4x5 is minimal except that the pair
+    # {x0x1x2, x3x4x5} cancels the triple (same lcm); then one Koszul factor
+    assert betti_table(ideal, char).as_dict() == {
+        (0, 0): 1, (1, 1): 1, (1, 2): 1, (1, 3): 2, (2, 3): 1, (2, 4): 4,
+        (3, 5): 2}
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+def test_cycles_have_no_simplicial_vertex_and_use_the_fallback(n, monkeypatch):
+    seen = []
+    scan = betti._scan
+
+    def counted(ideal, *args):
+        seen.append(ideal)
+        return scan(ideal, *args)
+
+    monkeypatch.setattr(betti, "_scan", counted)
+    for char in (2, 3):
+        assert_all_engines_agree(cycle_ideal(n), char)
+        seen.clear()
+        betti_table(cycle_ideal(n), char)
+        assert seen == [cycle_ideal(n)]  # one fallback, on the whole cycle
+
+
+def test_chordal_snake_never_reaches_the_scan(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the scan ran on a graph with simplicial vertices")
+
+    monkeypatch.setattr(betti, "_scan", refuse)
+    ideal = edge_ideal(build_extended(parse_family("tsnake(n=21,p=2)")))
+    assert invariants(ideal, max_vars=64).regularity == 11
+
+
+def test_killed_variables_tensor_with_koszul_factors():
+    # C5 with three killed variables: beta(S/I) is beta(C5) times (1 + t)^3
+    ideal = MonomialIdeal.make(8, cycle_ideal(5).gens + (1 << 5, 1 << 6, 1 << 7))
+    got = betti_table(ideal).as_dict()
+    want = {}
+    for (i, j), b in C5.items():
+        for a, c in enumerate((1, 3, 3, 1)):
+            want[(i + a, j + a)] = want.get((i + a, j + a), 0) + c * b
+    assert got == want

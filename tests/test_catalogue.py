@@ -114,6 +114,23 @@ def test_closed_forms_match_computed_invariants_on_small_cells():
                                  "pdim": "projective_dimension"}[key]) == want
 
 
+@pytest.mark.parametrize("text,n_vars", [
+    ("tsnake(n=21,p=2)", 64),
+    ("brs(q=2,ouroboros(n=6,p=2))", 54),
+    ("brs(q=3,tsnake(n=3,p=3))", 52),
+])
+def test_closed_forms_match_computed_invariants_past_the_scan_reach(text, n_vars):
+    spec = parse_family(text)
+    ideal = edge_ideal(build_extended(spec))
+    assert ideal.n_vars == n_vars
+    inv = invariants(ideal, max_vars=64).as_dict()
+    want = closed_form(spec).values
+    assert {k: v for k, v in want.items() if k != "sdepth"} == \
+        {k: inv[k] for k in want if k != "sdepth"}
+    if text.startswith("tsnake"):
+        assert inv["reg"] == 11
+
+
 def test_expected_counts_agree_with_closed_form_bookkeeping():
     for spec in [bristled(2, tsnake(3, 1)), bristled(1, ouroboros(4, 2))]:
         v, _ = expected_counts(spec)

@@ -46,6 +46,14 @@ def test_inv_json(capsys):
     assert doc["field"] == "GF(2)"
 
 
+def test_inv_over_a_prime_above_two_to_the_31(capsys):
+    # used to overflow int64 in the rank routine: pdim 5, depth 1
+    code, out, _ = run(capsys, "inv", "cycle(6)", "--field", "1099511627791")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["reg"], doc["pdim"], doc["depth"]) == (2, 4, 2)
+
+
 def test_inv_text_format(capsys):
     code, out, _ = run(capsys, "inv", "star(u=3)", "--format", "text")
     assert code == 0

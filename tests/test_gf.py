@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from edgeideals.errors import NonPrimeCharacteristicError
 from edgeideals.gf import check_prime, gf2_rank, gfp_rank
@@ -67,3 +68,17 @@ def test_gfp_rank_detects_characteristic_drop():
     m = np.array([[1, 1], [1, -1]])
     assert gfp_rank(m, 2) == 1
     assert gfp_rank(m, 3) == 2
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2**31 - 1, 2**61 - 1])
+def test_gfp_rank_matches_domain_matrix(p):
+    # pivot inverses are residues near p, so products of two of them
+    # overflow int64 for the two large primes unless handled
+    rng = random.Random(11)
+    field = sympy.GF(p)
+    for _ in range(30):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        m = [[rng.choice((-1, 0, 1)) for _ in range(cols)] for _ in range(rows)]
+        m.append([-x for x in rng.choice(m)])  # one dependent row
+        want = DomainMatrix.from_list(m, field).rank()
+        assert gfp_rank(np.array(m), p) == want
