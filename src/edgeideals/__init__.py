@@ -8,8 +8,7 @@ and machine-verified on parameter grids.
 """
 
 from .betti import (BettiTable, InvariantBundle, StanleyReisnerComplex,
-                    betti_table, betti_table_scan, independence_complex,
-                    invariants)
+                    betti_table, independence_complex, invariants)
 from .catalogue import ClosedForm, closed_form
 from .decompositions import (DecompositionReport, DecompositionRule,
                              replay_catalogue, replay_family, rules_for,
@@ -48,8 +47,7 @@ __all__ = [
     "RecursionCapError", "RuleInapplicableError", "RunConfig",
     "StanleyReisnerComplex", "TooManyGeneratorsError",
     "TooManyVariablesError", "VerificationReport", "VertexLabel",
-    "add_variable", "betti_table", "betti_table_scan", "betti_table_taylor",
-    "bristle",
+    "add_variable", "betti_table", "betti_table_taylor", "bristle",
     "bristled", "bristled_star", "build_extended", "build_family",
     "closed_form", "colon_by", "connected_components", "corona", "cycle",
     "ideal_components",

@@ -12,8 +12,8 @@ contain y gives the exact recursion
 the binomial counting the neighbours of u other than y that a subset
 may add.  Isolated vertices are free variables and are dropped first.
 Induced subgraphs with no simplicial vertex left go to the subset scan,
-which is also kept whole as the oracle the split engine is tested
-against.
+whose private entry point _scan is also the oracle the split engine is
+tested against.
 
 The scan: for a squarefree ideal I and a vertex subset W, the induced
 subcomplex of the Stanley-Reisner complex contributes its reduced
@@ -387,7 +387,9 @@ def _split(ideal: MonomialIdeal, char: int, do_fold: bool,
            jobs: int) -> dict[tuple[int, int], int]:
     """Betti numbers of S/I by the simplicial-vertex recursion.
 
-    Memoised on the induced vertex mask, for this call only.
+    Memoised on the induced vertex mask, for this call only.  jobs
+    reaches only the whole-ideal scan: the simplicial-free cores are
+    small, and a process pool per core costs more than it saves.
     """
     killed, edge_pairs, _free, higher = graph_parts(ideal)
     if higher:
@@ -407,7 +409,7 @@ def _split(ideal: MonomialIdeal, char: int, do_fold: bool,
             return cached
         y = _simplicial_vertex(verts, adj)
         if y is None:
-            out = _scan(compact(ideal, vars_of(verts)), char, do_fold, jobs)
+            out = _scan(compact(ideal, vars_of(verts)), char, do_fold, 1)
         else:
             out = dict(table(verts ^ (1 << y)))
             for u in vars_of(adj[y] & verts):
@@ -516,21 +518,13 @@ def betti_table(ideal: MonomialIdeal, characteristic: int = 2,
 
     Induced subgraphs without a simplicial vertex, and ideals with a
     generator of degree 3 or more, fall back to the subset scan.  fold
-    and jobs act on that fallback only: fold=False disables its
-    dominated-vertex reduction, and jobs > 1 splits its subset range
-    over worker processes and sums the partial tables.
+    acts on that fallback only: fold=False disables its dominated-vertex
+    reduction.  jobs > 1 splits the subset range of a whole-ideal scan
+    (a generator of degree 3 or more) over worker processes and sums the
+    partial tables; the simplicial-free cores are always scanned serially.
     """
     _check_input(ideal, characteristic, max_vars)
     entries = _split(ideal, characteristic, fold, jobs)
-    return BettiTable.from_dict(ideal.n_vars, characteristic, entries)
-
-
-def betti_table_scan(ideal: MonomialIdeal, characteristic: int = 2,
-                     max_vars: int = DEFAULT_MAX_VARS, fold: bool = True,
-                     jobs: int = 1) -> BettiTable:
-    """Betti table of S/I by the subset scan alone: the split engine's oracle."""
-    _check_input(ideal, characteristic, max_vars)
-    entries = _scan(ideal, characteristic, fold, jobs)
     return BettiTable.from_dict(ideal.n_vars, characteristic, entries)
 
 

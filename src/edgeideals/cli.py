@@ -175,7 +175,8 @@ def _add_common(parser: argparse.ArgumentParser,
     parser.add_argument("--field", type=int, default=2,
                         help="prime field characteristic (default 2)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for the subset scan")
+                        help="worker processes for a whole-ideal subset scan "
+                        "(generators of degree 3 or more)")
     parser.add_argument("--format", choices=["json", "text", "csv", "dot"],
                         default=default_format)
     parser.add_argument("--out", help="write output to this file")
