@@ -4,11 +4,44 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonPrimeCharacteristicError
+from .errors import CapExceededError, NonPrimeCharacteristicError
+
+# Strong-probable-prime tests to the first 13 prime bases decide
+# primality exactly below this bound (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 0 <= n < MILLER_RABIN_LIMIT."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def check_prime(p: int) -> None:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+    if p >= MILLER_RABIN_LIMIT:
+        raise CapExceededError(
+            f"characteristic {p} is not below {MILLER_RABIN_LIMIT}, "
+            f"where primality is decided exactly")
+    if not _is_prime(p):
         raise NonPrimeCharacteristicError(f"characteristic {p} is not prime")
 
 

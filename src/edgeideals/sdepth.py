@@ -2,11 +2,22 @@
 
 For squarefree I the Stanley depth of S/I is the best possible
 min |tau| over partitions of the face poset (all squarefree monomials
-outside I) into boolean intervals [sigma, tau].  The exact search runs
-a binary search on the target d: a feasibility check covers the poset
-smallest-face-first, each uncovered face must start an interval, and
-candidate tops of size at least d are tried largest first with failed
-cover states memoized.
+outside I) into boolean intervals [sigma, tau].
+
+The exact search rests on two known results.  Colon monotonicity
+(Rauf, Comm. Algebra 38, 2010): sdepth(S/I) <= sdepth(S/(I : x_v)) for
+every variable v outside I.  The colon frees v, so its value comes from
+the same search, recursively, memoised per call on the compacted ideal;
+the least colon value, capped by the largest face size, seeds the
+search.  The skeleton reduction (Herzog-Vladoiu-Zheng, J. Algebra 322,
+2009): sdepth(S/I) >= d exactly when the faces of size <= d split into
+intervals whose tops have exactly d elements, each larger face then
+being its own interval.  The seed is probed first, and a binary search
+below it runs only if that probe fails.  A probe covers the skeleton
+smallest face first; the lowest uncovered face must start an interval,
+failed cover states are memoised, and a state is dropped as soon as an
+uncovered face has too few uncovered faces above it to reach size d.
+Every search stops with CapExceededError after SEARCH_NODE_BUDGET nodes.
 
 Free variables and killed variables both factor out: sdepth goes up by
 one per free variable and is untouched by a variable that appears as a
@@ -16,12 +27,14 @@ generator, so the search always runs on the support-compacted ideal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
-from .errors import CapExceededError, MembershipError
+from .errors import CapExceededError
 from .ideals import MonomialIdeal, colon_by, compact, mask_of, vars_of
 
 DEFAULT_EXACT_CAP = 10
 DEFAULT_POSET_CAP = 14
+SEARCH_NODE_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -38,7 +51,13 @@ def face_poset(ideal: MonomialIdeal, cap: int = DEFAULT_POSET_CAP) -> FacePoset:
     if ideal.n_vars > cap:
         raise CapExceededError(
             f"face poset capped at {cap} variables, got {ideal.n_vars}")
-    faces = [w for w in range(1 << ideal.n_vars) if not ideal.contains(w)]
+    # faces grow one variable at a time: f | x_v, for a face f on the
+    # variables below v, can only contain a generator whose top variable is v
+    faces = [0]
+    for v in range(ideal.n_vars):
+        bit = 1 << v
+        rests = [g ^ bit for g in ideal.gens if g.bit_length() - 1 == v]
+        faces += [f | bit for f in faces if not any(r & f == r for r in rests)]
     faces.sort(key=lambda f: (f.bit_count(), f))
     return FacePoset(ideal.n_vars, tuple(faces))
 
@@ -104,114 +123,195 @@ def _interval_members(s: int, t: int) -> list[int]:
 
 
 class _Search:
-    def __init__(self, faces: tuple[int, ...], d: int):
-        self.faces = faces
-        self.index = {f: i for i, f in enumerate(faces)}
-        self.face_set = set(faces)
+    """Cover of the <= d skeleton by intervals whose tops have d elements.
+
+    The lowest uncovered face (faces are sorted smallest first) must be
+    the bottom of an interval; its candidate tops are tried in a fixed
+    order, depth first with an explicit stack, and cover states that
+    failed are memoised.  The search succeeds once every face of size
+    below d is covered: the d-faces left over are their own intervals.
+    """
+
+    def __init__(self, faces: tuple[int, ...], d: int, solver: _Exact):
+        self.faces = [f for f in faces if f.bit_count() <= d]
+        self.index = {f: i for i, f in enumerate(self.faces)}
         self.d = d
-        self.full = (1 << len(faces)) - 1
+        self.solver = solver
         self.failed: set[int] = set()
+        covers = [0] * len(self.faces)  # bits of the faces one larger above
+        for j, g in enumerate(self.faces):
+            for v in vars_of(g):
+                covers[self.index[g ^ 1 << v]] |= 1 << j
+        # per face below size d, in face order: its bit, its covers, and
+        # how many of those it needs
+        self.below = [(1 << i, covers[i], d - f.bit_count())
+                      for i, f in enumerate(self.faces) if f.bit_count() < d]
+        self.low = (1 << len(self.below)) - 1
+
+    def _open(self, covered: int) -> bool:
+        """No uncovered face below size d is already stranded.
+
+        An uncovered face F lies in a future interval [C, D] with
+        C <= F <= D and |D| = d, so at least d - |F| of the faces one
+        larger above F must still be uncovered.
+        """
+        for bit, covers, need in self.below:
+            if not covered & bit and (covers & ~covered).bit_count() < need:
+                return False
+        return True
 
     def run(self) -> list[tuple[int, int]] | None:
-        return self._extend(0)
-
-    def _tops(self, sigma: int, covered: int) -> list[int]:
-        """Faces above sigma of size >= d whose whole interval is uncovered."""
-        dirs = []
-        for f in self.faces:
-            if f.bit_count() == sigma.bit_count() + 1 and f & sigma == sigma:
-                v = f & ~sigma
-                if not covered >> self.index[f] & 1:
-                    dirs.append(v)
-        found: list[int] = []
-
-        def grow(top: int, rest: list[int]):
-            for i, v in enumerate(rest):
-                cand = top | v
-                if cand not in self.face_set:
-                    continue
-                ok = True
-                for member in _interval_members(sigma, cand):
-                    if member not in self.face_set or covered >> self.index[member] & 1:
-                        ok = False
-                        break
-                if ok:
-                    found.append(cand)
-                    grow(cand, rest[i + 1:])
-
-        found.append(sigma)
-        grow(sigma, dirs)
-        good = [t for t in found if t.bit_count() >= self.d]
-        good.sort(key=lambda t: (-t.bit_count(), t))
-        return good
-
-    def _extend(self, covered: int) -> list[tuple[int, int]] | None:
-        if covered == self.full:
+        if self.low == 0:
             return []
-        if covered in self.failed:
-            return None
-        # lowest uncovered index; faces are sorted smallest-first, so this
-        # face is minimal among the uncovered ones and must start an interval
-        idx = (~covered & (covered + 1)).bit_length() - 1
-        sigma = self.faces[idx]
-        for top in self._tops(sigma, covered):
-            bits = 0
-            for member in _interval_members(sigma, top):
-                bits |= 1 << self.index[member]
-            rest = self._extend(covered | bits)
-            if rest is not None:
-                return [(sigma, top)] + rest
-        self.failed.add(covered)
+        frames = [(0, self._candidates(0))]
+        chosen: list[tuple[int, int]] = []
+        while frames:
+            covered, candidates = frames[-1]
+            for sigma, top, bits in candidates:
+                step = covered | bits
+                if step & self.low == self.low:
+                    return chosen + [(sigma, top)]
+                if step in self.failed or not self._open(step):
+                    continue
+                chosen.append((sigma, top))
+                frames.append((step, self._candidates(step)))
+                break
+            else:
+                self.failed.add(covered)
+                frames.pop()
+                if chosen:
+                    chosen.pop()
         return None
 
+    def _candidates(self, covered: int) -> Iterator[tuple[int, int, int]]:
+        """(sigma, top, member bits) for the lowest uncovered face sigma.
 
-def _feasible(faces: tuple[int, ...], d: int) -> list[tuple[int, int]] | None:
-    return _Search(faces, d).run()
+        Generated lazily, in lexicographic order of the variables the top
+        adds to sigma.
+        """
+        self.solver.nodes += 1
+        if self.solver.nodes > SEARCH_NODE_BUDGET:
+            raise CapExceededError(
+                f"exact Stanley depth search passed its budget of "
+                f"{SEARCH_NODE_BUDGET} nodes")
+        index = self.index
+        i = (~covered & (covered + 1)).bit_length() - 1
+        sigma = self.faces[i]
+        dirs = [self.faces[j] ^ sigma for j in vars_of(self.below[i][1] & ~covered)]
+
+        def grow(top, members, bits, start, left):
+            if left == 0:
+                yield sigma, top, bits
+                return
+            for k in range(start, len(dirs) - left + 1):
+                v = dirs[k]
+                added = bits
+                for m in members:
+                    j = index.get(m | v)
+                    if j is None or covered >> j & 1:
+                        break
+                    added |= 1 << j
+                else:
+                    yield from grow(top | v, members + [m | v for m in members],
+                                    added, k + 1, left - 1)
+
+        return grow(sigma, [sigma], 1 << i, 0, self.d - sigma.bit_count())
 
 
-def stanley_depth(ideal: MonomialIdeal, exact_cap: int = DEFAULT_EXACT_CAP,
-                  lower_hint: int | None = None) -> tuple[int, IntervalPartition]:
+def _feasible(faces: tuple[int, ...], d: int, solver: _Exact
+              ) -> list[tuple[int, int]] | None:
+    """A partition of all faces with every top of size >= d, or None."""
+    chosen = _Search(faces, d, solver).run()
+    if chosen is None:
+        return None
+    covered = {m for s, t in chosen for m in _interval_members(s, t)}
+    return chosen + [(f, f) for f in faces
+                     if f.bit_count() >= d and f not in covered]
+
+
+def _reduce(ideal: MonomialIdeal) -> tuple[MonomialIdeal, list[int], int]:
+    """(ideal compacted to its live variables, those variables, free count).
+
+    A live variable lies in some generator of degree >= 2; a killed one
+    is itself a generator and a free one lies in no generator.
+    """
+    support = ideal.support
+    killed = mask_of(vars_of(g)[0] for g in ideal.gens if g.bit_count() == 1)
+    live = vars_of(support & ~killed)
+    return compact(ideal, live), live, ideal.n_vars - support.bit_count()
+
+
+def _colon_seed(reduced: MonomialIdeal, upper: int,
+                value_of: Callable[[MonomialIdeal], int]) -> int:
+    """Lower an upper bound on sdepth(S/I) through every colon (I : x_v).
+
+    sdepth(S/I) <= sdepth(S/(I : x_v)) (Rauf), and the colon's value is
+    value_of(its compacted ideal) plus the variables it frees, v among
+    them.  value_of may return an upper bound instead of the exact value.
+    """
+    for v in range(reduced.n_vars):
+        quotient, _, free = _reduce(colon_by(reduced, 1 << v))
+        upper = min(upper, value_of(quotient) + free)
+    return upper
+
+
+class _Exact:
+    """Exact Stanley depth of compacted ideals, memoised for one call."""
+
+    def __init__(self, poset_cap: int):
+        self.poset_cap = poset_cap
+        self.memo: dict[MonomialIdeal, tuple[int, list[tuple[int, int]]]] = {}
+        self.nodes = 0
+
+    def value(self, reduced: MonomialIdeal) -> int:
+        return self.solve(reduced)[0]
+
+    def solve(self, reduced: MonomialIdeal) -> tuple[int, list[tuple[int, int]]]:
+        hit = self.memo.get(reduced)
+        if hit is not None:
+            return hit
+        faces = face_poset(reduced, cap=self.poset_cap).faces
+        d = _colon_seed(reduced, faces[-1].bit_count(), self.value)
+        found = _feasible(faces, d, self)
+        if found is None:
+            # the seed is only an upper bound: binary search below it,
+            # where d = 0 always succeeds
+            lo, hi = 0, d - 1
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                attempt = _feasible(faces, mid, self)
+                if attempt is None:
+                    hi = mid - 1
+                else:
+                    lo, found = mid, attempt
+            d = lo
+            if found is None:
+                found = _feasible(faces, d, self)
+        self.memo[reduced] = d, found
+        return d, found
+
+
+def stanley_depth(ideal: MonomialIdeal, exact_cap: int = DEFAULT_EXACT_CAP
+                  ) -> tuple[int, IntervalPartition]:
     """Exact Stanley depth of S/I with an interval-partition witness.
 
     The cap applies to the variable count after stripping free and
-    killed variables.  lower_hint, when given, must be a sound lower
-    bound (it prunes the binary search from below; passing a wrong hint
-    can only inflate the result, so tests never pass one).
+    killed variables.  A search that runs past SEARCH_NODE_BUDGET nodes
+    raises CapExceededError, as an instance over the cap does.
     """
     if ideal.is_unit:
         raise ValueError("S/I is the zero module")
-    support = ideal.support
-    killed = mask_of(vars_of(g)[0] for g in ideal.gens if g.bit_count() == 1)
-    live = support & ~killed
-    free_count = ideal.n_vars - support.bit_count()
-    reduced = compact(ideal, vars_of(live))
+    reduced, live, free_count = _reduce(ideal)
     if reduced.n_vars > exact_cap:
         raise CapExceededError(
             f"exact Stanley depth capped at {exact_cap} live variables, "
             f"got {reduced.n_vars}")
-    poset = face_poset(reduced, cap=max(exact_cap, DEFAULT_POSET_CAP))
-    faces = poset.faces
-    alpha = max(f.bit_count() for f in faces)
-    lo = 0 if lower_hint is None else max(0, lower_hint - free_count)
-    best = _feasible(faces, lo)
-    if best is None:
-        raise ValueError("lower_hint was not a valid lower bound")
-    hi = alpha
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        attempt = _feasible(faces, mid)
-        if attempt is None:
-            hi = mid - 1
-        else:
-            best = attempt
-            lo = mid
-    witness = _lift_partition(ideal, reduced, vars_of(live), best)
-    return lo + free_count, witness
+    value, intervals = _Exact(max(exact_cap, DEFAULT_POSET_CAP)).solve(reduced)
+    return value + free_count, _lift_partition(ideal, live, intervals)
 
 
-def _lift_partition(ideal: MonomialIdeal, reduced: MonomialIdeal,
-                    live_vars: list[int], intervals: list[tuple[int, int]]
-                    ) -> IntervalPartition:
+def _lift_partition(ideal: MonomialIdeal, live_vars: list[int],
+                    intervals: list[tuple[int, int]]) -> IntervalPartition:
     """Send a reduced-poset partition back to the ambient variables.
 
     Each interval top gains every free variable: the ambient face poset
@@ -261,44 +361,29 @@ def sdepth_bounds(ideal: MonomialIdeal, exact_cap: int = DEFAULT_EXACT_CAP,
 
     Within the exact cap both bounds are the exact value.  Beyond it the
     lower bound comes from a greedy interval partition and the upper
-    bound from the maximal face size and from colon pivots: sdepth can
-    only grow along (I : v), so any variable whose colon lands back
-    inside the exact cap yields an upper bound.
+    bound from the colon seed of the exact search: sdepth can only grow
+    along (I : x_v), so each colon gives an upper bound, exact when the
+    colon lands back inside the exact cap and its largest face size
+    otherwise.
     """
     if ideal.is_unit:
         raise ValueError("S/I is the zero module")
-    support = ideal.support
-    free_count = ideal.n_vars - support.bit_count()
-    killed = mask_of(vars_of(g)[0] for g in ideal.gens if g.bit_count() == 1)
-    reduced = compact(ideal, vars_of(support & ~killed))
+    reduced, _, free_count = _reduce(ideal)
     if reduced.n_vars <= exact_cap:
         value, _ = stanley_depth(ideal, exact_cap)
         return value, value
     if reduced.n_vars > poset_cap:
         raise CapExceededError(
             f"sdepth bounds capped at {poset_cap} live variables")
-    poset = face_poset(reduced, cap=poset_cap)
-    greedy = _greedy_partition(poset.faces)
+    faces = face_poset(reduced, cap=poset_cap).faces
+    greedy = _greedy_partition(faces)
     lower = min(t.bit_count() for _, t in greedy) + free_count
-    upper = max(f.bit_count() for f in poset.faces) + free_count
-    for v in range(ideal.n_vars):
-        pivot = 1 << v
-        if ideal.contains(pivot):
-            continue
-        try:
-            quotient = colon_by(ideal, pivot)
-        except MembershipError:
-            continue
-        q_support = quotient.support
-        q_killed = mask_of(vars_of(g)[0] for g in quotient.gens
-                           if g.bit_count() == 1)
-        q_free = ideal.n_vars - q_support.bit_count()
-        q_reduced = compact(quotient, vars_of(q_support & ~q_killed))
-        if q_reduced.n_vars <= exact_cap:
-            q_value, _ = stanley_depth(quotient, exact_cap)
-            upper = min(upper, q_value)
-        else:
-            q_poset = face_poset(q_reduced, cap=poset_cap)
-            q_alpha = max(f.bit_count() for f in q_poset.faces)
-            upper = min(upper, q_alpha + q_free)
-    return lower, max(lower, upper)
+    solver = _Exact(max(exact_cap, DEFAULT_POSET_CAP))
+
+    def colon_upper(quotient: MonomialIdeal) -> int:
+        if quotient.n_vars <= exact_cap:
+            return solver.value(quotient)
+        return face_poset(quotient, cap=poset_cap).faces[-1].bit_count()
+
+    upper = _colon_seed(reduced, faces[-1].bit_count(), colon_upper)
+    return lower, max(lower, upper + free_count)

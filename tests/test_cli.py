@@ -54,6 +54,12 @@ def test_inv_over_a_prime_above_two_to_the_31(capsys):
     assert (doc["reg"], doc["pdim"], doc["depth"]) == (2, 4, 2)
 
 
+def test_inv_refuses_a_field_past_the_primality_bound(capsys):
+    code, _, err = run(capsys, "inv", "cycle(6)", "--field", str(2**127 - 1))
+    assert code == 2
+    assert "primality" in err
+
+
 def test_inv_text_format(capsys):
     code, out, _ = run(capsys, "inv", "star(u=3)", "--format", "text")
     assert code == 0

@@ -7,8 +7,8 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from edgeideals.errors import NonPrimeCharacteristicError
-from edgeideals.gf import check_prime, gf2_rank, gfp_rank
+from edgeideals.errors import CapExceededError, NonPrimeCharacteristicError
+from edgeideals.gf import MILLER_RABIN_LIMIT, check_prime, gf2_rank, gfp_rank
 
 
 def test_check_prime():
@@ -17,6 +17,45 @@ def test_check_prime():
     for bad in (0, 1, 4, 6, 9, 15):
         with pytest.raises(NonPrimeCharacteristicError):
             check_prime(bad)
+
+
+def is_prime(n):
+    try:
+        check_prime(n)
+    except NonPrimeCharacteristicError:
+        return False
+    return True
+
+
+def test_check_prime_matches_sympy_below_two_to_the_64():
+    rng = random.Random(64)
+    samples = [rng.randrange(1 << rng.randint(1, 64)) for _ in range(3000)]
+    samples += [sympy.nextprime(n) for n in samples[:300]]
+    samples += [n * m for n, m in zip(samples[-300:-150], samples[-150:])
+                if n * m < 1 << 64]
+    for n in samples:
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_check_prime_rejects_pseudoprimes():
+    # Carmichael numbers; strong pseudoprimes to the prime bases up to 7
+    # and up to 23; the square of a prime
+    for n in (561, 41041, 3215031751, 3825123056546413051, (2**31 - 1) ** 2):
+        with pytest.raises(NonPrimeCharacteristicError):
+            check_prime(n)
+
+
+def test_check_prime_decides_large_primes():
+    # trial division ran for minutes on these
+    for p in (1125899906842597, 2**61 - 1, 2**64 - 59, 2**79 - 67):
+        check_prime(p)
+
+
+def test_check_prime_refuses_past_the_exact_bound():
+    with pytest.raises(CapExceededError):
+        check_prime(2**127 - 1)
+    with pytest.raises(CapExceededError):
+        check_prime(MILLER_RABIN_LIMIT)
 
 
 def test_gf2_rank_known():

@@ -1,14 +1,24 @@
 """Exact Stanley depth via interval partitions of the face poset."""
 
+import math
 import random
+from collections import Counter
 
 import pytest
 
 from edgeideals import (LabeledGraph, MonomialIdeal, build_extended, colon_by,
                         edge_ideal, face_poset, invariants, parse_family,
                         sdepth_bounds, stanley_depth, validate_partition)
+from edgeideals import sdepth as sdepth_module
+from edgeideals.cli import main
 from edgeideals.errors import CapExceededError
 from edgeideals.sdepth import IntervalPartition
+from edgeideals.verify import CLAIMS, RunConfig, run_cell
+
+# the sdepth cells of the benchmark's sdepth workload
+WORKLOAD_CELLS = ["tsnake(n=4,p=1)", "path(9)", "cycle(10)", "star(u=10)",
+                  "brs(q=1,tsnake(n=2,p=2))", "cycle(11)",
+                  "ouroboros(n=3,p=2)", "bstar(u=4,q=1)"]
 
 
 def path_ideal(n):
@@ -133,3 +143,189 @@ def test_witness_serialization():
     _, witness = stanley_depth(ideal)
     doc = witness.to_json_dict(["a", "b", "c"])
     assert all(set(entry) == {"lower", "upper"} for entry in doc)
+
+
+def _oracle_members(s, t):
+    extra = t & ~s
+    out = []
+    sub = extra
+    while True:
+        out.append(s | sub)
+        if sub == 0:
+            break
+        sub = (sub - 1) & extra
+    return out
+
+
+class _OracleSearch:
+    """The unseeded search over the whole face poset, kept as an oracle.
+
+    It covers the poset smallest face first, tries every top of size at
+    least d above the lowest uncovered face, largest first, and memoises
+    failed cover states.  It uses neither colon bounds nor the skeleton.
+    """
+
+    def __init__(self, faces, d):
+        self.faces = faces
+        self.index = {f: i for i, f in enumerate(faces)}
+        self.face_set = set(faces)
+        self.d = d
+        self.full = (1 << len(faces)) - 1
+        self.failed = set()
+
+    def _tops(self, sigma, covered):
+        dirs = [f & ~sigma for f in self.faces
+                if f.bit_count() == sigma.bit_count() + 1 and f & sigma == sigma
+                and not covered >> self.index[f] & 1]
+        found = [sigma]
+
+        def grow(top, rest):
+            for i, v in enumerate(rest):
+                cand = top | v
+                if cand in self.face_set and all(
+                        m in self.face_set and not covered >> self.index[m] & 1
+                        for m in _oracle_members(sigma, cand)):
+                    found.append(cand)
+                    grow(cand, rest[i + 1:])
+
+        grow(sigma, dirs)
+        good = [t for t in found if t.bit_count() >= self.d]
+        good.sort(key=lambda t: (-t.bit_count(), t))
+        return good
+
+    def extend(self, covered):
+        if covered == self.full:
+            return True
+        if covered in self.failed:
+            return False
+        idx = (~covered & (covered + 1)).bit_length() - 1
+        sigma = self.faces[idx]
+        for top in self._tops(sigma, covered):
+            bits = 0
+            for m in _oracle_members(sigma, top):
+                bits |= 1 << self.index[m]
+            if self.extend(covered | bits):
+                return True
+        self.failed.add(covered)
+        return False
+
+
+def oracle_sdepth(ideal):
+    """Binary search from 0 to the largest face size, on the full poset."""
+    faces = [w for w in range(1 << ideal.n_vars) if not ideal.contains(w)]
+    faces.sort(key=lambda f: (f.bit_count(), f))
+    lo, hi = 0, max(f.bit_count() for f in faces)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _OracleSearch(faces, mid).extend(0):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def random_ideals(seed, count):
+    """Seeded squarefree ideals on at most 7 variables, degrees 1 to 4."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        nv = rng.randint(1, 7)
+        gens = []
+        for _ in range(rng.randint(0, 8)):
+            deg = min(nv, rng.choice((1, 2, 2, 2, 3, 3, 4, 4)))
+            gens.append(sum(1 << v for v in rng.sample(range(nv), deg)))
+        ideal = MonomialIdeal.make(nv, gens)
+        if not ideal.is_unit:
+            out.append(ideal)
+    return out
+
+
+def test_engine_matches_the_unseeded_full_poset_search():
+    ideals = random_ideals(4, 300)
+    degrees = Counter(g.bit_count() for ideal in ideals for g in ideal.gens)
+    assert degrees[3] and degrees[4]
+    for ideal in ideals:
+        value, witness = stanley_depth(ideal)
+        validate_partition(face_poset(ideal), witness)
+        assert witness.value == value
+        assert value == oracle_sdepth(ideal), ideal
+
+
+def test_binary_search_below_a_seed_that_fails(monkeypatch):
+    # seeded with the largest face size alone, the first probe fails on
+    # many ideals and the search below it must still land on the value
+    probes = []
+    feasible = sdepth_module._feasible
+
+    def counting(faces, d, solver):
+        found = feasible(faces, d, solver)
+        probes.append(found is not None)
+        return found
+
+    monkeypatch.setattr(sdepth_module, "_feasible", counting)
+    monkeypatch.setattr(sdepth_module, "_colon_seed",
+                        lambda reduced, upper, value_of: upper)
+    for ideal in random_ideals(5, 60) + [family_ideal("path(9)")]:
+        value, witness = stanley_depth(ideal)
+        validate_partition(face_poset(ideal), witness)
+        assert value == witness.value == oracle_sdepth(ideal), ideal
+    assert not all(probes)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_paths_match_the_closed_form(n):
+    # sdepth(S/I(P_n)) = ceil(n/3) (Cimpoeas)
+    ideal = family_ideal(f"path({n})")
+    value, witness = stanley_depth(ideal, exact_cap=14)
+    validate_partition(face_poset(ideal), witness)
+    assert value == witness.value == math.ceil(n / 3)
+
+
+@pytest.mark.parametrize("n", [n for n in range(3, 15) if n % 3 != 1])
+def test_cycles_match_the_closed_form(n):
+    # sdepth(S/I(C_n)) = ceil((n-1)/3) for n not 1 mod 3 (Cimpoeas)
+    ideal = family_ideal(f"cycle({n})")
+    value, witness = stanley_depth(ideal, exact_cap=14)
+    validate_partition(face_poset(ideal), witness)
+    assert value == witness.value == math.ceil((n - 1) / 3)
+
+
+@pytest.mark.parametrize("text", ["tsnake(n=3,p=2)", "tsnake_star(n=2,p=2)"])
+def test_snake_cells_past_the_old_reach(text):
+    ideal = family_ideal(text)
+    assert checked(ideal) == 2 == invariants(ideal).depth
+    for cap in (0, ideal.n_vars - 1):
+        lo, hi = sdepth_bounds(ideal, exact_cap=cap)
+        assert lo <= 2 <= hi
+
+
+@pytest.mark.parametrize("text", WORKLOAD_CELLS)
+def test_one_feasibility_probe_per_ideal(monkeypatch, text):
+    probes = []
+    feasible = sdepth_module._feasible
+
+    def counting(faces, d, solver):
+        found = feasible(faces, d, solver)
+        probes.append((faces, found is not None))
+        return found
+
+    monkeypatch.setattr(sdepth_module, "_feasible", counting)
+    ideal = family_ideal(text)
+    stanley_depth(ideal, exact_cap=14)
+    reduced, _, _ = sdepth_module._reduce(ideal)
+    per_ideal = Counter(faces for faces, _ in probes)
+    assert per_ideal[face_poset(reduced).faces] == 1
+    assert set(per_ideal.values()) == {1}
+    assert all(ok for _, ok in probes)
+
+
+def test_node_budget_fails_loudly(monkeypatch, capsys):
+    monkeypatch.setattr(sdepth_module, "SEARCH_NODE_BUDGET", 3)
+    with pytest.raises(CapExceededError):
+        stanley_depth(family_ideal("path(9)"))
+    assert main(["sdepth", "path(9)"]) == 2
+    assert "budget" in capsys.readouterr().err
+    claim = CLAIMS["bstar"]
+    rows = run_cell(claim, claim.default_cells[-1], RunConfig())
+    assert [r.status for r in rows if r.invariant == "sdepth"] == ["skipped"]
+    assert all(r.status == "pass" for r in rows if r.invariant != "sdepth")
