@@ -220,13 +220,17 @@ class _Search:
 
 def _feasible(faces: tuple[int, ...], d: int, solver: _Exact
               ) -> list[tuple[int, int]] | None:
-    """A partition of all faces with every top of size >= d, or None."""
+    """A partition of all faces with every top of size >= d, or None.
+
+    The faces the skeleton cover leaves over (d-faces and all larger
+    ones) form an upper set, so any partition of them has tops of size
+    >= d; the greedy cover keeps the witness short.
+    """
     chosen = _Search(faces, d, solver).run()
     if chosen is None:
         return None
     covered = {m for s, t in chosen for m in _interval_members(s, t)}
-    return chosen + [(f, f) for f in faces
-                     if f.bit_count() >= d and f not in covered]
+    return chosen + _greedy_partition(tuple(f for f in faces if f not in covered))
 
 
 def _reduce(ideal: MonomialIdeal) -> tuple[MonomialIdeal, list[int], int]:
