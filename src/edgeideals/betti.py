@@ -508,7 +508,8 @@ def _check_input(ideal: MonomialIdeal, characteristic: int, max_vars: int) -> No
         raise ValueError("S/I is the zero module; its Betti table is empty")
     if ideal.n_vars > max_vars:
         raise TooManyVariablesError(
-            f"{ideal.n_vars} variables exceeds the cap of {max_vars}")
+            f"{ideal.n_vars} variables exceeds the cap of {max_vars}",
+            limit="hochster_cap")
 
 
 def betti_table(ideal: MonomialIdeal, characteristic: int = 2,

@@ -12,18 +12,33 @@ exactly when a stated claim fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .betti import DEFAULT_MAX_VARS, invariants
 from .decompositions import replay_family
 from .errors import (CapExceededError, EdgeIdealsError, FamilySpecParseError,
-                     TooManyVariablesError)
+                     SizeLimitError)
 from .families import build_extended, parse_family
 from .graphs import to_dot
-from .ideals import edge_ideal
+from .ideals import MAX_VARS, edge_ideal
 from .sdepth import DEFAULT_EXACT_CAP, stanley_depth, validate_partition, face_poset
 from .verify import CLAIMS, DEFAULT_SEED, RunConfig, run_claims
+
+# What helps past each size limit; every hint says "cap", which scripts
+# reading stderr key on.
+_LIMIT_HINTS = {
+    "hochster_cap": "raise --hochster-cap, or pick smaller parameters",
+    "sdepth_cap": "raise --sdepth-cap, or pick smaller parameters",
+    "ceiling": f"no cap flag lifts the {MAX_VARS}-variable ceiling; "
+               f"pick smaller parameters",
+    "node_budget": "no cap flag lifts the search node budget; "
+                   "pick smaller parameters",
+    "primality_bound": "no cap flag lifts the primality bound; "
+                       "pick a smaller prime",
+    None: "no cap flag lifts this limit; pick smaller parameters",
+}
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -188,7 +203,9 @@ def _add_common(parser: argparse.ArgumentParser,
                         help="seed recorded in reports")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared after that."""
     parser = argparse.ArgumentParser(
         prog="edgeideals",
         description="edge-ideal invariants of snake-family graphs")
@@ -239,9 +256,8 @@ def main(argv: list[str] | None = None) -> int:
     except FamilySpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TooManyVariablesError, CapExceededError) as exc:
-        print(f"error: {exc}\nhint: raise --hochster-cap or --sdepth-cap, "
-              f"or pick smaller parameters", file=sys.stderr)
+    except SizeLimitError as exc:
+        print(f"error: {exc}\nhint: {_LIMIT_HINTS[exc.limit]}", file=sys.stderr)
         return 2
     except EdgeIdealsError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,7 +30,21 @@ class MembershipError(EdgeIdealsError, ValueError):
     """A monomial was required to lie outside the ideal but does not."""
 
 
-class TooManyVariablesError(EdgeIdealsError, ValueError):
+class SizeLimitError(EdgeIdealsError, ValueError):
+    """An input is past a size limit, so an exact answer is refused.
+
+    `limit` names the limit: "hochster_cap", "sdepth_cap", "ceiling" (the
+    64-variable ceiling of MonomialIdeal), "node_budget" (the Stanley
+    depth search) or "primality_bound" (the exact primality test); None
+    for a size argument that only the library API sets.
+    """
+
+    def __init__(self, message: str, limit: str | None = None):
+        super().__init__(message)
+        self.limit = limit
+
+
+class TooManyVariablesError(SizeLimitError):
     """The ambient variable count exceeds a configured cap."""
 
 
@@ -42,7 +56,7 @@ class NonPrimeCharacteristicError(EdgeIdealsError, ValueError):
     """Field characteristic must be a prime number."""
 
 
-class CapExceededError(EdgeIdealsError, ValueError):
+class CapExceededError(SizeLimitError):
     """An exact search was requested beyond its configured size cap."""
 
 

@@ -40,7 +40,7 @@ def check_prime(p: int) -> None:
     if p >= MILLER_RABIN_LIMIT:
         raise CapExceededError(
             f"characteristic {p} is not below {MILLER_RABIN_LIMIT}, "
-            f"where primality is decided exactly")
+            f"where primality is decided exactly", limit="primality_bound")
     if not _is_prime(p):
         raise NonPrimeCharacteristicError(f"characteristic {p} is not prime")
 

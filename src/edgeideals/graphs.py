@@ -9,7 +9,7 @@ of the same family are identical object-for-object.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import FusionLoopError
 
@@ -283,19 +283,6 @@ def connected_components(g: LabeledGraph) -> list[LabeledGraph]:
     return comps
 
 
-def relabel_anonymous(g: LabeledGraph, order: Sequence[int]) -> LabeledGraph:
-    """Rebuild g with anonymous labels assigned along the given vertex order.
-
-    Used by tests to check that isomorphism ignores labeling.
-    """
-    if sorted(order) != list(range(g.n_vertices)):
-        raise ValueError("order must be a permutation of the vertices")
-    new = {order[i]: anonymous(i) for i in range(g.n_vertices)}
-    labels = [new[v] for v in range(g.n_vertices)]
-    edges = [(new[a], new[b]) for a, b in g.edges]
-    return LabeledGraph(labels, edges)
-
-
 # ---------------------------------------------------------------------------
 # isomorphism testing
 
@@ -303,9 +290,10 @@ def relabel_anonymous(g: LabeledGraph, order: Sequence[int]) -> LabeledGraph:
 def _refine_colors(g: LabeledGraph) -> tuple[int, ...]:
     """Iterated degree refinement; returns a stable color per vertex."""
     n = g.n_vertices
-    colors = [g.degree(v) for v in range(n)]
+    nbrs = [g.neighbors(v) for v in range(n)]
+    colors = [len(ws) for ws in nbrs]
     while True:
-        sigs = [(colors[v], tuple(sorted(colors[w] for w in g.neighbors(v))))
+        sigs = [(colors[v], tuple(sorted([colors[w] for w in nbrs[v]])))
                 for v in range(n)]
         palette = {s: c for c, s in enumerate(sorted(set(sigs)))}
         new = [palette[s] for s in sigs]
@@ -315,7 +303,18 @@ def _refine_colors(g: LabeledGraph) -> tuple[int, ...]:
 
 
 def is_isomorphic(g: LabeledGraph, h: LabeledGraph) -> bool:
-    """Label-blind graph isomorphism by color refinement plus backtracking."""
+    """Label-blind graph isomorphism, decided exactly.
+
+    Degree sequences and colour refinement reject most non-isomorphic
+    pairs outright.  A backtracking search then maps g onto h one vertex
+    at a time, each to a vertex of h with the same refined colour.  The
+    order grows each component of g along its edges: it starts from a
+    vertex of the smallest colour class and then takes, smallest class
+    first, a vertex next to one already placed, whose image narrows its
+    candidates to that image's neighbours.  A candidate v for u is kept
+    only if its edges to the vertices used so far are the images of u's
+    edges to the vertices placed so far, one bitmask comparison.
+    """
     if g.n_vertices != h.n_vertices or g.n_edges != h.n_edges:
         return False
     if g.degree_sequence() != h.degree_sequence():
@@ -324,37 +323,59 @@ def is_isomorphic(g: LabeledGraph, h: LabeledGraph) -> bool:
     if sorted(cg) != sorted(ch):
         return False
     n = g.n_vertices
-    by_color: dict[int, list[int]] = {}
+    if n == 0:
+        return True
+    class_mask: dict[int, int] = {}
     for v in range(n):
-        by_color.setdefault(ch[v], []).append(v)
-    # most constrained vertices first
-    order = sorted(range(n), key=lambda v: (len(by_color[cg[v]]), cg[v], v))
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(i: int) -> bool:
+        class_mask[ch[v]] = class_mask.get(ch[v], 0) | 1 << v
+    rank = [(class_mask[cg[u]].bit_count(), cg[u], u) for u in range(n)]
+    order: list[int] = []
+    placed_nbrs: list[list[int]] = []  # neighbours of order[i] in order[:i]
+    placed = 0
+    while len(order) < n:
+        u = min(r for r in rank if not placed >> r[2] & 1)[2]
+        frontier = 0
+        while True:
+            order.append(u)
+            placed_nbrs.append(_bits(g.adjacency[u] & placed))
+            placed |= 1 << u
+            frontier = (frontier | g.adjacency[u]) & ~placed
+            if not frontier:
+                break
+            u = min(rank[w] for w in _bits(frontier))[2]
+    adj = h.adjacency
+    image = [0] * n  # image[u] = 1 << (vertex of h that u maps to)
+    want = [0] * n   # image of order[i]'s placed neighbours, set on entry
+    cands = [0] * n  # untried candidates at each level
+    cands[0] = class_mask[cg[order[0]]]
+    used = 0
+    i = 0
+    while True:
+        c = cands[i]
+        if not c:
+            i -= 1
+            if i < 0:
+                return False
+            used ^= image[order[i]]
+            continue
+        low = c & -c
+        cands[i] = c ^ low
+        if adj[low.bit_length() - 1] & used != want[i]:
+            continue
+        image[order[i]] = low
+        used |= low
+        i += 1
         if i == n:
             return True
-        u = order[i]
-        for v in by_color[cg[u]]:
-            if used[v]:
-                continue
-            ok = True
-            for w in range(n):
-                mw = mapping[w]
-                if mw >= 0 and g.is_edge(u, w) != h.is_edge(v, mw):
-                    ok = False
-                    break
-            if ok:
-                mapping[u] = v
-                used[v] = True
-                if extend(i + 1):
-                    return True
-                mapping[u] = -1
-                used[v] = False
-        return False
-
-    return extend(0)
+        nbrs = placed_nbrs[i]
+        w = 0
+        for x in nbrs:
+            w |= image[x]
+        want[i] = w
+        c = class_mask[cg[order[i]]] & ~used
+        if nbrs:
+            c &= adj[image[nbrs[0]].bit_length() - 1]
+        cands[i] = c
 
 
 # ---------------------------------------------------------------------------

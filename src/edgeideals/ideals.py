@@ -51,7 +51,8 @@ class MonomialIdeal:
     def make(cls, n_vars: int, gens: Iterable[int]) -> "MonomialIdeal":
         if not 0 <= n_vars <= MAX_VARS:
             raise TooManyVariablesError(
-                f"n_vars must be between 0 and {MAX_VARS}, got {n_vars}")
+                f"n_vars must be between 0 and {MAX_VARS}, got {n_vars}",
+                limit="ceiling")
         gens = minimize(gens)
         top = 1 << n_vars
         if any(g >= top for g in gens):

@@ -193,7 +193,7 @@ class _Search:
         if self.solver.nodes > SEARCH_NODE_BUDGET:
             raise CapExceededError(
                 f"exact Stanley depth search passed its budget of "
-                f"{SEARCH_NODE_BUDGET} nodes")
+                f"{SEARCH_NODE_BUDGET} nodes", limit="node_budget")
         index = self.index
         i = (~covered & (covered + 1)).bit_length() - 1
         sigma = self.faces[i]
@@ -309,7 +309,7 @@ def stanley_depth(ideal: MonomialIdeal, exact_cap: int = DEFAULT_EXACT_CAP
     if reduced.n_vars > exact_cap:
         raise CapExceededError(
             f"exact Stanley depth capped at {exact_cap} live variables, "
-            f"got {reduced.n_vars}")
+            f"got {reduced.n_vars}", limit="sdepth_cap")
     value, intervals = _Exact(max(exact_cap, DEFAULT_POSET_CAP)).solve(reduced)
     return value + free_count, _lift_partition(ideal, live, intervals)
 
@@ -334,6 +334,10 @@ def _greedy_partition(faces: tuple[int, ...]) -> list[tuple[int, int]]:
     """Smallest-face-first cover, always extending to a largest valid top."""
     face_set = set(faces)
     index = {f: i for i, f in enumerate(faces)}
+    support = 0
+    for f in faces:
+        support |= f
+    variables = vars_of(support)
     covered = 0
     out = []
     for i, sigma in enumerate(faces):
@@ -343,7 +347,7 @@ def _greedy_partition(faces: tuple[int, ...]) -> list[tuple[int, int]]:
         grown = True
         while grown:
             grown = False
-            for v in range(64):
+            for v in variables:
                 cand = top | (1 << v)
                 if cand == top or cand not in face_set:
                     continue

@@ -1,10 +1,18 @@
 """Command-line interface: subcommands, formats and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from edgeideals.cli import main
+import edgeideals
+from edgeideals import sdepth
+from edgeideals.cli import build_parser, main
+
+SRC = str(Path(edgeideals.__file__).resolve().parent.parent)
 
 
 def run(capsys, *argv):
@@ -58,6 +66,8 @@ def test_inv_refuses_a_field_past_the_primality_bound(capsys):
     code, _, err = run(capsys, "inv", "cycle(6)", "--field", str(2**127 - 1))
     assert code == 2
     assert "primality" in err
+    assert "hint: no cap flag lifts the primality bound" in err
+    assert "--hochster-cap" not in err and "--sdepth-cap" not in err
 
 
 def test_inv_text_format(capsys):
@@ -70,7 +80,8 @@ def test_inv_text_format(capsys):
 def test_inv_respects_hochster_cap(capsys):
     code, _, err = run(capsys, "inv", "tsnake(n=4,p=3)")  # 17 variables
     assert code == 2
-    assert "cap" in err.lower()
+    assert "hint: raise --hochster-cap" in err
+    assert "--sdepth-cap" not in err
     code, out, _ = run(capsys, "inv", "tsnake(n=4,p=3)", "--hochster-cap", "17")
     assert code == 0
     assert json.loads(out)["reg"] == 3
@@ -146,3 +157,59 @@ def test_field_flag_rejects_composite(capsys):
     code, _, err = run(capsys, "inv", "star(u=2)", "--field", "4")
     assert code == 2
     assert err.strip()
+
+
+def test_sdepth_cap_hint_names_its_flag(capsys):
+    code, _, err = run(capsys, "sdepth", "tsnake(n=4,p=3)")  # 17 live variables
+    assert code == 2
+    assert "hint: raise --sdepth-cap" in err
+    assert "--hochster-cap" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["decomp", "brs(q=1,ouroboros(n=9,p=3))"],  # 72 variables
+    ["inv", "tsnake(n=22,p=2)", "--sdepth-cap", "0", "--hochster-cap", "64"],
+])
+def test_variable_ceiling_refusal_says_no_flag_lifts_it(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "between 0 and 64" in err
+    assert "hint: no cap flag lifts the 64-variable ceiling" in err
+    assert "--hochster-cap" not in err and "--sdepth-cap" not in err
+
+
+def test_node_budget_refusal_says_no_flag_lifts_it(monkeypatch, capsys):
+    monkeypatch.setattr(sdepth, "SEARCH_NODE_BUDGET", 3)
+    code, _, err = run(capsys, "sdepth", "path(9)")
+    assert code == 2
+    assert "budget" in err
+    assert "hint: no cap flag lifts the search node budget" in err
+    assert "--hochster-cap" not in err and "--sdepth-cap" not in err
+
+
+def fresh_process(*argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-m", "edgeideals.cli", *argv],
+                          capture_output=True, text=True, env=env, check=False)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_parser_is_built_once_and_not_at_import():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    probe = ("import edgeideals.cli as c; print(c.build_parser.cache_info().currsize)")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, check=True)
+    assert done.stdout.strip() == "0"
+    assert build_parser() is build_parser()
+
+
+def test_shared_parser_answers_like_a_fresh_process(capsys):
+    run(capsys, "verify", "star", "--u", "1..2")
+    second = ("inv", "ouroboros(n=3,p=1)", "--format", "text")
+    assert run(capsys, *second) == fresh_process(*second)
+    with pytest.raises(SystemExit) as exc:
+        main(["inv", "--field", "3"])  # the spec is missing
+    assert exc.value.code == 2
+    assert "required" in capsys.readouterr().err
+    valid = ("gen", "star(u=2)", "--format", "json")
+    assert run(capsys, *valid) == fresh_process(*valid)

@@ -188,3 +188,96 @@ def test_path_bristle_label_names():
     assert path_bristle(2, 1).name == "x21"
     assert apex(3, 2).name == "y32"
     assert anonymous(7).name == "v7"
+
+
+# ---------------------------------------------------------------------------
+# networkx as an independent isomorphism oracle
+
+
+def nx_graph(nx, g):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n_vertices))
+    out.add_edges_from(g.edges)
+    return out
+
+
+def from_nx(nx_g):
+    nodes = {v: i for i, v in enumerate(sorted(nx_g.nodes()))}
+    return LabeledGraph.from_edge_list(
+        len(nodes), [(nodes[a], nodes[b]) for a, b in nx_g.edges()])
+
+
+def assert_agrees(nx, pairs):
+    answers = [is_isomorphic(g, h) for g, h in pairs]
+    for (g, h), answer in zip(pairs, answers):
+        assert answer == nx.is_isomorphic(nx_graph(nx, g), nx_graph(nx, h)), \
+            (g.edges, h.edges)
+    return answers
+
+
+def test_isomorphism_matches_networkx_on_random_pairs():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(71)
+    pairs = []
+    for _ in range(400):
+        g = random_graph(rng, max_v=11)
+        n = g.n_vertices
+        perm = list(range(n))
+        rng.shuffle(perm)
+        edges = {(min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in g.edges}
+        if n > 1 and rng.random() < 0.5:  # toggle one pair: an edge edit
+            a, b = sorted(rng.sample(range(n), 2))
+            edges ^= {(a, b)}
+        pairs.append((g, LabeledGraph.from_edge_list(n, sorted(edges))))
+    answers = assert_agrees(nx, pairs)
+    assert 100 < sum(answers) < 300
+
+
+def test_isomorphism_matches_networkx_on_cubic_pairs():
+    # colour refinement cannot split a regular graph, so the search
+    # alone tells these pairs apart
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(72)
+    pairs = []
+    for _ in range(120):
+        n = rng.choice([8, 10, 12, 14, 16])
+        g = nx.random_regular_graph(3, n, seed=rng.randrange(1 << 30))
+        if rng.random() < 0.5:
+            h = nx.relabel_nodes(g, dict(zip(range(n), rng.sample(range(n), n))))
+        else:
+            h = nx.random_regular_graph(3, n, seed=rng.randrange(1 << 30))
+        pairs.append((from_nx(g), from_nx(h)))
+    answers = assert_agrees(nx, pairs)
+    assert 30 < sum(answers) < 90
+
+
+def test_isomorphism_matches_networkx_on_replay_pairs(monkeypatch):
+    nx = pytest.importorskip("networkx")
+    from edgeideals import decompositions, parse_family, replay_family
+
+    pairs = []
+
+    def recording(g, h):
+        pairs.append((g, h))
+        return is_isomorphic(g, h)
+
+    monkeypatch.setattr(decompositions, "is_isomorphic", recording)
+    reports = replay_family(parse_family("brs(q=1,ouroboros(n=5,p=4))"))
+    assert all(r.ok for r in reports) and pairs
+    # the components come out labelled much like the expected factors;
+    # shuffled copies, and copies with one edge moved, make the search work
+    rng = random.Random(73)
+    recorded = len(pairs)
+    for g, h in pairs[:recorded]:
+        n = h.n_vertices
+        perm = list(range(n))
+        rng.shuffle(perm)
+        edges = [(perm[a], perm[b]) for a, b in h.edges]
+        pairs.append((g, LabeledGraph.from_edge_list(n, edges)))
+        a, b = edges.pop(rng.randrange(len(edges)))
+        c = next(c for c in range(n) if c not in (a, b)
+                 and (a, c) not in edges and (c, a) not in edges)
+        pairs.append((g, LabeledGraph.from_edge_list(n, edges + [(a, c)])))
+    answers = assert_agrees(nx, pairs)
+    assert all(answers[:recorded]) and all(answers[recorded::2])
+    assert not all(answers[recorded + 1::2])
