@@ -80,6 +80,7 @@ def test_inv_text_format(capsys):
 def test_inv_respects_hochster_cap(capsys):
     code, _, err = run(capsys, "inv", "tsnake(n=4,p=3)")  # 17 variables
     assert code == 2
+    assert "cap" in err.lower()
     assert "hint: raise --hochster-cap" in err
     assert "--sdepth-cap" not in err
     code, out, _ = run(capsys, "inv", "tsnake(n=4,p=3)", "--hochster-cap", "17")
