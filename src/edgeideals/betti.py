@@ -30,22 +30,19 @@ subset W still counts it, which is what produces the linear beta_{i,i}
 strands.  The split engine applies them at the end as one Koszul factor
 per killed variable; ideals with a generator of degree 3 or more are
 scanned whole.  Homology is taken over GF(p); ranks over GF(2) run on
-packed bitmask rows and other primes go through dense elimination.
+packed bitmask rows and other primes on sparse rows of signs.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
-
-import numpy as np
 
 from .errors import CapExceededError, TooManyVariablesError
 from .gf import check_prime, gf2_rank, gfp_rank
 from .graphs import LabeledGraph
-from .ideals import (MonomialIdeal, compact, edge_ideal, graph_parts, mask_of,
-                     vars_of)
+from .ideals import (MonomialIdeal, compact, edge_ideal, faces_of, graph_parts,
+                     mask_of, vars_of)
 
 DEFAULT_MAX_VARS = 16
 
@@ -69,39 +66,12 @@ class StanleyReisnerComplex:
     def is_face(self, mask: int) -> bool:
         return not self.ideal.contains(mask)
 
-    def faces(self, within: int | None = None, max_vars: int = 20) -> list[int]:
-        """All faces (the empty face included) inside the given subset."""
+    def faces(self, max_vars: int = 20) -> list[int]:
+        """All faces, the empty face included, sorted by (size, mask)."""
         if self.n_vars > max_vars:
             raise CapExceededError(
                 f"face enumeration capped at {max_vars} variables")
-        cand = (1 << self.n_vars) - 1 if within is None else within
-        gens_by_var: dict[int, list[int]] = {}
-        for g in self.ideal.gens:
-            for v in vars_of(g):
-                gens_by_var.setdefault(v, []).append(g)
-        out = [0]
-        stack = [(0, cand)]
-        while stack:
-            cur, rest = stack.pop()
-            r = rest
-            while r:
-                low = r & -r
-                r ^= low
-                v = low.bit_length() - 1
-                nxt = cur | low
-                if any(g & nxt == g for g in gens_by_var.get(v, ())):
-                    continue
-                out.append(nxt)
-                stack.append((nxt, r))
-        out.sort(key=lambda f: (f.bit_count(), f))
-        return out
-
-    def f_vector(self, max_vars: int = 20) -> tuple[int, ...]:
-        counts: dict[int, int] = {}
-        for f in self.faces(max_vars=max_vars):
-            k = f.bit_count()
-            counts[k] = counts.get(k, 0) + 1
-        return tuple(counts.get(k, 0) for k in range(max(counts) + 1))
+        return faces_of(self.n_vars, self.ideal.gens)
 
 
 def independence_complex(graph: LabeledGraph) -> StanleyReisnerComplex:
@@ -113,48 +83,28 @@ def independence_complex(graph: LabeledGraph) -> StanleyReisnerComplex:
 # homology of one induced complex
 
 
-def _independent_sets(m: int, adj: list[int]) -> list[int]:
-    """All nonempty independent sets of a graph on vertices 0..m-1."""
-    out = []
-
-    def rec(cur: int, cand: int):
-        c = cand
-        while c:
-            low = c & -c
-            c ^= low
-            nxt = cur | low
-            out.append(nxt)
-            rec(nxt, c & ~adj[low.bit_length() - 1])
-
-    rec(0, (1 << m) - 1)
-    return out
-
-
 def _homology_dims(faces: list[int], char: int) -> tuple[tuple[int, int], ...]:
     """Nonzero reduced homology dimensions [(degree, dim)] over GF(char).
 
-    faces lists the nonempty faces; the empty face is implicit.  With at
-    least one vertex present the augmentation has rank 1, so reduced
-    homology in degree -1 (possible only for the empty complex) never
-    appears here; callers handle that case directly.
+    faces lists every face sorted by (size, mask), at least one vertex
+    among them.  The augmentation then has rank 1, so reduced homology
+    in degree -1 (possible only for the empty complex) never appears
+    here; callers handle that case directly.
     """
-    by_size: dict[int, list[int]] = {}
+    by_size: list[list[int]] = []
     for f in faces:
-        by_size.setdefault(f.bit_count(), []).append(f)
-    max_k = max(by_size)
-    index: dict[int, dict[int, int]] = {}
-    for k, lst in by_size.items():
-        lst.sort()
-        index[k] = {f: i for i, f in enumerate(lst)}
+        if f.bit_count() == len(by_size):
+            by_size.append([])
+        by_size[-1].append(f)
+    max_k = len(by_size) - 1
     # rank_map[k] is the rank of the boundary from size-k to size-(k-1) faces
     rank_map = [0] * (max_k + 2)
     rank_map[1] = 1
     for k in range(2, max_k + 1):
-        sources = by_size[k]
-        cols = index[k - 1]
+        cols = {f: i for i, f in enumerate(by_size[k - 1])}
         if char == 2:
             rows = []
-            for f in sources:
+            for f in by_size[k]:
                 row = 0
                 rem = f
                 while rem:
@@ -164,16 +114,18 @@ def _homology_dims(faces: list[int], char: int) -> tuple[tuple[int, int], ...]:
                 rows.append(row)
             rank_map[k] = gf2_rank(rows)
         else:
-            mat = np.zeros((len(sources), len(cols)), dtype=np.int64)
-            for r, f in enumerate(sources):
+            rows = []
+            for f in by_size[k]:
+                row = {}
                 sign = 1
                 rem = f
                 while rem:
                     low = rem & -rem
                     rem ^= low
-                    mat[r, cols[f ^ low]] = sign
+                    row[cols[f ^ low]] = sign
                     sign = -sign
-            rank_map[k] = gfp_rank(mat, char)
+                rows.append(row)
+            rank_map[k] = gfp_rank(rows, char)
     dims = []
     for k in range(1, max_k + 1):
         h = len(by_size[k]) - rank_map[k] - rank_map[k + 1]
@@ -244,11 +196,7 @@ def _graph_homology(verts: int, adj: tuple[int, ...], char: int, do_fold: bool,
     if cached is not None:
         return cached
     m, edges = key
-    cadj = [0] * m
-    for a, b in edges:
-        cadj[a] |= 1 << b
-        cadj[b] |= 1 << a
-    dims = _homology_dims(_independent_sets(m, cadj), char)
+    dims = _homology_dims(faces_of(m, [1 << a | 1 << b for a, b in edges]), char)
     memo[key] = dims
     return dims
 
@@ -263,25 +211,7 @@ def _generic_homology(w2: int, live: list[int], char: int,
     cached = memo.get(key)
     if cached is not None:
         return cached
-    gens_by_var: list[list[int]] = [[] for _ in range(m)]
-    for g in cgens:
-        for v in vars_of(g):
-            gens_by_var[v].append(g)
-    faces = []
-
-    def rec(cur: int, cand: int):
-        c = cand
-        while c:
-            low = c & -c
-            c ^= low
-            nxt = cur | low
-            if any(g & nxt == g for g in gens_by_var[low.bit_length() - 1]):
-                continue
-            faces.append(nxt)
-            rec(nxt, c)
-
-    rec(0, (1 << m) - 1)
-    dims = _homology_dims(faces, char) if faces else ()
+    dims = _homology_dims(faces_of(m, cgens), char)
     memo[key] = dims
     return dims
 
@@ -290,8 +220,13 @@ def _generic_homology(w2: int, live: list[int], char: int,
 # the subset scan
 
 
-def _scan_range(ideal: MonomialIdeal, char: int, do_fold: bool,
-                lo: int, hi: int) -> dict[tuple[int, int], int]:
+def _scan(ideal: MonomialIdeal, char: int,
+          do_fold: bool) -> dict[tuple[int, int], int]:
+    """Betti numbers of S/I from the homology of every induced complex.
+
+    do_fold=False skips the dominated-vertex folds, so the tests can
+    check the folds against the plain scan.
+    """
     killed, edge_pairs, _free, higher = graph_parts(ideal)
     n = ideal.n_vars
     adj = [0] * n
@@ -303,7 +238,7 @@ def _scan_range(ideal: MonomialIdeal, char: int, do_fold: bool,
     entries: dict[tuple[int, int], int] = {}
     core_memo: dict = {}
     generic_memo: dict = {}
-    for w in range(lo, hi):
+    for w in range(1 << n):
         w2 = w & ~killed
         j = w.bit_count()
         if w2 == 0:
@@ -341,28 +276,6 @@ def _scan_range(ideal: MonomialIdeal, char: int, do_fold: bool,
     return entries
 
 
-def _chunk_worker(args) -> dict[tuple[int, int], int]:
-    n_vars, gens, char, do_fold, lo, hi = args
-    return _scan_range(MonomialIdeal(n_vars, gens), char, do_fold, lo, hi)
-
-
-def _scan(ideal: MonomialIdeal, char: int, do_fold: bool,
-          jobs: int) -> dict[tuple[int, int], int]:
-    """Scan every vertex subset; jobs > 1 splits the range over processes."""
-    total = 1 << ideal.n_vars
-    if jobs <= 1:
-        return _scan_range(ideal, char, do_fold, 0, total)
-    step = max(1, total // (jobs * 4))
-    chunks = [(ideal.n_vars, ideal.gens, char, do_fold, lo, min(lo + step, total))
-              for lo in range(0, total, step)]
-    entries: dict[tuple[int, int], int] = {}
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_chunk_worker, chunks):
-            for key, val in part.items():
-                entries[key] = entries.get(key, 0) + val
-    return entries
-
-
 # ---------------------------------------------------------------------------
 # splitting at simplicial vertices
 
@@ -383,17 +296,14 @@ def _simplicial_vertex(verts: int, adj: list[int]) -> int | None:
     return best
 
 
-def _split(ideal: MonomialIdeal, char: int, do_fold: bool,
-           jobs: int) -> dict[tuple[int, int], int]:
+def _split(ideal: MonomialIdeal, char: int) -> dict[tuple[int, int], int]:
     """Betti numbers of S/I by the simplicial-vertex recursion.
 
-    Memoised on the induced vertex mask, for this call only.  jobs
-    reaches only the whole-ideal scan: the simplicial-free cores are
-    small, and a process pool per core costs more than it saves.
+    Memoised on the induced vertex mask, for this call only.
     """
     killed, edge_pairs, _free, higher = graph_parts(ideal)
     if higher:
-        return _scan(ideal, char, do_fold, jobs)
+        return _scan(ideal, char, True)
     adj = [0] * ideal.n_vars
     for a, b in edge_pairs:
         adj[a] |= 1 << b
@@ -409,7 +319,7 @@ def _split(ideal: MonomialIdeal, char: int, do_fold: bool,
             return cached
         y = _simplicial_vertex(verts, adj)
         if y is None:
-            out = _scan(compact(ideal, vars_of(verts)), char, do_fold, 1)
+            out = _scan(compact(ideal, vars_of(verts)), char, True)
         else:
             out = dict(table(verts ^ (1 << y)))
             for u in vars_of(adj[y] & verts):
@@ -513,31 +423,25 @@ def _check_input(ideal: MonomialIdeal, characteristic: int, max_vars: int) -> No
 
 
 def betti_table(ideal: MonomialIdeal, characteristic: int = 2,
-                max_vars: int = DEFAULT_MAX_VARS, fold: bool = True,
-                jobs: int = 1) -> BettiTable:
+                max_vars: int = DEFAULT_MAX_VARS) -> BettiTable:
     """Betti table of S/I by splitting at simplicial vertices.
 
     Induced subgraphs without a simplicial vertex, and ideals with a
-    generator of degree 3 or more, fall back to the subset scan.  fold
-    acts on that fallback only: fold=False disables its dominated-vertex
-    reduction.  jobs > 1 splits the subset range of a whole-ideal scan
-    (a generator of degree 3 or more) over worker processes and sums the
-    partial tables; the simplicial-free cores are always scanned serially.
+    generator of degree 3 or more, fall back to the subset scan.
     """
     _check_input(ideal, characteristic, max_vars)
-    entries = _split(ideal, characteristic, fold, jobs)
+    entries = _split(ideal, characteristic)
     return BettiTable.from_dict(ideal.n_vars, characteristic, entries)
 
 
 def invariants(ideal: MonomialIdeal, characteristic: int = 2,
-               max_vars: int = DEFAULT_MAX_VARS, fold: bool = True,
-               jobs: int = 1) -> InvariantBundle:
+               max_vars: int = DEFAULT_MAX_VARS) -> InvariantBundle:
     """Regularity, projective dimension and depth via the Betti table.
 
     depth comes out of the Auslander-Buchsbaum formula
     depth = n_vars - pdim.
     """
-    table = betti_table(ideal, characteristic, max_vars, fold, jobs)
+    table = betti_table(ideal, characteristic, max_vars)
     pd = table.projective_dimension
     return InvariantBundle(ideal.n_vars, characteristic,
                            table.regularity, pd, ideal.n_vars - pd)

@@ -24,7 +24,7 @@ from .families import build_extended, parse_family
 from .graphs import to_dot
 from .ideals import MAX_VARS, edge_ideal
 from .sdepth import DEFAULT_EXACT_CAP, stanley_depth, validate_partition, face_poset
-from .verify import CLAIMS, DEFAULT_SEED, RunConfig, run_claims
+from .verify import CLAIMS, RunConfig, run_claims
 
 # What helps past each size limit; every hint says "cap", which scripts
 # reading stderr key on.
@@ -82,8 +82,7 @@ def cmd_gen(args) -> int:
 def cmd_inv(args) -> int:
     spec, graph = _build_from_arg(args.spec)
     ideal = edge_ideal(graph)
-    inv = invariants(ideal, args.field, max_vars=args.hochster_cap,
-                     jobs=args.threads)
+    inv = invariants(ideal, args.field, max_vars=args.hochster_cap)
     doc = {
         "spec": str(spec),
         "n_vars": ideal.n_vars,
@@ -172,7 +171,6 @@ def cmd_verify(args) -> int:
     config = RunConfig(
         characteristic=args.field, cross_field=args.cross_field,
         hochster_cap=args.hochster_cap, sdepth_cap=args.sdepth_cap,
-        threads=args.threads, seed=args.seed,
         include_durations=args.durations,
         decompositions=not args.no_decomp)
     report = run_claims(claim_ids, config, override or None)
@@ -189,9 +187,6 @@ def _add_common(parser: argparse.ArgumentParser,
                 default_format: str = "json") -> None:
     parser.add_argument("--field", type=int, default=2,
                         help="prime field characteristic (default 2)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for a whole-ideal subset scan "
-                        "(generators of degree 3 or more)")
     parser.add_argument("--format", choices=["json", "text", "csv", "dot"],
                         default=default_format)
     parser.add_argument("--out", help="write output to this file")
@@ -199,8 +194,6 @@ def _add_common(parser: argparse.ArgumentParser,
                         help="max ambient variables for exact homology")
     parser.add_argument("--sdepth-cap", type=int, default=DEFAULT_EXACT_CAP,
                         help="max live variables for exact Stanley depth")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed recorded in reports")
 
 
 @functools.lru_cache(maxsize=None)

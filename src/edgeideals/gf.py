@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import CapExceededError, NonPrimeCharacteristicError
 
 # Strong-probable-prime tests to the first 13 prime bases decide
@@ -61,33 +59,30 @@ def gf2_rank(rows: list[int]) -> int:
     return rank
 
 
-def gfp_rank(matrix: np.ndarray, p: int) -> int:
-    """Rank mod p by Gaussian elimination; matrix entries may be negative.
+def gfp_rank(rows: list[dict[int, int]], p: int) -> int:
+    """Rank mod p of sparse rows {column: entry}; entries may be negative.
 
-    Below 2^31 a product of two residues fits in int64 with room for the
-    subtraction; from there on the entries are Python ints in an object
-    array, on the same elimination.
+    Each row is reduced by the stored pivot row of its lowest column
+    until it vanishes or opens a new pivot, as in gf2_rank; entries are
+    Python ints, so any prime p works.
     """
-    if matrix.size == 0:
-        return 0
-    dtype = np.int64 if p < 1 << 31 else object
-    a = np.array(matrix, dtype=dtype) % p
-    n_rows, n_cols = a.shape
+    pivots: dict[int, dict[int, int]] = {}
     rank = 0
-    for col in range(n_cols):
-        if rank == n_rows:
-            break
-        pivot_rows = np.nonzero(a[rank:, col])[0]
-        if pivot_rows.size == 0:
-            continue
-        pivot = rank + pivot_rows[0]
-        if pivot != rank:
-            a[[rank, pivot]] = a[[pivot, rank]]
-        inv = pow(int(a[rank, col]), p - 2, p)
-        a[rank] = (a[rank] * inv) % p
-        mask = np.nonzero(a[:, col])[0]
-        mask = mask[mask != rank]
-        if mask.size:
-            a[mask] = (a[mask] - np.outer(a[mask, col], a[rank])) % p
-        rank += 1
+    for row in rows:
+        row = {c: x % p for c, x in row.items() if x % p}
+        while row:
+            col = min(row)
+            other = pivots.get(col)
+            if other is None:
+                inv = pow(row[col], -1, p)
+                pivots[col] = {c: x * inv % p for c, x in row.items()}
+                rank += 1
+                break
+            factor = row[col]
+            for c, x in other.items():
+                y = (row.get(c, 0) - factor * x) % p
+                if y:
+                    row[c] = y
+                else:
+                    del row[c]
     return rank

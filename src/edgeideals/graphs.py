@@ -17,6 +17,23 @@ from .errors import FusionLoopError
 _ROLE_RANK = {"path": 0, "apex": 1, "path_bristle": 2, "apex_bristle": 3, "anon": 4}
 
 
+def mask_of(variables: Iterable[int]) -> int:
+    """Bitmask of a set of vertex (or variable) indices; vars_of inverts it."""
+    m = 0
+    for v in variables:
+        m |= 1 << v
+    return m
+
+
+def vars_of(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class VertexLabel:
     """Structured vertex name, e.g. apex(2, 1) prints as y21."""
@@ -126,7 +143,7 @@ class LabeledGraph:
         return bool(self.adjacency[a] >> b & 1)
 
     def neighbors(self, v: int) -> list[int]:
-        return _bits(self.adjacency[v])
+        return vars_of(self.adjacency[v])
 
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(self.degree(v) for v in range(self.n_vertices)))
@@ -142,13 +159,6 @@ class LabeledGraph:
         return f"<LabeledGraph {self.n_vertices} vertices, {self.n_edges} edges>"
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def null_graph(k: int, start: int = 0) -> LabeledGraph:
@@ -337,12 +347,12 @@ def is_isomorphic(g: LabeledGraph, h: LabeledGraph) -> bool:
         frontier = 0
         while True:
             order.append(u)
-            placed_nbrs.append(_bits(g.adjacency[u] & placed))
+            placed_nbrs.append(vars_of(g.adjacency[u] & placed))
             placed |= 1 << u
             frontier = (frontier | g.adjacency[u]) & ~placed
             if not frontier:
                 break
-            u = min(rank[w] for w in _bits(frontier))[2]
+            u = min(rank[w] for w in vars_of(frontier))[2]
     adj = h.adjacency
     image = [0] * n  # image[u] = 1 << (vertex of h that u maps to)
     want = [0] * n   # image of order[i]'s placed neighbours, set on entry

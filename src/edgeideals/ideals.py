@@ -11,35 +11,73 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import MembershipError, TooManyVariablesError
-from .graphs import LabeledGraph
+from .graphs import LabeledGraph, mask_of, vars_of
 
 MAX_VARS = 64
 
 
-def mask_of(variables: Iterable[int]) -> int:
-    m = 0
-    for v in variables:
-        m |= 1 << v
-    return m
-
-
-def vars_of(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def minimize(gens: Iterable[int]) -> tuple[int, ...]:
-    """Reduce a generating set to the antichain of minimal monomials."""
+    """Reduce a generating set to the antichain of minimal monomials.
+
+    A degree-1 generator kills its variable and every other generator
+    through it, and distinct degree-2 generators never divide each
+    other, so only generators of degree 3 or more scan the kept ones.
+    """
     ordered = sorted(set(gens), key=lambda g: (g.bit_count(), g))
+    if ordered and ordered[0] == 0:
+        return (0,)
+    killed = 0
     kept: list[int] = []
     for g in ordered:
-        if not any(k & g == k for k in kept):
-            kept.append(g)
+        if g & killed:
+            continue
+        d = g.bit_count()
+        if d == 1:
+            killed |= g
+        elif d > 2 and any(k & g == k for k in kept):
+            continue
+        kept.append(g)
     return tuple(sorted(kept))
+
+
+def faces_of(n_vars: int, gens: Iterable[int]) -> list[int]:
+    """Every face of the Stanley-Reisner complex, sorted by (size, mask).
+
+    The faces are the squarefree monomials on n_vars variables outside
+    the ideal the generators span; the empty face comes first.  They
+    grow one variable at a time: f | x_v, for a face f on the variables
+    below v, can only contain a generator whose top variable is v.  The
+    degree-2 ones among those are tested with one mask; only higher
+    degrees need a scan.
+    """
+    killed = 0
+    block = [0] * n_vars  # x_u for each generator x_u x_v with u < v
+    rests: list[list[int]] = [[] for _ in range(n_vars)]  # higher ones, less x_v
+    for g in gens:
+        if g == 0:
+            return []  # the unit ideal has no faces at all
+        v = g.bit_length() - 1
+        r = g ^ 1 << v
+        if r == 0:
+            killed |= g
+        elif r & (r - 1) == 0:
+            block[v] |= r
+        else:
+            rests[v].append(r)
+    faces = [0]
+    for v in range(n_vars):
+        if killed >> v & 1:
+            continue
+        bit, b, rs = 1 << v, block[v], rests[v]
+        if rs:
+            faces += [f | bit for f in faces
+                      if not f & b and not any(r & f == r for r in rs)]
+        else:
+            faces += [f | bit for f in faces if not f & b]
+    # the list is sorted by mask after every step, so a stable sort by
+    # size leaves it sorted by (size, mask)
+    faces.sort(key=int.bit_count)
+    return faces
 
 
 @dataclass(frozen=True)

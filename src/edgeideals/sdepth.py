@@ -8,16 +8,18 @@ The exact search rests on two known results.  Colon monotonicity
 (Rauf, Comm. Algebra 38, 2010): sdepth(S/I) <= sdepth(S/(I : x_v)) for
 every variable v outside I.  The colon frees v, so its value comes from
 the same search, recursively, memoised per call on the compacted ideal;
-the least colon value, capped by the largest face size, seeds the
-search.  The skeleton reduction (Herzog-Vladoiu-Zheng, J. Algebra 322,
+the least colon value, capped by the largest face size, is the colon
+bound.  The skeleton reduction (Herzog-Vladoiu-Zheng, J. Algebra 322,
 2009): sdepth(S/I) >= d exactly when the faces of size <= d split into
 intervals whose tops have exactly d elements, each larger face then
-being its own interval.  The seed is probed first, and a binary search
-below it runs only if that probe fails.  A probe covers the skeleton
-smallest face first; the lowest uncovered face must start an interval,
-failed cover states are memoised, and a state is dropped as soon as an
-uncovered face has too few uncovered faces above it to reach size d.
-Every search stops with CapExceededError after SEARCH_NODE_BUDGET nodes.
+being its own interval.  The colon bound is probed first, and a binary
+search below it runs only if that probe fails.  A probe covers the
+skeleton smallest face first; the lowest uncovered face must start an
+interval, failed cover states are memoised, and a state is dropped as
+soon as an uncovered face has too few uncovered faces above it to reach
+size d.  Only the top-level ideal needs a witness: its faces above the
+skeleton cover are partitioned greedily once the value is known.  Every
+search stops with CapExceededError after SEARCH_NODE_BUDGET nodes.
 
 Free variables and killed variables both factor out: sdepth goes up by
 one per free variable and is untouched by a variable that appears as a
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .errors import CapExceededError
-from .ideals import MonomialIdeal, colon_by, compact, mask_of, vars_of
+from .ideals import MonomialIdeal, colon_by, compact, faces_of, mask_of, vars_of
 
 DEFAULT_EXACT_CAP = 10
 DEFAULT_POSET_CAP = 14
@@ -51,15 +53,7 @@ def face_poset(ideal: MonomialIdeal, cap: int = DEFAULT_POSET_CAP) -> FacePoset:
     if ideal.n_vars > cap:
         raise CapExceededError(
             f"face poset capped at {cap} variables, got {ideal.n_vars}")
-    # faces grow one variable at a time: f | x_v, for a face f on the
-    # variables below v, can only contain a generator whose top variable is v
-    faces = [0]
-    for v in range(ideal.n_vars):
-        bit = 1 << v
-        rests = [g ^ bit for g in ideal.gens if g.bit_length() - 1 == v]
-        faces += [f | bit for f in faces if not any(r & f == r for r in rests)]
-    faces.sort(key=lambda f: (f.bit_count(), f))
-    return FacePoset(ideal.n_vars, tuple(faces))
+    return FacePoset(ideal.n_vars, tuple(faces_of(ideal.n_vars, ideal.gens)))
 
 
 @dataclass(frozen=True)
@@ -220,17 +214,13 @@ class _Search:
 
 def _feasible(faces: tuple[int, ...], d: int, solver: _Exact
               ) -> list[tuple[int, int]] | None:
-    """A partition of all faces with every top of size >= d, or None.
+    """A cover of the faces below size d by intervals with d-element tops.
 
-    The faces the skeleton cover leaves over (d-faces and all larger
-    ones) form an upper set, so any partition of them has tops of size
-    >= d; the greedy cover keeps the witness short.
+    None when there is none.  The faces it leaves over (d-faces and all
+    larger ones) form an upper set, so any partition of them completes
+    it to a partition with every top of size >= d.
     """
-    chosen = _Search(faces, d, solver).run()
-    if chosen is None:
-        return None
-    covered = {m for s, t in chosen for m in _interval_members(s, t)}
-    return chosen + _greedy_partition(tuple(f for f in faces if f not in covered))
+    return _Search(faces, d, solver).run()
 
 
 def _reduce(ideal: MonomialIdeal) -> tuple[MonomialIdeal, list[int], int]:
@@ -245,8 +235,8 @@ def _reduce(ideal: MonomialIdeal) -> tuple[MonomialIdeal, list[int], int]:
     return compact(ideal, live), live, ideal.n_vars - support.bit_count()
 
 
-def _colon_seed(reduced: MonomialIdeal, upper: int,
-                value_of: Callable[[MonomialIdeal], int]) -> int:
+def _colon_bound(reduced: MonomialIdeal, upper: int,
+                 value_of: Callable[[MonomialIdeal], int]) -> int:
     """Lower an upper bound on sdepth(S/I) through every colon (I : x_v).
 
     sdepth(S/I) <= sdepth(S/(I : x_v)) (Rauf), and the colon's value is
@@ -264,22 +254,24 @@ class _Exact:
 
     def __init__(self, poset_cap: int):
         self.poset_cap = poset_cap
-        self.memo: dict[MonomialIdeal, tuple[int, list[tuple[int, int]]]] = {}
+        self.memo: dict[MonomialIdeal, int] = {}
         self.nodes = 0
 
     def value(self, reduced: MonomialIdeal) -> int:
-        return self.solve(reduced)[0]
-
-    def solve(self, reduced: MonomialIdeal) -> tuple[int, list[tuple[int, int]]]:
         hit = self.memo.get(reduced)
-        if hit is not None:
-            return hit
+        if hit is None:
+            hit = self.memo[reduced] = self.solve(reduced)[0]
+        return hit
+
+    def solve(self, reduced: MonomialIdeal
+              ) -> tuple[int, tuple[int, ...], list[tuple[int, int]]]:
+        """(value, faces, skeleton cover at the value)."""
         faces = face_poset(reduced, cap=self.poset_cap).faces
-        d = _colon_seed(reduced, faces[-1].bit_count(), self.value)
+        d = _colon_bound(reduced, faces[-1].bit_count(), self.value)
         found = _feasible(faces, d, self)
         if found is None:
-            # the seed is only an upper bound: binary search below it,
-            # where d = 0 always succeeds
+            # the colon bound is only an upper bound: binary search below
+            # it, where d = 0 always succeeds
             lo, hi = 0, d - 1
             while lo < hi:
                 mid = (lo + hi + 1) // 2
@@ -291,8 +283,7 @@ class _Exact:
             d = lo
             if found is None:
                 found = _feasible(faces, d, self)
-        self.memo[reduced] = d, found
-        return d, found
+        return d, faces, found
 
 
 def stanley_depth(ideal: MonomialIdeal, exact_cap: int = DEFAULT_EXACT_CAP
@@ -310,7 +301,9 @@ def stanley_depth(ideal: MonomialIdeal, exact_cap: int = DEFAULT_EXACT_CAP
         raise CapExceededError(
             f"exact Stanley depth capped at {exact_cap} live variables, "
             f"got {reduced.n_vars}", limit="sdepth_cap")
-    value, intervals = _Exact(max(exact_cap, DEFAULT_POSET_CAP)).solve(reduced)
+    value, faces, cover = _Exact(max(exact_cap, DEFAULT_POSET_CAP)).solve(reduced)
+    covered = {m for s, t in cover for m in _interval_members(s, t)}
+    intervals = cover + _greedy_partition(tuple(f for f in faces if f not in covered))
     return value + free_count, _lift_partition(ideal, live, intervals)
 
 
@@ -369,7 +362,7 @@ def sdepth_bounds(ideal: MonomialIdeal, exact_cap: int = DEFAULT_EXACT_CAP,
 
     Within the exact cap both bounds are the exact value.  Beyond it the
     lower bound comes from a greedy interval partition and the upper
-    bound from the colon seed of the exact search: sdepth can only grow
+    bound from the colon bound of the exact search: sdepth can only grow
     along (I : x_v), so each colon gives an upper bound, exact when the
     colon lands back inside the exact cap and its largest face size
     otherwise.
@@ -393,5 +386,5 @@ def sdepth_bounds(ideal: MonomialIdeal, exact_cap: int = DEFAULT_EXACT_CAP,
             return solver.value(quotient)
         return face_poset(quotient, cap=poset_cap).faces[-1].bit_count()
 
-    upper = _colon_seed(reduced, faces[-1].bit_count(), colon_upper)
+    upper = _colon_bound(reduced, faces[-1].bit_count(), colon_upper)
     return lower, max(lower, upper + free_count)

@@ -6,15 +6,14 @@ with the residue field keeps exactly the unit entries of the
 differential, i.e. the pairs A, A minus g with equal lcm.  The complex
 therefore splits into strands, one per lcm value, and the homology of
 the strand in homological degree i is beta_{i, lcm}.  Nothing here is
-shared with the subset-scan engine beyond the rank routines.
+shared with the subset-scan engine beyond gfp_rank, which ranks GF(2)
+here too, where the scan uses gf2_rank.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import TooManyGeneratorsError
-from .gf import check_prime, gf2_rank, gfp_rank
+from .gf import check_prime, gfp_rank
 from .ideals import MonomialIdeal
 from .betti import BettiTable
 
@@ -53,32 +52,20 @@ def betti_table_taylor(ideal: MonomialIdeal, characteristic: int = 2,
             targets = index.get(i - 1, {})
             if not sources or not targets:
                 continue
-            if characteristic == 2:
-                rows = []
-                for a in sources:
-                    row = 0
-                    rem = a
-                    while rem:
-                        low = rem & -rem
-                        rem ^= low
-                        b = a ^ low
-                        if lcm[b] == mu:
-                            row |= 1 << targets[b]
-                    rows.append(row)
-                rank[i] = gf2_rank(rows)
-            else:
-                mat = np.zeros((len(sources), len(targets)), dtype=np.int64)
-                for rr, a in enumerate(sources):
-                    sign = 1
-                    rem = a
-                    while rem:
-                        low = rem & -rem
-                        rem ^= low
-                        b = a ^ low
-                        if lcm[b] == mu:
-                            mat[rr, targets[b]] = sign
-                        sign = -sign
-                rank[i] = gfp_rank(mat, characteristic)
+            rows = []
+            for a in sources:
+                row = {}
+                sign = 1
+                rem = a
+                while rem:
+                    low = rem & -rem
+                    rem ^= low
+                    b = a ^ low
+                    if lcm[b] == mu:
+                        row[targets[b]] = sign
+                    sign = -sign
+                rows.append(row)
+            rank[i] = gfp_rank(rows, characteristic)
         for i, lst in levels.items():
             h = len(lst) - rank[i] - rank[i + 1]
             if h:

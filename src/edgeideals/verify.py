@@ -31,8 +31,7 @@ from .ideals import edge_ideal
 from .recursion import regularity_by_recursion
 from .sdepth import DEFAULT_EXACT_CAP, stanley_depth
 
-SCHEMA_VERSION = 1
-DEFAULT_SEED = 20240820
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -41,8 +40,6 @@ class RunConfig:
     cross_field: bool = False
     hochster_cap: int = DEFAULT_MAX_VARS
     sdepth_cap: int = DEFAULT_EXACT_CAP
-    threads: int = 1
-    seed: int = DEFAULT_SEED
     include_durations: bool = False
     decompositions: bool = True
 
@@ -52,8 +49,6 @@ class RunConfig:
             "cross_field": self.cross_field,
             "hochster_cap": self.hochster_cap,
             "sdepth_cap": self.sdepth_cap,
-            "threads": self.threads,
-            "seed": self.seed,
             "decompositions": self.decompositions,
         }
 
@@ -227,8 +222,7 @@ def run_cell(claim: Claim, cell: tuple[int, ...],
         for name in sorted(prediction.values):
             rows.append(row(name, None, prediction.values[name], "skipped"))
         return rows
-    inv = invariants(ideal, config.characteristic,
-                     max_vars=config.hochster_cap, jobs=config.threads)
+    inv = invariants(ideal, config.characteristic, max_vars=config.hochster_cap)
     computed = {"reg": inv.regularity, "pdim": inv.projective_dimension,
                 "depth": inv.depth}
     sdepth_value = None
@@ -256,8 +250,7 @@ def run_cell(claim: Claim, cell: tuple[int, ...],
                     "pass" if rec_ok else "fail"))
     if config.cross_field:
         other = 3 if config.characteristic == 2 else 2
-        inv_b = invariants(ideal, other, max_vars=config.hochster_cap,
-                           jobs=config.threads)
+        inv_b = invariants(ideal, other, max_vars=config.hochster_cap)
         same = (inv_b.regularity == inv.regularity
                 and inv_b.projective_dimension == inv.projective_dimension)
         rows.append(row("field-agree",

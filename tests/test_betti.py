@@ -104,15 +104,6 @@ def test_characteristic_must_be_prime():
         betti_table(cycle_ideal(3), characteristic=4)
 
 
-def test_fold_off_agrees():
-    rng = random.Random(17)
-    for _ in range(25):
-        ideal = random_edge_ideal(rng, max_v=6, max_e=9)
-        a = betti_table(ideal, fold=True).as_dict()
-        b = betti_table(ideal, fold=False).as_dict()
-        assert a == b
-
-
 def test_gf3_agrees_on_small_cycles_and_paths():
     for ideal in [cycle_ideal(3), cycle_ideal(5), cycle_ideal(6), path_ideal(5),
                   star_ideal(4)]:
@@ -183,12 +174,6 @@ def test_cycle_symmetry_of_tables():
         assert betti_table(base).as_dict() == betti_table(relabeled).as_dict()
 
 
-def test_parallel_jobs_match_serial():
-    # jobs reaches the whole-ideal scan, taken for a generator of degree 3
-    ideal = MonomialIdeal.make(7, cycle_ideal(7).gens + (0b0010101,))
-    assert betti_table(ideal, jobs=2).as_dict() == betti_table(ideal).as_dict()
-
-
 def test_independence_complex_faces():
     g = LabeledGraph.from_edge_list(3, [(0, 1), (1, 2)])
     cx = independence_complex(g)
@@ -230,7 +215,7 @@ def random_ideal_with_killed(rng, max_v=9, max_gens=12):
 
 def scan_table(ideal, char, fold):
     """The subset scan alone, over the whole ideal: the split engine's oracle."""
-    entries = betti._scan(ideal, char, fold, 1)
+    entries = betti._scan(ideal, char, fold)
     return BettiTable.from_dict(ideal.n_vars, char, entries).as_dict()
 
 
@@ -238,7 +223,6 @@ def assert_all_engines_agree(ideal, char):
     split = betti_table(ideal, char).as_dict()
     assert split == scan_table(ideal, char, fold=True)
     assert split == scan_table(ideal, char, fold=False)
-    assert split == betti_table(ideal, char, fold=False).as_dict()
     assert split == betti_table_taylor(ideal, char).as_dict()
 
 
@@ -254,6 +238,9 @@ def test_split_equals_scan_and_taylor_on_random_corpus(char):
         killed += any(g.bit_count() == 1 for g in ideal.gens)
         assert_all_engines_agree(ideal, char)
     assert killed >= 50  # the corpus really exercises the Koszul factor
+    rng = random.Random(17)  # denser edge ideals on few vertices
+    for _ in range(25):
+        assert_all_engines_agree(random_edge_ideal(rng, max_v=6, max_e=9), char)
 
 
 @pytest.mark.parametrize("char", [2, 3])

@@ -214,3 +214,16 @@ def test_shared_parser_answers_like_a_fresh_process(capsys):
     assert "required" in capsys.readouterr().err
     valid = ("gen", "star(u=2)", "--format", "json")
     assert run(capsys, *valid) == fresh_process(*valid)
+
+
+def test_runs_without_numpy():
+    # a None entry in sys.modules makes any import of numpy fail
+    env = dict(os.environ, PYTHONPATH=SRC)
+    probe = ("import sys; sys.modules['numpy'] = None; "
+             "import edgeideals.cli as c; "
+             "sys.exit(c.main(['inv', 'cycle(6)', '--field', '3']))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, check=False)
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)
+    assert (doc["reg"], doc["pdim"], doc["depth"]) == (2, 4, 2)

@@ -1,5 +1,7 @@
 """Bitmask monomial ideals: minimization, colon, membership, text I/O."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,7 @@ from edgeideals import (LabeledGraph, MonomialIdeal, add_variable, colon_by,
                         edge_ideal, ideal_components, ideal_from_text,
                         ideal_to_text, mask_of, vars_of)
 from edgeideals.errors import MembershipError, TooManyVariablesError
-from edgeideals.ideals import compact, graph_parts, minimize
+from edgeideals.ideals import compact, faces_of, graph_parts, minimize
 
 
 # small random squarefree ideals on up to 6 variables
@@ -25,6 +27,42 @@ def test_mask_round_trip():
 def test_minimize_keeps_antichain():
     gens = minimize([0b011, 0b111, 0b110, 0b110])
     assert gens == (0b011, 0b110)
+
+
+def quadratic_minimize(gens):
+    """The former minimize: every generator scans all the kept ones."""
+    ordered = sorted(set(gens), key=lambda g: (g.bit_count(), g))
+    kept = []
+    for g in ordered:
+        if not any(k & g == k for k in kept):
+            kept.append(g)
+    return tuple(sorted(kept))
+
+
+def test_minimize_matches_the_quadratic_reference():
+    rng = random.Random(35)
+    cases = [[], [0], [0, 0b11, 0b1]]
+    for _ in range(2000):
+        n = rng.randint(1, 9)
+        degrees = [min(n, rng.randint(0, 5)) for _ in range(rng.randint(0, 12))]
+        cases.append([mask_of(rng.sample(range(n), d)) for d in degrees])
+    seen = {g.bit_count() for gens in cases for g in gens}
+    assert seen == set(range(6))
+    for gens in cases:
+        assert minimize(gens) == quadratic_minimize(gens), gens
+
+
+def test_faces_of_matches_brute_force():
+    rng = random.Random(10)
+    for _ in range(400):
+        n = rng.randint(0, 10)
+        degrees = [min(n, rng.randint(1, 4)) for _ in range(rng.randint(0, 10) if n else 0)]
+        gens = [mask_of(rng.sample(range(n), d)) for d in degrees]
+        ideal = MonomialIdeal.make(n, gens)
+        want = sorted((m for m in range(1 << n) if not ideal.contains(m)),
+                      key=lambda f: (f.bit_count(), f))
+        assert faces_of(n, ideal.gens) == want, ideal
+    assert faces_of(3, [0]) == []  # the unit ideal has no faces
 
 
 def test_make_rejects_too_many_variables():

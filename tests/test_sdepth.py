@@ -263,7 +263,7 @@ def test_binary_search_below_a_seed_that_fails(monkeypatch):
         return found
 
     monkeypatch.setattr(sdepth_module, "_feasible", counting)
-    monkeypatch.setattr(sdepth_module, "_colon_seed",
+    monkeypatch.setattr(sdepth_module, "_colon_bound",
                         lambda reduced, upper, value_of: upper)
     for ideal in random_ideals(5, 60) + [family_ideal("path(9)")]:
         value, witness = stanley_depth(ideal)
@@ -317,6 +317,25 @@ def test_one_feasibility_probe_per_ideal(monkeypatch, text):
     assert per_ideal[face_poset(reduced).faces] == 1
     assert set(per_ideal.values()) == {1}
     assert all(ok for _, ok in probes)
+
+
+@pytest.mark.parametrize("text", WORKLOAD_CELLS)
+def test_one_greedy_partition_per_call(monkeypatch, text):
+    # colon ideals only need a value: the witness of the top-level ideal
+    # is the one place the faces above the skeleton cover get partitioned
+    calls = []
+    greedy = sdepth_module._greedy_partition
+
+    def counting(faces):
+        calls.append(faces)
+        return greedy(faces)
+
+    monkeypatch.setattr(sdepth_module, "_greedy_partition", counting)
+    ideal = family_ideal(text)
+    value, witness = stanley_depth(ideal, exact_cap=14)
+    assert len(calls) == 1
+    validate_partition(face_poset(ideal), witness)
+    assert witness.value == value
 
 
 def test_node_budget_fails_loudly(monkeypatch, capsys):

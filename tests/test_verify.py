@@ -59,8 +59,9 @@ def test_json_report_shape_and_determinism():
     b = run_claims(["bstar"], config).as_json()
     assert a == b
     doc = json.loads(a)
-    assert doc["schema_version"] == 1
-    assert doc["config"]["seed"] == 20240820
+    assert doc["schema_version"] == 2
+    assert set(doc["config"]) == {"characteristic", "cross_field", "decompositions",
+                                  "hochster_cap", "sdepth_cap"}
     assert "durations" not in doc
     assert {"cells", "config", "ok", "schema_version", "summary"} <= set(doc)
 
