@@ -238,9 +238,16 @@ def test_split_equals_scan_and_taylor_on_random_corpus(char):
         killed += any(g.bit_count() == 1 for g in ideal.gens)
         assert_all_engines_agree(ideal, char)
     assert killed >= 50  # the corpus really exercises the Koszul factor
-    rng = random.Random(17)  # denser edge ideals on few vertices
+
+
+def test_fold_off_agrees():
+    # denser edge ideals on few vertices: the scan with and without the
+    # dominated-vertex folds, the split engine and Taylor all agree
+    rng = random.Random(17)
     for _ in range(25):
-        assert_all_engines_agree(random_edge_ideal(rng, max_v=6, max_e=9), char)
+        ideal = random_edge_ideal(rng, max_v=6, max_e=9)
+        for char in (2, 3):
+            assert_all_engines_agree(ideal, char)
 
 
 @pytest.mark.parametrize("char", [2, 3])
