@@ -134,7 +134,7 @@ def cmd_sdepth(args) -> int:
 
 
 def cmd_decomp(args) -> int:
-    spec, _ = _build_from_arg(args.spec)
+    spec = parse_family(args.spec)
     reports = replay_family(spec)
     ok = all(r.ok for r in reports)
     if args.format == "text":
@@ -144,7 +144,10 @@ def cmd_decomp(args) -> int:
             facs = ", ".join(f.expected for f in r.factors) or "nothing"
             lines.append(f"[{mark}] {r.rule_id} pivot {r.pivot}: "
                          f"{facs} + {r.expected_free} free")
-        lines.append("all rules pass" if ok else "some rules FAILED")
+        if not reports:
+            lines.append(f"no catalogued decomposition rules for {spec}")
+        else:
+            lines.append("all rules pass" if ok else "some rules FAILED")
         _emit("\n".join(lines) + "\n", args.out)
     else:
         doc = {"spec": str(spec), "ok": ok,

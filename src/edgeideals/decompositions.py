@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from .errors import RuleInapplicableError
 from .families import (FamilySpec, build_extended, bristled, find_vertex,
                        star, tsnake_star, tsnake_starstar, validate_spec)
-from .graphs import LabeledGraph, apex, is_isomorphic, path_bristle, path_vertex
-from .ideals import (MonomialIdeal, add_variable, colon_by, edge_ideal,
-                     graph_parts, vars_of)
+from .graphs import (LabeledGraph, apex, component_masks, induced_adjacency,
+                     is_isomorphic, path_bristle, path_vertex)
+from .ideals import add_variable, colon_by, edge_ideal, graph_parts, vars_of
 
 
 @dataclass(frozen=True)
@@ -158,31 +158,26 @@ def expected_outcome(rule: DecompositionRule,
     raise RuleInapplicableError(f"unknown rule {rid}")
 
 
-def resolve_factor(fspec: FamilySpec) -> tuple[list[LabeledGraph], int]:
-    """Concrete graphs (plus stray free variables) for a factor spec.
+def resolve_factor(fspec: FamilySpec) -> tuple[list[FamilySpec], int]:
+    """Specs of the concrete graphs (plus stray free variables) of a factor.
 
     Degenerate indices: a starred snake at n=0 is a star, at n<0 nothing;
     a doubly starred snake at n=-1 leaves p loose variables (p loose
-    q-stars once bristled).
+    q-stars once bristled).  Every returned spec is buildable by
+    build_extended.
     """
     inner = fspec.inner
     if fspec.kind == "brs" and inner.kind in ("tsnake_star", "tsnake_starstar"):
         if inner.n >= 0:
-            return [build_extended(fspec)], 0
+            return [fspec], 0
         if inner.kind == "tsnake_starstar" and inner.n == -1:
-            return [build_extended(star(fspec.q)) for _ in range(inner.p)], 0
+            return [star(fspec.q)] * inner.p, 0
         return [], 0
-    if fspec.kind == "tsnake_star":
-        if fspec.n >= 0:
-            return [build_extended(fspec)], 0
-        return [], 0
-    if fspec.kind == "tsnake_starstar":
-        if fspec.n >= 0:
-            return [build_extended(fspec)], 0
-        if fspec.n == -1:
+    if fspec.kind in ("tsnake_star", "tsnake_starstar") and fspec.n < 0:
+        if fspec.kind == "tsnake_starstar" and fspec.n == -1:
             return [], fspec.p
         return [], 0
-    return [build_extended(fspec)], 0
+    return [fspec], 0
 
 
 @dataclass(frozen=True)
@@ -216,58 +211,61 @@ class DecompositionReport:
         }
 
 
-def _component_graphs(ideal: MonomialIdeal) -> list[LabeledGraph]:
-    _, edges, _, higher = graph_parts(ideal)
-    if higher:
-        raise ValueError("decomposition result is not an edge ideal")
-    parent = {}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+def _component_graphs(n_vars: int,
+                      edges: list[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """Components of a graph given by its edges, as local adjacency masks."""
+    adj = [0] * n_vars
+    touched = 0
     for a, b in edges:
-        parent.setdefault(a, a)
-        parent.setdefault(b, b)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for a, b in edges:
-        groups.setdefault(find(a), []).append((a, b))
-    out = []
-    for root in sorted(groups, key=lambda r: min(min(e) for e in groups[r])):
-        pairs = groups[root]
-        verts = sorted({v for e in pairs for v in e})
-        local = {v: i for i, v in enumerate(verts)}
-        out.append(LabeledGraph.from_edge_list(
-            len(verts), [(local[a], local[b]) for a, b in pairs]))
-    return out
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+        touched |= 1 << a | 1 << b
+    return [induced_adjacency(adj, comp)
+            for comp in component_masks(adj, touched)]
 
 
-def verify_decomposition(rule: DecompositionRule,
-                         spec: FamilySpec) -> DecompositionReport:
+class _Replay:
+    """What the rules of one spec share: its graph and edge ideal, and the
+    adjacency of every factor graph, each built once.  It lives for one
+    replay_family call, so every call starts cold."""
+
+    def __init__(self, spec: FamilySpec):
+        self.graph = build_extended(spec)
+        self.ideal = edge_ideal(self.graph)
+        self._built: dict[FamilySpec, tuple[int, ...]] = {}
+
+    def factor(self, fspec: FamilySpec) -> tuple[list[tuple[int, ...]], int]:
+        """Adjacency tuples and extra free variables of a factor spec."""
+        specs, extra = resolve_factor(fspec)
+        for s in specs:
+            if s not in self._built:
+                self._built[s] = build_extended(s).adjacency
+        return [self._built[s] for s in specs], extra
+
+
+def verify_decomposition(rule: DecompositionRule, spec: FamilySpec, *,
+                         _replay: _Replay | None = None) -> DecompositionReport:
     validate_spec(spec)
     if rule not in rules_for(spec):
         raise RuleInapplicableError(
             f"rule {rule.rule_id} does not apply to {spec}")
-    graph = build_extended(spec)
-    ideal = edge_ideal(graph)
-    pivot = pivot_mask(rule, spec, graph)
+    replay = _replay or _Replay(spec)
+    ideal = replay.ideal
+    pivot = pivot_mask(rule, spec, replay.graph)
     if rule.kind == "colon":
         result = colon_by(ideal, pivot)
     else:
         result = add_variable(ideal, vars_of(pivot)[0])
-    killed, _, free, _ = graph_parts(result)
-    components = _component_graphs(result)
+    killed, edges, free, higher = graph_parts(result)
+    if higher:
+        raise ValueError("decomposition result is not an edge ideal")
+    components = _component_graphs(result.n_vars, edges)
     factor_specs, rule_free = expected_outcome(rule, spec)
-    expected_graphs: list[LabeledGraph] = []
+    expected_graphs: list[tuple[int, ...]] = []
     names: list[str] = []
     expected_free = rule_free
     for fs in factor_specs:
-        graphs, extra = resolve_factor(fs)
+        graphs, extra = replay.factor(fs)
         expected_graphs.extend(graphs)
         names.extend([str(fs)] * len(graphs))
         expected_free += extra
@@ -284,7 +282,7 @@ def verify_decomposition(rule: DecompositionRule,
     actual_free = free.bit_count()
     free_ok = actual_free == expected_free
     ambient = ideal.n_vars
-    accounting = (sum(g.n_vertices for g in expected_graphs)
+    accounting = (sum(len(g) for g in expected_graphs)
                   + expected_free + killed.bit_count() == ambient)
     ok = (assignment is not None) and count_ok and free_ok and accounting
     return DecompositionReport(
@@ -292,8 +290,8 @@ def verify_decomposition(rule: DecompositionRule,
         expected_free, actual_free, killed.bit_count(), accounting)
 
 
-def _match_graphs(expected: list[LabeledGraph],
-                  found: list[LabeledGraph]) -> list[int] | None:
+def _match_graphs(expected: list[tuple[int, ...]],
+                  found: list[tuple[int, ...]]) -> list[int] | None:
     """Injective assignment of expected factors to isomorphic components."""
     if len(expected) != len(found):
         return None
@@ -317,7 +315,16 @@ def _match_graphs(expected: list[LabeledGraph],
 
 
 def replay_family(spec: FamilySpec) -> list[DecompositionReport]:
-    return [verify_decomposition(rule, spec) for rule in rules_for(spec)]
+    """Replay every catalogued rule of spec; [] when it has none.
+
+    The parent graph is built even then, so an invalid spec raises.
+    """
+    rules = rules_for(spec)
+    if not rules:
+        build_extended(spec)
+        return []
+    replay = _Replay(spec)
+    return [verify_decomposition(rule, spec, _replay=replay) for rule in rules]
 
 
 def replay_catalogue(max_n: int = 4, max_p: int = 2,

@@ -9,7 +9,7 @@ of the same family are identical object-for-object.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import FusionLoopError
 
@@ -269,27 +269,48 @@ def strip_isolated(g: LabeledGraph) -> tuple[LabeledGraph, int]:
     return LabeledGraph(labels, edges), removed
 
 
+def component_masks(adjacency: Sequence[int],
+                    vertices: int | None = None) -> list[int]:
+    """Vertex masks of the connected components, lowest vertex first.
+
+    Only components meeting `vertices` (default: every vertex) are listed.
+    """
+    left = (1 << len(adjacency)) - 1 if vertices is None else vertices
+    comps = []
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            reach = 0
+            for v in vars_of(frontier):
+                reach |= adjacency[v]
+            frontier = reach & ~comp
+            comp |= frontier
+        comps.append(comp)
+        left &= ~comp
+    return comps
+
+
+def induced_adjacency(adjacency: Sequence[int], comp: int) -> tuple[int, ...]:
+    """Adjacency masks of the subgraph on `comp`, renumbered 0..k-1 in order."""
+    verts = vars_of(comp)
+    local = {v: 1 << i for i, v in enumerate(verts)}
+    out = []
+    for v in verts:
+        m = 0
+        for w in vars_of(adjacency[v] & comp):
+            m |= local[w]
+        out.append(m)
+    return tuple(out)
+
+
 def connected_components(g: LabeledGraph) -> list[LabeledGraph]:
     """Connected components with at least one vertex, isolated ones included."""
-    seen = [False] * g.n_vertices
     comps = []
-    for s in range(g.n_vertices):
-        if seen[s]:
-            continue
-        stack, comp = [s], []
-        seen[s] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in g.neighbors(v):
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comp_set = set(comp)
-        labels = [g.labels[v] for v in sorted(comp)]
-        edges = [(g.labels[a], g.labels[b]) for a, b in g.edges
-                 if a in comp_set and b in comp_set]
-        comps.append(LabeledGraph(labels, edges))
+    for comp in component_masks(g.adjacency):
+        verts = vars_of(comp)
+        edges = [(g.labels[a], g.labels[b]) for a in verts
+                 for b in vars_of(g.adjacency[a]) if b > a]
+        comps.append(LabeledGraph([g.labels[v] for v in verts], edges))
     return comps
 
 
@@ -297,10 +318,10 @@ def connected_components(g: LabeledGraph) -> list[LabeledGraph]:
 # isomorphism testing
 
 
-def _refine_colors(g: LabeledGraph) -> tuple[int, ...]:
+def _refine_colors(adj: Sequence[int]) -> tuple[int, ...]:
     """Iterated degree refinement; returns a stable color per vertex."""
-    n = g.n_vertices
-    nbrs = [g.neighbors(v) for v in range(n)]
+    n = len(adj)
+    nbrs = [vars_of(m) for m in adj]
     colors = [len(ws) for ws in nbrs]
     while True:
         sigs = [(colors[v], tuple(sorted([colors[w] for w in nbrs[v]])))
@@ -312,29 +333,33 @@ def _refine_colors(g: LabeledGraph) -> tuple[int, ...]:
         colors = new
 
 
-def is_isomorphic(g: LabeledGraph, h: LabeledGraph) -> bool:
-    """Label-blind graph isomorphism, decided exactly.
+def is_isomorphic(g: Sequence[int], h: Sequence[int]) -> bool:
+    """Label-blind isomorphism of two graphs given as adjacency masks, exact.
 
-    Degree sequences and colour refinement reject most non-isomorphic
-    pairs outright.  A backtracking search then maps g onto h one vertex
-    at a time, each to a vertex of h with the same refined colour.  The
-    order grows each component of g along its edges: it starts from a
-    vertex of the smallest colour class and then takes, smallest class
-    first, a vertex next to one already placed, whose image narrows its
-    candidates to that image's neighbours.  A candidate v for u is kept
-    only if its edges to the vertices used so far are the images of u's
-    edges to the vertices placed so far, one bitmask comparison.
+    Pass `graph.adjacency` for a LabeledGraph.  Identical mask tuples
+    are accepted at once, since the identity map is an isomorphism.
+    Otherwise degree sequences and colour refinement reject most
+    non-isomorphic pairs outright.  A backtracking search then maps g
+    onto h one vertex at a time, each to a vertex of h with the same
+    refined colour.  The order grows each component of g along its
+    edges: it starts from a vertex of the smallest colour class and then
+    takes, smallest class first, a vertex next to one already placed,
+    whose image narrows its candidates to that image's neighbours.  A
+    candidate v for u is kept only if its edges to the vertices used so
+    far are the images of u's edges to the vertices placed so far, one
+    bitmask comparison.
     """
-    if g.n_vertices != h.n_vertices or g.n_edges != h.n_edges:
+    g, h = tuple(g), tuple(h)
+    if g == h:
+        return True
+    n = len(g)
+    if n != len(h):
         return False
-    if g.degree_sequence() != h.degree_sequence():
+    if sorted(m.bit_count() for m in g) != sorted(m.bit_count() for m in h):
         return False
     cg, ch = _refine_colors(g), _refine_colors(h)
     if sorted(cg) != sorted(ch):
         return False
-    n = g.n_vertices
-    if n == 0:
-        return True
     class_mask: dict[int, int] = {}
     for v in range(n):
         class_mask[ch[v]] = class_mask.get(ch[v], 0) | 1 << v
@@ -347,13 +372,12 @@ def is_isomorphic(g: LabeledGraph, h: LabeledGraph) -> bool:
         frontier = 0
         while True:
             order.append(u)
-            placed_nbrs.append(vars_of(g.adjacency[u] & placed))
+            placed_nbrs.append(vars_of(g[u] & placed))
             placed |= 1 << u
-            frontier = (frontier | g.adjacency[u]) & ~placed
+            frontier = (frontier | g[u]) & ~placed
             if not frontier:
                 break
             u = min(rank[w] for w in vars_of(frontier))[2]
-    adj = h.adjacency
     image = [0] * n  # image[u] = 1 << (vertex of h that u maps to)
     want = [0] * n   # image of order[i]'s placed neighbours, set on entry
     cands = [0] * n  # untried candidates at each level
@@ -370,7 +394,7 @@ def is_isomorphic(g: LabeledGraph, h: LabeledGraph) -> bool:
             continue
         low = c & -c
         cands[i] = c ^ low
-        if adj[low.bit_length() - 1] & used != want[i]:
+        if h[low.bit_length() - 1] & used != want[i]:
             continue
         image[order[i]] = low
         used |= low
@@ -384,7 +408,7 @@ def is_isomorphic(g: LabeledGraph, h: LabeledGraph) -> bool:
         want[i] = w
         c = class_mask[cg[order[i]]] & ~used
         if nbrs:
-            c &= adj[image[nbrs[0]].bit_length() - 1]
+            c &= h[image[nbrs[0]].bit_length() - 1]
         cands[i] = c
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .betti import DEFAULT_MAX_VARS, invariants
 from .catalogue import closed_form
-from .decompositions import rules_for, verify_decomposition
+from .decompositions import replay_family
 from .errors import CapExceededError, EdgeIdealsError
 from .families import (FamilySpec, build_extended, bristled, ouroboros, star,
                        tsnake, tsnake_star, tsnake_starstar)
@@ -260,9 +260,8 @@ def run_cell(claim: Claim, cell: tuple[int, ...],
                         f"pdim={inv.projective_dimension}",
                         "pass" if same else "fail"))
     if config.decompositions:
-        for rule in rules_for(spec):
-            report = verify_decomposition(rule, spec)
-            rows.append(row(f"decomp:{rule.rule_id}",
+        for report in replay_family(spec):
+            rows.append(row(f"decomp:{report.rule_id}",
                             "ok" if report.ok else "mismatch", "ok",
                             "pass" if report.ok else "fail"))
     return rows

@@ -103,6 +103,17 @@ def test_decomp_ok(capsys):
     assert "all rules pass" in out
 
 
+@pytest.mark.parametrize("spec", ["path(3)", "cycle(5)"])
+def test_decomp_without_rules_says_so(capsys, spec):
+    code, out, _ = run(capsys, "decomp", spec, "--format", "text")
+    assert code == 0
+    assert out == f"no catalogued decomposition rules for {spec.replace('(', '(n=')}\n"
+    code, out, _ = run(capsys, "decomp", spec)
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["ok"], doc["rules"]) == (True, [])
+
+
 def test_verify_star_exits_zero(capsys):
     code, out, _ = run(capsys, "verify", "star")
     assert code == 0

@@ -1,16 +1,28 @@
 """Replay of the colon/add decomposition catalogue."""
 
+from collections import Counter
+
 import pytest
 
 from edgeideals import (bristled, ouroboros, parse_family, replay_catalogue,
-                        replay_family, rules_for, tsnake, tsnake_star,
+                        replay_family, rules_for, star, tsnake, tsnake_star,
                         tsnake_starstar, verify_decomposition)
+from edgeideals import decompositions
+from edgeideals.cli import main
 from edgeideals.decompositions import RULES_BY_ID, expected_outcome, family_key
+from edgeideals.families import cycle
+
+
+def failure_text(r):
+    bad = "; ".join(f"{f.expected}: {f.detail}" for f in r.factors if not f.matched)
+    return (f"{r.rule_id} on {r.spec}: {bad or 'factors match'}; "
+            f"free {r.actual_free} of {r.expected_free}, "
+            f"accounting_ok={r.accounting_ok}")
 
 
 def assert_all_ok(reports):
     bad = [r for r in reports if not r.ok]
-    assert not bad, "\n".join(f"{r.rule_id} on {r.family}: {r.details}" for r in bad)
+    assert not bad, "\n".join(failure_text(r) for r in bad)
 
 
 def test_rule_registry_covers_every_family():
@@ -86,7 +98,7 @@ def test_replay_remark_instances():
                 "brs-ouroboros:colon-brush"):
         report = verify_decomposition(RULES_BY_ID[rid],
                                       bristled(3, ouroboros(4, 2)))
-        assert report.ok, report.details
+        assert report.ok, failure_text(report)
 
 
 def test_replay_full_catalogue():
@@ -95,7 +107,107 @@ def test_replay_full_catalogue():
     assert_all_ok(reports)
 
 
+def test_components_are_local_adjacency_of_the_graph_components():
+    import random
+    from edgeideals import LabeledGraph, connected_components
+    rng = random.Random(31)
+    for _ in range(200):
+        n = rng.randint(1, 14)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        edges = rng.sample(pairs, rng.randint(0, min(len(pairs), 12)))
+        want = [c.adjacency for c in
+                connected_components(LabeledGraph.from_edge_list(n, edges))
+                if c.n_edges]
+        assert decompositions._component_graphs(n, edges) == want
+
+
 def test_rule_inapplicable_for_wrong_family():
     from edgeideals.errors import RuleInapplicableError
     with pytest.raises(RuleInapplicableError):
         verify_decomposition(RULES_BY_ID["ouroboros:colon-xn"], tsnake(3, 1))
+
+
+# the mismatch path: expected_outcome patched to a wrong answer
+
+ADD_XN = RULES_BY_ID["tsnake:add-xn"]  # tsnake(4,2) -> tsnake_star(2,2), star(2)
+
+
+def patch_outcome(monkeypatch, factors, free):
+    monkeypatch.setattr(decompositions, "expected_outcome",
+                        lambda rule, spec: (factors, free))
+
+
+def test_wrong_factor_spec_matches_no_component(monkeypatch):
+    # a triangle has the star(2)'s three vertices, so the count still adds up
+    patch_outcome(monkeypatch, [tsnake_star(2, 2), cycle(3)], 0)
+    report = verify_decomposition(ADD_XN, tsnake(4, 2))
+    assert not report.ok
+    assert [f.detail for f in report.factors] == [
+        "no unused component matches", "no component matches"]
+    assert report.accounting_ok
+
+
+def test_duplicated_factor_matches_no_unused_component(monkeypatch):
+    patch_outcome(monkeypatch, [tsnake_star(2, 2), tsnake_star(2, 2)], 0)
+    report = verify_decomposition(ADD_XN, tsnake(4, 2))
+    assert not report.ok
+    assert [f.detail for f in report.factors] == ["no unused component matches"] * 2
+    assert not report.accounting_ok
+
+
+def test_wrong_free_count_fails_the_accounting(monkeypatch):
+    patch_outcome(monkeypatch, [tsnake_star(2, 2), star(2)], 1)
+    report = verify_decomposition(ADD_XN, tsnake(4, 2))
+    assert not report.ok
+    assert all(f.matched for f in report.factors)
+    assert (report.expected_free, report.actual_free) == (1, 0)
+    assert not report.accounting_ok
+
+
+def test_decomp_cli_exits_one_on_a_mismatch(monkeypatch, capsys):
+    patch_outcome(monkeypatch, [tsnake_star(2, 2), cycle(3)], 0)
+    code = main(["decomp", "tsnake(n=4,p=2)", "--format", "text"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "[FAIL] tsnake:add-xn pivot x_n" in out
+    assert out.endswith("some rules FAILED\n")
+
+
+@pytest.mark.parametrize("text", [
+    "brs(q=2,tsnake_star(n=2,p=2))",  # star(q) twice in one rule
+    "brs(q=1,tsnake_starstar(n=1,p=2))",  # star(q) from two factor specs
+])
+def test_replay_routes_every_check_and_builds_each_spec_once(monkeypatch, text):
+    spec = parse_family(text)
+    rules, iso_rule, builds = [], [], []
+    real_verify = decompositions.verify_decomposition
+    real_iso = decompositions.is_isomorphic
+    real_build = decompositions.build_extended
+
+    def verify(rule, s, **kwargs):
+        rules.append(rule.rule_id)
+        return real_verify(rule, s, **kwargs)
+
+    def iso(g, h):
+        iso_rule.append(len(rules) - 1)
+        return real_iso(g, h)
+
+    def build(s):
+        builds.append(s)
+        return real_build(s)
+
+    monkeypatch.setattr(decompositions, "verify_decomposition", verify)
+    monkeypatch.setattr(decompositions, "is_isomorphic", iso)
+    monkeypatch.setattr(decompositions, "build_extended", build)
+    reports = replay_family(spec)
+    assert_all_ok(reports)
+    assert rules == [r.rule_id for r in rules_for(spec)] == [r.rule_id for r in reports]
+    per_rule = Counter(iso_rule)
+    for i, r in enumerate(reports):
+        assert per_rule[i] >= len(r.factors) > 0
+    once = Counter(builds)
+    assert once[spec] == 1 and star(spec.q) in once
+    assert set(once.values()) == {1}
+    # no cache outlives the call: a second replay builds everything again
+    replay_family(spec)
+    assert Counter(builds) == Counter({s: 2 for s in once})

@@ -14,6 +14,10 @@ def counts(g):
     return g.n_vertices, g.n_edges
 
 
+def iso(g, h):
+    return is_isomorphic(g.adjacency, h.adjacency)
+
+
 def test_tsnake_counts_across_grid():
     for n in range(1, 5):
         for p in range(1, 4):
@@ -66,7 +70,7 @@ def test_star_and_bristled_star():
     assert counts(g) == (5, 4)
     b = build_family(bristled_star(4, 2))
     assert counts(b) == (15, 14)
-    assert is_isomorphic(b, build_family(bristled(2, star(4))))
+    assert iso(b, build_family(bristled(2, star(4))))
 
 
 def test_path_cycle_counts():
@@ -82,7 +86,7 @@ def test_ouroboros_is_fused_tsnake():
             t = build_family(tsnake(n, p))
             a = find_vertex(t, path_vertex(1))
             b = find_vertex(t, path_vertex(n + 1))
-            assert is_isomorphic(fuse(t, a, b), build_family(ouroboros(n, p)))
+            assert iso(fuse(t, a, b), build_family(ouroboros(n, p)))
 
 
 def test_tsnake_star_pendants_sit_at_far_end():
@@ -94,10 +98,10 @@ def test_tsnake_star_pendants_sit_at_far_end():
 
 
 def test_build_extended_star_degenerations():
-    assert is_isomorphic(build_extended(tsnake_star(0, 3)), build_family(star(3)))
-    assert is_isomorphic(build_extended(tsnake_starstar(0, 2)), build_family(star(4)))
-    assert is_isomorphic(build_extended(bristled(1, tsnake_starstar(0, 1))),
-                         build_family(bristled_star(2, 1)))
+    assert iso(build_extended(tsnake_star(0, 3)), build_family(star(3)))
+    assert iso(build_extended(tsnake_starstar(0, 2)), build_family(star(4)))
+    assert iso(build_extended(bristled(1, tsnake_starstar(0, 1))),
+               build_family(bristled_star(2, 1)))
 
 
 def test_build_family_rejects_degenerations():
