@@ -1,10 +1,12 @@
 """Replay of the colon/add decomposition catalogue."""
 
+import random
 from collections import Counter
 
 import pytest
 
-from edgeideals import (bristled, ouroboros, parse_family, replay_catalogue,
+from edgeideals import (LabeledGraph, bristled, connected_components,
+                        ouroboros, parse_family, replay_catalogue,
                         replay_family, rules_for, star, tsnake, tsnake_star,
                         tsnake_starstar, verify_decomposition)
 from edgeideals import decompositions
@@ -108,8 +110,6 @@ def test_replay_full_catalogue():
 
 
 def test_components_are_local_adjacency_of_the_graph_components():
-    import random
-    from edgeideals import LabeledGraph, connected_components
     rng = random.Random(31)
     for _ in range(200):
         n = rng.randint(1, 14)

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from edgeideals import (LabeledGraph, bristle, connected_components, corona,
-                        disjoint_union, fuse, is_isomorphic, null_graph,
+from edgeideals import (LabeledGraph, bristle, build_extended,
+                        connected_components, corona, disjoint_union, fuse,
+                        is_isomorphic, null_graph, parse_family,
                         read_edge_list, strip_isolated, to_dot)
 from edgeideals.errors import FusionLoopError
 from edgeideals.graphs import (anonymous, apex, path_bristle, path_vertex)
@@ -150,7 +151,6 @@ def reference_components(g):
 
 
 def test_components_match_a_label_level_search():
-    from edgeideals import build_extended, parse_family
     rng = random.Random(29)
     graphs = [random_graph(rng, max_v=12) for _ in range(300)]
     graphs += [build_extended(parse_family(t)) for t in
