@@ -27,8 +27,7 @@ from .graphs import (LabeledGraph, VertexLabel, bristle,
                      is_isomorphic, null_graph, read_edge_list,
                      strip_isolated, to_dot)
 from .ideals import (MonomialIdeal, add_variable, colon_by, edge_ideal,
-                     ideal_components, ideal_from_text, ideal_to_text,
-                     mask_of, vars_of)
+                     ideal_from_text, ideal_to_text, mask_of, vars_of)
 from .recursion import RegInterval, regularity_by_recursion
 from .sdepth import (FacePoset, IntervalPartition, face_poset, sdepth_bounds,
                      stanley_depth, validate_partition)
@@ -50,7 +49,6 @@ __all__ = [
     "add_variable", "betti_table", "betti_table_taylor", "bristle",
     "bristled", "bristled_star", "build_extended", "build_family",
     "closed_form", "colon_by", "connected_components", "corona", "cycle",
-    "ideal_components",
     "disjoint_union", "edge_ideal", "expected_counts", "face_poset", "fuse",
     "ideal_from_text", "ideal_to_text", "independence_complex", "invariants",
     "is_isomorphic", "mask_of", "null_graph", "ouroboros", "parse_family",

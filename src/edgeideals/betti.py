@@ -40,7 +40,7 @@ from math import comb
 
 from .errors import CapExceededError, TooManyVariablesError
 from .gf import check_prime, gf2_rank, gfp_rank
-from .graphs import LabeledGraph
+from .graphs import LabeledGraph, induced_adjacency
 from .ideals import (MonomialIdeal, compact, edge_ideal, faces_of, graph_parts,
                      mask_of, vars_of)
 
@@ -62,9 +62,6 @@ class StanleyReisnerComplex:
     @property
     def n_vars(self) -> int:
         return self.ideal.n_vars
-
-    def is_face(self, mask: int) -> bool:
-        return not self.ideal.contains(mask)
 
     def faces(self, max_vars: int = 20) -> list[int]:
         """All faces, the empty face included, sorted by (size, mask)."""
@@ -165,21 +162,6 @@ def _fold_down(verts: int, adj: tuple[int, ...]) -> int | None:
             return verts
 
 
-def _core_key(verts: int, adj: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
-    vlist = vars_of(verts)
-    pos = {v: i for i, v in enumerate(vlist)}
-    edges = []
-    for v in vlist:
-        rem = adj[v] & verts
-        while rem:
-            low = rem & -rem
-            rem ^= low
-            w = low.bit_length() - 1
-            if w > v:
-                edges.append((pos[v], pos[w]))
-    return (len(vlist), tuple(sorted(edges)))
-
-
 def _graph_homology(verts: int, adj: tuple[int, ...], char: int, do_fold: bool,
                     memo: dict) -> tuple[tuple[int, int], ...]:
     if do_fold:
@@ -191,12 +173,13 @@ def _graph_homology(verts: int, adj: tuple[int, ...], char: int, do_fold: bool,
         for v in vars_of(core):
             if adj[v] & core == 0:
                 return ()
-    key = _core_key(core, adj)
+    key = induced_adjacency(adj, core)
     cached = memo.get(key)
     if cached is not None:
         return cached
-    m, edges = key
-    dims = _homology_dims(faces_of(m, [1 << a | 1 << b for a, b in edges]), char)
+    edges = [1 << a | 1 << b for a, m in enumerate(key)
+             for b in vars_of(m) if b > a]
+    dims = _homology_dims(faces_of(len(key), edges), char)
     memo[key] = dims
     return dims
 
@@ -227,14 +210,9 @@ def _scan(ideal: MonomialIdeal, char: int,
     do_fold=False skips the dominated-vertex folds, so the tests can
     check the folds against the plain scan.
     """
-    killed, edge_pairs, _free, higher = graph_parts(ideal)
+    killed, adj, _free, higher = graph_parts(ideal)
     n = ideal.n_vars
-    adj = [0] * n
-    for a, b in edge_pairs:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    adj = tuple(adj)
-    gens2 = [(1 << a) | (1 << b) for a, b in edge_pairs]
+    gens2 = [g for g in ideal.gens if g.bit_count() == 2]
     entries: dict[tuple[int, int], int] = {}
     core_memo: dict = {}
     generic_memo: dict = {}
@@ -280,7 +258,7 @@ def _scan(ideal: MonomialIdeal, char: int,
 # splitting at simplicial vertices
 
 
-def _simplicial_vertex(verts: int, adj: list[int]) -> int | None:
+def _simplicial_vertex(verts: int, adj: tuple[int, ...]) -> int | None:
     """The simplicial vertex of least degree, lowest index first."""
     best, best_deg = None, 0
     for v in vars_of(verts):
@@ -301,13 +279,9 @@ def _split(ideal: MonomialIdeal, char: int) -> dict[tuple[int, int], int]:
 
     Memoised on the induced vertex mask, for this call only.
     """
-    killed, edge_pairs, _free, higher = graph_parts(ideal)
+    killed, adj, _free, higher = graph_parts(ideal)
     if higher:
         return _scan(ideal, char, True)
-    adj = [0] * ideal.n_vars
-    for a, b in edge_pairs:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
     memo: dict[int, dict[tuple[int, int], int]] = {}
 
     def table(verts: int) -> dict[tuple[int, int], int]:
@@ -363,9 +337,6 @@ class BettiTable:
     def as_dict(self) -> dict[tuple[int, int], int]:
         return dict(self.entries)
 
-    def beta(self, i: int, j: int) -> int:
-        return self.as_dict().get((i, j), 0)
-
     @property
     def regularity(self) -> int:
         return max(j - i for (i, j), _ in self.entries)
@@ -373,28 +344,6 @@ class BettiTable:
     @property
     def projective_dimension(self) -> int:
         return max(i for (i, _), _ in self.entries)
-
-    def to_csv(self) -> str:
-        lines = ["i,j,beta"]
-        lines += [f"{i},{j},{b}" for (i, j), b in self.entries]
-        return "\n".join(lines) + "\n"
-
-    def pretty(self) -> str:
-        """Triangle layout: row r column i holds beta_{i, i+r}."""
-        data = self.as_dict()
-        pd = self.projective_dimension
-        rg = self.regularity
-        cells = [[data.get((i, i + r), 0) for i in range(pd + 1)]
-                 for r in range(rg + 1)]
-        totals = [sum(cells[r][i] for r in range(rg + 1)) for i in range(pd + 1)]
-        width = max(5, max(len(str(t)) for t in totals) + 2)
-        def fmt(vals):
-            return "".join(str(v if v else ".").rjust(width) for v in vals)
-        lines = ["      " + fmt(range(pd + 1)),
-                 "total:" + fmt(totals)]
-        for r in range(rg + 1):
-            lines.append(f"{r}:".ljust(6) + fmt(cells[r]))
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .errors import RuleInapplicableError
 from .families import (FamilySpec, build_extended, bristled, find_vertex,
                        star, tsnake_star, tsnake_starstar, validate_spec)
 from .graphs import (LabeledGraph, apex, component_masks, induced_adjacency,
-                     is_isomorphic, path_bristle, path_vertex)
+                     is_isomorphic, mask_of, path_bristle, path_vertex)
 from .ideals import add_variable, colon_by, edge_ideal, graph_parts, vars_of
 
 
@@ -211,15 +211,9 @@ class DecompositionReport:
         }
 
 
-def _component_graphs(n_vars: int,
-                      edges: list[tuple[int, int]]) -> list[tuple[int, ...]]:
-    """Components of a graph given by its edges, as local adjacency masks."""
-    adj = [0] * n_vars
-    touched = 0
-    for a, b in edges:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-        touched |= 1 << a | 1 << b
+def _component_graphs(adj: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Components with an edge of a graph, as local adjacency masks."""
+    touched = mask_of(v for v, m in enumerate(adj) if m)
     return [induced_adjacency(adj, comp)
             for comp in component_masks(adj, touched)]
 
@@ -229,8 +223,8 @@ class _Replay:
     adjacency of every factor graph, each built once.  It lives for one
     replay_family call, so every call starts cold."""
 
-    def __init__(self, spec: FamilySpec):
-        self.graph = build_extended(spec)
+    def __init__(self, spec: FamilySpec, graph: LabeledGraph | None = None):
+        self.graph = build_extended(spec) if graph is None else graph
         self.ideal = edge_ideal(self.graph)
         self._built: dict[FamilySpec, tuple[int, ...]] = {}
 
@@ -256,10 +250,10 @@ def verify_decomposition(rule: DecompositionRule, spec: FamilySpec, *,
         result = colon_by(ideal, pivot)
     else:
         result = add_variable(ideal, vars_of(pivot)[0])
-    killed, edges, free, higher = graph_parts(result)
+    killed, adj, free, higher = graph_parts(result)
     if higher:
         raise ValueError("decomposition result is not an edge ideal")
-    components = _component_graphs(result.n_vars, edges)
+    components = _component_graphs(adj)
     factor_specs, rule_free = expected_outcome(rule, spec)
     expected_graphs: list[tuple[int, ...]] = []
     names: list[str] = []
@@ -314,16 +308,19 @@ def _match_graphs(expected: list[tuple[int, ...]],
     return pick if go(0) else None
 
 
-def replay_family(spec: FamilySpec) -> list[DecompositionReport]:
+def replay_family(spec: FamilySpec, graph: LabeledGraph | None = None
+                  ) -> list[DecompositionReport]:
     """Replay every catalogued rule of spec; [] when it has none.
 
-    The parent graph is built even then, so an invalid spec raises.
+    graph, when given, must be build_extended(spec); otherwise the parent
+    graph is built, even when no rule applies, so an invalid spec raises.
     """
     rules = rules_for(spec)
+    if graph is None:
+        graph = build_extended(spec)
     if not rules:
-        build_extended(spec)
         return []
-    replay = _Replay(spec)
+    replay = _Replay(spec, graph)
     return [verify_decomposition(rule, spec, _replay=replay) for rule in rules]
 
 

@@ -273,7 +273,8 @@ def component_masks(adjacency: Sequence[int],
                     vertices: int | None = None) -> list[int]:
     """Vertex masks of the connected components, lowest vertex first.
 
-    Only components meeting `vertices` (default: every vertex) are listed.
+    The components are those of the subgraph induced on `vertices`
+    (default: every vertex); the search never leaves that set.
     """
     left = (1 << len(adjacency)) - 1 if vertices is None else vertices
     comps = []
@@ -283,7 +284,7 @@ def component_masks(adjacency: Sequence[int],
             reach = 0
             for v in vars_of(frontier):
                 reach |= adjacency[v]
-            frontier = reach & ~comp
+            frontier = reach & left & ~comp
             comp |= frontier
         comps.append(comp)
         left &= ~comp

@@ -153,19 +153,6 @@ def add_variable(ideal: MonomialIdeal, v: int) -> MonomialIdeal:
     return MonomialIdeal.make(ideal.n_vars, ideal.gens + (1 << v,))
 
 
-@dataclass(frozen=True)
-class ComponentSplit:
-    """Variable-disjoint splitting of an ideal.
-
-    components: (compacted sub-ideal, original variable indices) pairs,
-    one per connected block of the generator-overlap graph.
-    free: variables appearing in no generator.
-    """
-
-    components: tuple[tuple[MonomialIdeal, tuple[int, ...]], ...]
-    free: tuple[int, ...]
-
-
 def compact(ideal: MonomialIdeal, variables: Iterable[int]) -> MonomialIdeal:
     """Restrict to the given variables and renumber them 0..k-1."""
     varlist = sorted(variables)
@@ -178,57 +165,17 @@ def compact(ideal: MonomialIdeal, variables: Iterable[int]) -> MonomialIdeal:
     return MonomialIdeal.make(len(varlist), gens)
 
 
-def ideal_components(ideal: MonomialIdeal) -> ComponentSplit:
-    """Split into variable-disjoint components plus free variables.
+def graph_parts(ideal: MonomialIdeal
+                ) -> tuple[int, tuple[int, ...], int, list[int]]:
+    """Split generators into (killed mask, adjacency, free mask, higher gens).
 
-    Two generators are linked when their supports overlap; each block of
-    generators becomes one component on its own compacted variables.
-    """
-    if ideal.is_unit:
-        raise ValueError("the unit ideal has no component splitting")
-    gens = list(ideal.gens)
-    parent = list(range(len(gens)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    owner: dict[int, int] = {}
-    for i, g in enumerate(gens):
-        for v in vars_of(g):
-            if v in owner:
-                ri, rj = find(i), find(owner[v])
-                if ri != rj:
-                    parent[ri] = rj
-            else:
-                owner[v] = i
-    blocks: dict[int, list[int]] = {}
-    for i in range(len(gens)):
-        blocks.setdefault(find(i), []).append(i)
-    comps = []
-    for root in sorted(blocks, key=lambda r: min(gens[i] for i in blocks[r])):
-        sub = [gens[i] for i in blocks[root]]
-        varmask = 0
-        for g in sub:
-            varmask |= g
-        variables = tuple(vars_of(varmask))
-        comps.append((compact(MonomialIdeal.make(ideal.n_vars, sub), variables),
-                      variables))
-    free = tuple(v for v in range(ideal.n_vars) if not (ideal.support >> v) & 1)
-    return ComponentSplit(tuple(comps), free)
-
-
-def graph_parts(ideal: MonomialIdeal) -> tuple[int, list[tuple[int, int]], int, list[int]]:
-    """Split generators into (killed mask, edge pairs, free mask, higher gens).
-
-    killed collects degree-1 generators, edges the degree-2 ones, free
-    the variables missing from every generator.  Degree >= 3 generators
-    are returned as-is so callers can refuse them.
+    killed collects degree-1 generators, and adjacency[v] is the mask of
+    v's neighbours in the graph of the degree-2 ones, one entry per
+    variable.  free holds the variables missing from every generator.
+    Degree >= 3 generators are returned as-is so callers can refuse them.
     """
     killed = 0
-    edges = []
+    adj = [0] * ideal.n_vars
     higher = []
     for g in ideal.gens:
         d = g.bit_count()
@@ -238,11 +185,12 @@ def graph_parts(ideal: MonomialIdeal) -> tuple[int, list[tuple[int, int]], int, 
             killed |= g
         elif d == 2:
             a, b = vars_of(g)
-            edges.append((a, b))
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
         else:
             higher.append(g)
     free = ((1 << ideal.n_vars) - 1) & ~ideal.support
-    return killed, edges, free, higher
+    return killed, tuple(adj), free, higher
 
 
 def ideal_to_text(ideal: MonomialIdeal, names: list[str]) -> str:

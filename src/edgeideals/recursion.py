@@ -2,10 +2,15 @@
 
 For a variable y not in I, reg(S/I) is determined by reg(S/(I:y)) and
 reg(S/(I,y)): strictly larger colon wins plus one, strictly larger add
-wins as is, and a tie only pins the value to a two-element range.  The
-recursion normalizes at every node (drop killed variables, drop free
-variables, split connected components and add their values) and bottoms
-out at the zero ideal (0) and a single edge (1).
+wins as is, and a tie only pins the value to a two-element range.
+
+For an edge ideal I = I(G), (I : x_v) = I(G - N[v]) + (N(v)) and
+(I, x_v) = I(G - v) + (x_v), so every node of the recursion is the
+subgraph of G induced on a vertex mask: killed and free variables are
+just the vertices left out.  Each node drops its isolated vertices,
+splits into connected components and adds their values, memoising each
+component on its compacted adjacency.  It bottoms out at the empty
+graph (0) and a single edge (1).
 
 A tie does not have to be the last word: any variable is a valid pivot,
 so on a tie we retry the remaining pivots and intersect the resulting
@@ -19,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import RecursionCapError
-from .ideals import MonomialIdeal, ideal_components, vars_of
+from .graphs import component_masks, induced_adjacency, mask_of, vars_of
+from .ideals import MonomialIdeal, graph_parts
 
 DEFAULT_MAX_STEPS = 200_000
 
@@ -64,72 +70,48 @@ def _intersect(a: RegInterval, b: RegInterval) -> RegInterval:
 
 
 class _Engine:
-    def __init__(self, max_steps: int):
-        self.memo: dict[tuple[int, tuple[int, ...]], RegInterval] = {}
+    """The recursion on vertex masks of one graph, given by its adjacency."""
+
+    def __init__(self, adj: tuple[int, ...], max_steps: int):
+        self.adj = adj
+        self.memo: dict[tuple[int, ...], RegInterval] = {}
         self.steps = 0
         self.max_steps = max_steps
 
-    def reg(self, ideal: MonomialIdeal) -> RegInterval:
-        """reg of S/I after normalization; I has generators of degree <= 2."""
+    def reg(self, verts: int) -> RegInterval:
+        """reg of the edge ideal of the subgraph induced on verts."""
         self.steps += 1
         if self.steps > self.max_steps:
             raise RecursionCapError(
                 f"regularity recursion exceeded {self.max_steps} steps")
-        gens2 = [g for g in ideal.gens if g.bit_count() == 2]
-        if not gens2:
-            return _POINT_ZERO
-        if len(gens2) == 1:
-            return _POINT_ONE
-        split = ideal_components(ideal)
+        adj = self.adj
+        live = mask_of(v for v in vars_of(verts) if adj[v] & verts)
         total = _POINT_ZERO
-        for comp, _ in split.components:
-            if comp.gens and comp.gens[0].bit_count() == 1 and len(comp.gens) == 1:
-                continue  # a killed variable contributes nothing
+        for comp in component_masks(adj, live):
             total = total + self._component(comp)
         return total
 
-    def _component(self, comp: MonomialIdeal) -> RegInterval:
-        edges = [g for g in comp.gens if g.bit_count() == 2]
-        if not edges:
-            return _POINT_ZERO
-        if len(edges) == 1:
-            return _POINT_ONE
-        key = (comp.n_vars, comp.gens)
+    def _component(self, comp: int) -> RegInterval:
+        if comp.bit_count() == 2:
+            return _POINT_ONE  # a single edge
+        # the compacted subgraph: equal keys are isomorphic by identity
+        key = induced_adjacency(self.adj, comp)
         hit = self.memo.get(key)
         if hit is not None:
             return hit
+        adj = self.adj
         result: RegInterval | None = None
-        for v in self._pivots(comp):
-            colon = self.reg(_colon_var(comp, v))
-            add = self.reg(_add_var(comp, v))
+        # highest induced degree first; ties broken toward lower index
+        for v in sorted(vars_of(comp),
+                        key=lambda v: (-(adj[v] & comp).bit_count(), v)):
+            colon = self.reg(comp & ~(adj[v] | 1 << v))
+            add = self.reg(comp & ~(1 << v))
             step = _combine(colon, add)
             result = step if result is None else _intersect(result, step)
             if result.is_point:
                 break
         self.memo[key] = result
         return result
-
-    def _pivots(self, comp: MonomialIdeal) -> list[int]:
-        # highest degree first; ties broken toward lower variable index
-        degree = [0] * comp.n_vars
-        for g in comp.gens:
-            for v in vars_of(g):
-                degree[v] += 1
-        order = sorted(range(comp.n_vars), key=lambda v: (-degree[v], v))
-        return [v for v in order if degree[v] > 0]
-
-
-def _colon_var(ideal: MonomialIdeal, v: int) -> MonomialIdeal:
-    pivot = 1 << v
-    gens = [g & ~pivot for g in ideal.gens]
-    return MonomialIdeal.make(ideal.n_vars, gens)
-
-
-def _add_var(ideal: MonomialIdeal, v: int) -> MonomialIdeal:
-    pivot = 1 << v
-    gens = [g for g in ideal.gens if not g & pivot]
-    gens.append(pivot)
-    return MonomialIdeal.make(ideal.n_vars, gens)
 
 
 def regularity_by_recursion(ideal: MonomialIdeal,
@@ -145,11 +127,15 @@ def regularity_by_recursion(ideal: MonomialIdeal,
         raise ValueError("S/I is the zero module")
     if ideal.max_degree > 2:
         raise ValueError("recursion is only defined for edge-type ideals")
-    engine = _Engine(max_steps)
+    killed, adj, _free, _higher = graph_parts(ideal)
+    engine = _Engine(adj, max_steps)
+    verts = ((1 << ideal.n_vars) - 1) & ~killed
     if first_pivot is None:
-        return engine.reg(ideal)
-    if ideal.contains(1 << first_pivot):
+        return engine.reg(verts)
+    if not 0 <= first_pivot < ideal.n_vars:
+        raise ValueError(f"first_pivot {first_pivot} outside the ring")
+    if killed >> first_pivot & 1:
         raise ValueError("first_pivot already lies in the ideal")
-    colon = engine.reg(_colon_var(ideal, first_pivot))
-    add = engine.reg(_add_var(ideal, first_pivot))
+    colon = engine.reg(verts & ~(adj[first_pivot] | 1 << first_pivot))
+    add = engine.reg(verts & ~(1 << first_pivot))
     return _combine(colon, add)

@@ -118,7 +118,8 @@ def test_components_are_local_adjacency_of_the_graph_components():
         want = [c.adjacency for c in
                 connected_components(LabeledGraph.from_edge_list(n, edges))
                 if c.n_edges]
-        assert decompositions._component_graphs(n, edges) == want
+        adj = LabeledGraph.from_edge_list(n, edges).adjacency
+        assert decompositions._component_graphs(adj) == want
 
 
 def test_rule_inapplicable_for_wrong_family():

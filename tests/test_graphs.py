@@ -9,7 +9,8 @@ from edgeideals import (LabeledGraph, bristle, build_extended,
                         is_isomorphic, null_graph, parse_family,
                         read_edge_list, strip_isolated, to_dot)
 from edgeideals.errors import FusionLoopError
-from edgeideals.graphs import (anonymous, apex, path_bristle, path_vertex)
+from edgeideals.graphs import (anonymous, apex, component_masks, path_bristle,
+                               path_vertex)
 
 
 def k_path(n):
@@ -158,6 +159,32 @@ def test_components_match_a_label_level_search():
     graphs.append(disjoint_union(bristle(k_cycle(5), 1), null_graph(2)))
     for g in graphs:
         assert connected_components(g) == reference_components(g)
+
+
+def test_component_masks_stay_inside_the_vertex_set():
+    # brute force: v and w share a component of G[S] iff some walk
+    # inside S joins them, found by closing S's reachability to a fixpoint
+    rng = random.Random(41)
+    for _ in range(400):
+        g = random_graph(rng, max_v=12)
+        adj = g.adjacency
+        within = rng.getrandbits(g.n_vertices)
+        comps = []
+        for v in range(g.n_vertices):
+            if not within >> v & 1 or any(c >> v & 1 for c in comps):
+                continue
+            comp = 1 << v
+            grown = True
+            while grown:
+                grown = False
+                for a, b in g.edges:
+                    for x, y in ((a, b), (b, a)):
+                        if (comp >> x & 1 and within >> y & 1
+                                and not comp >> y & 1):
+                            comp |= 1 << y
+                            grown = True
+            comps.append(comp)
+        assert component_masks(adj, within) == comps
 
 
 def test_isomorphic_positive_cycle_relabelings():

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeideals import (LabeledGraph, MonomialIdeal, add_variable, colon_by,
-                        edge_ideal, ideal_components, ideal_from_text,
-                        ideal_to_text, mask_of, vars_of)
+                        edge_ideal, ideal_from_text, ideal_to_text, mask_of,
+                        vars_of)
 from edgeideals.errors import MembershipError, TooManyVariablesError
 from edgeideals.ideals import compact, faces_of, graph_parts, minimize
 
@@ -142,23 +142,6 @@ def test_colon_members_multiply_back(gens, v):
         assert ideal.contains(g | pivot)
 
 
-@given(gen_masks)
-@settings(max_examples=60, deadline=None)
-def test_component_split_partitions_support(gens):
-    ideal = MonomialIdeal.make(6, gens)
-    if ideal.is_unit:
-        return
-    split = ideal_components(ideal)
-    seen = 0
-    for sub, variables in split.components:
-        block = mask_of(variables)
-        assert seen & block == 0
-        seen |= block
-        assert sub.n_vars == len(variables)
-    assert seen == ideal.support
-    assert mask_of(split.free) == ((1 << 6) - 1) & ~ideal.support
-
-
 def test_compact_renumbers():
     ideal = MonomialIdeal.make(5, [0b10010, 0b01010])
     small = compact(ideal, [1, 3, 4])
@@ -169,9 +152,9 @@ def test_compact_renumbers():
 def test_graph_parts_classifies_generators():
     # killed variable, one edge, one free variable, one cubic generator
     ideal = MonomialIdeal.make(6, [0b000001, 0b000110, 0b111000])
-    killed, edges, free, higher = graph_parts(ideal)
+    killed, adj, free, higher = graph_parts(ideal)
     assert killed == 0b000001
-    assert edges == [(1, 2)]
+    assert adj == (0, 0b100, 0b010, 0, 0, 0)  # the edge x1 x2
     assert higher == [0b111000]
     assert free == 0  # everything touches a generator
 

@@ -1,14 +1,18 @@
 """Regularity via the colon/add pivot recursion."""
 
+import random
+
 import pytest
 
 from edgeideals import (LabeledGraph, MonomialIdeal, RegInterval,
                         build_extended, edge_ideal, invariants, parse_family,
                         regularity_by_recursion)
+from edgeideals import recursion
 from edgeideals.errors import RecursionCapError
 from edgeideals.families import find_vertex
-from edgeideals.graphs import path_vertex
-from edgeideals.recursion import _combine
+from edgeideals.graphs import path_vertex, vars_of
+from edgeideals.ideals import compact
+from edgeideals.recursion import _combine, _intersect
 
 
 def cycle_ideal(n):
@@ -104,3 +108,166 @@ def test_catalogue_cells_match_homology():
         iv = regularity_by_recursion(ideal)
         assert iv.is_point, text
         assert iv.value == invariants(ideal).regularity, text
+
+
+# A copy of the ideal-level recursion the vertex-mask engine replaced:
+# it splits each node by a union-find over generators, builds the colon
+# and add ideals as MonomialIdeals and memoises on compacted ideals.  It
+# is the reference the engine must match in value and in step count.
+
+class _IdealEngine:
+    def __init__(self):
+        self.memo = {}
+        self.steps = 0
+
+    def reg(self, ideal):
+        self.steps += 1
+        gens2 = [g for g in ideal.gens if g.bit_count() == 2]
+        if not gens2:
+            return RegInterval(0, 0)
+        if len(gens2) == 1:
+            return RegInterval(1, 1)
+        total = RegInterval(0, 0)
+        for comp in _ideal_components(ideal):
+            if len(comp.gens) == 1 and comp.gens[0].bit_count() == 1:
+                continue  # a killed variable contributes nothing
+            total = total + self._component(comp)
+        return total
+
+    def _component(self, comp):
+        edges = [g for g in comp.gens if g.bit_count() == 2]
+        if not edges:
+            return RegInterval(0, 0)
+        if len(edges) == 1:
+            return RegInterval(1, 1)
+        key = (comp.n_vars, comp.gens)
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
+        degree = [0] * comp.n_vars
+        for g in comp.gens:
+            for v in vars_of(g):
+                degree[v] += 1
+        pivots = [v for v in sorted(range(comp.n_vars),
+                                    key=lambda v: (-degree[v], v))
+                  if degree[v] > 0]
+        result = None
+        for v in pivots:
+            step = _combine(self.reg(_ideal_colon(comp, v)),
+                            self.reg(_ideal_add(comp, v)))
+            result = step if result is None else _intersect(result, step)
+            if result.is_point:
+                break
+        self.memo[key] = result
+        return result
+
+
+def _ideal_colon(ideal, v):
+    gens = [g & ~(1 << v) for g in ideal.gens]
+    return MonomialIdeal.make(ideal.n_vars, gens)
+
+
+def _ideal_add(ideal, v):
+    gens = [g for g in ideal.gens if not g >> v & 1] + [1 << v]
+    return MonomialIdeal.make(ideal.n_vars, gens)
+
+
+def _ideal_components(ideal):
+    """Compacted variable-disjoint blocks, ordered by least generator."""
+    gens = list(ideal.gens)
+    parent = list(range(len(gens)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    owner = {}
+    for i, g in enumerate(gens):
+        for v in vars_of(g):
+            if v in owner:
+                ri, rj = find(i), find(owner[v])
+                if ri != rj:
+                    parent[ri] = rj
+            else:
+                owner[v] = i
+    blocks = {}
+    for i in range(len(gens)):
+        blocks.setdefault(find(i), []).append(gens[i])
+    out = []
+    for block in sorted(blocks.values(), key=min):
+        support = 0
+        for g in block:
+            support |= g
+        out.append(compact(MonomialIdeal.make(ideal.n_vars, block),
+                           vars_of(support)))
+    return out
+
+
+def _reference(ideal, first_pivot):
+    """(interval, steps) of the ideal-level recursion."""
+    engine = _IdealEngine()
+    if first_pivot is None:
+        return engine.reg(ideal), engine.steps
+    colon = engine.reg(_ideal_colon(ideal, first_pivot))
+    add = engine.reg(_ideal_add(ideal, first_pivot))
+    return _combine(colon, add), engine.steps
+
+
+def _random_edge_type_ideal(rng):
+    """At most 13 variables; some killed, some free, the rest edges.
+
+    One ideal in ten has 10 to 13 variables, which keeps the reference
+    cheap enough to run with every pivot.
+    """
+    n = rng.randint(1, 13) if rng.random() < 0.1 else rng.randint(1, 9)
+    density = rng.choice([0.15, 0.3, 0.5])
+    gens = [1 << a | 1 << b for a in range(n) for b in range(a + 1, n)
+            if rng.random() < density]
+    gens += [1 << v for v in range(n) if rng.random() < 0.08]
+    free = [v for v in range(n) if rng.random() < 0.1]
+    gens = [g for g in gens if not any(g >> v & 1 for v in free)]
+    return MonomialIdeal.make(n, gens)
+
+
+def test_vertex_mask_engine_matches_the_ideal_recursion(monkeypatch):
+    engines = []
+
+    class Recording(recursion._Engine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+    monkeypatch.setattr(recursion, "_Engine", Recording)
+    rng = random.Random(8)
+    cases = ties = 0
+    for _ in range(2000):
+        ideal = _random_edge_type_ideal(rng)
+        killed = sum(g for g in ideal.gens if g.bit_count() == 1)
+        pivots = [None] + [v for v in range(ideal.n_vars)
+                           if not killed >> v & 1]
+        for pivot in pivots:
+            want, want_steps = _reference(ideal, pivot)
+            got = regularity_by_recursion(ideal, first_pivot=pivot)
+            assert (got, engines[-1].steps) == (want, want_steps), \
+                (ideal, pivot)
+            cases += 1
+            ties += not got.is_point
+    assert cases > 10000 and ties > 1000
+
+
+def test_step_cap_falls_where_the_ideal_recursion_stops():
+    rng = random.Random(9)
+    for _ in range(40):
+        ideal = _random_edge_type_ideal(rng)
+        _, steps = _reference(ideal, None)
+        assert regularity_by_recursion(ideal, max_steps=steps) is not None
+        with pytest.raises(RecursionCapError):
+            regularity_by_recursion(ideal, max_steps=steps - 1)
+
+
+def test_first_pivot_outside_the_ring_rejected():
+    ideal = cycle_ideal(4)
+    for pivot in (-1, 4):
+        with pytest.raises(ValueError):
+            regularity_by_recursion(ideal, first_pivot=pivot)

@@ -2,7 +2,9 @@
 
 import json
 
-from edgeideals import CLAIMS, RunConfig, run_claims
+from edgeideals import (CLAIMS, RunConfig, build_extended, replay_family,
+                        run_claims)
+from edgeideals import decompositions, verify
 
 
 def test_claim_registry_names():
@@ -94,3 +96,27 @@ def test_rows_sorted_for_stable_output():
                         grid_override=None)
     keys = [(r.claim, r.params, r.invariant) for r in report.rows]
     assert keys == sorted(keys)
+
+
+def test_run_cell_builds_its_graph_once(monkeypatch):
+    # the replay reuses the graph run_cell built; only factors are new
+    built = []
+
+    def counting(spec):
+        built.append(spec)
+        return build_extended(spec)
+
+    for claim in CLAIMS.values():
+        for cell in claim.default_cells:
+            spec = claim.builder(dict(zip(claim.param_names, cell)))
+            want = [(f"decomp:{r.rule_id}", "ok" if r.ok else "mismatch")
+                    for r in replay_family(spec)]
+            with monkeypatch.context() as m:
+                m.setattr(verify, "build_extended", counting)
+                m.setattr(decompositions, "build_extended", counting)
+                built.clear()
+                rows = verify.run_cell(claim, cell, RunConfig())
+            assert built.count(spec) == 1, spec
+            got = [(r.invariant, r.computed) for r in rows
+                   if r.invariant.startswith("decomp:")]
+            assert got == want, spec
