@@ -7,14 +7,13 @@ predictions and the induction decompositions behind them are catalogued
 and machine-verified on parameter grids.
 """
 
-from .betti import (BettiTable, InvariantBundle, StanleyReisnerComplex,
-                    betti_table, independence_complex, invariants)
+from .betti import BettiTable, InvariantBundle, betti_table, invariants
 from .catalogue import ClosedForm, closed_form
 from .decompositions import (DecompositionReport, DecompositionRule,
                              replay_catalogue, replay_family, rules_for,
                              verify_decomposition)
 from .errors import (CapExceededError, EdgeIdealsError, FamilySpecParseError,
-                     FusionLoopError, InvalidParameterError, MembershipError,
+                     InvalidParameterError, MembershipError,
                      NonPrimeCharacteristicError, OutOfStatedRangeError,
                      RecursionCapError, RuleInapplicableError,
                      TooManyGeneratorsError, TooManyVariablesError)
@@ -22,12 +21,9 @@ from .families import (FamilySpec, build_extended, build_family, bristled,
                        bristled_star, cycle, expected_counts, ouroboros,
                        parse_family, path, star, tsnake, tsnake_star,
                        tsnake_starstar)
-from .graphs import (LabeledGraph, VertexLabel, bristle,
-                     connected_components, corona, disjoint_union, fuse,
-                     is_isomorphic, null_graph, read_edge_list,
-                     strip_isolated, to_dot)
+from .graphs import LabeledGraph, VertexLabel, is_isomorphic, to_dot
 from .ideals import (MonomialIdeal, add_variable, colon_by, edge_ideal,
-                     ideal_from_text, ideal_to_text, mask_of, vars_of)
+                     mask_of, vars_of)
 from .recursion import RegInterval, regularity_by_recursion
 from .sdepth import (FacePoset, IntervalPartition, face_poset, sdepth_bounds,
                      stanley_depth, validate_partition)
@@ -39,23 +35,18 @@ __version__ = "0.1.0"
 __all__ = [
     "BettiTable", "CLAIMS", "CapExceededError", "ClosedForm",
     "DecompositionReport", "DecompositionRule", "EdgeIdealsError",
-    "FacePoset", "FamilySpec", "FamilySpecParseError", "FusionLoopError",
-    "IntervalPartition", "InvalidParameterError", "InvariantBundle",
-    "LabeledGraph", "MembershipError", "MonomialIdeal",
-    "NonPrimeCharacteristicError", "OutOfStatedRangeError", "RegInterval",
-    "RecursionCapError", "RuleInapplicableError", "RunConfig",
-    "StanleyReisnerComplex", "TooManyGeneratorsError",
+    "FacePoset", "FamilySpec", "FamilySpecParseError", "IntervalPartition",
+    "InvalidParameterError", "InvariantBundle", "LabeledGraph",
+    "MembershipError", "MonomialIdeal", "NonPrimeCharacteristicError",
+    "OutOfStatedRangeError", "RegInterval", "RecursionCapError",
+    "RuleInapplicableError", "RunConfig", "TooManyGeneratorsError",
     "TooManyVariablesError", "VerificationReport", "VertexLabel",
-    "add_variable", "betti_table", "betti_table_taylor", "bristle",
-    "bristled", "bristled_star", "build_extended", "build_family",
-    "closed_form", "colon_by", "connected_components", "corona", "cycle",
-    "disjoint_union", "edge_ideal", "expected_counts", "face_poset", "fuse",
-    "ideal_from_text", "ideal_to_text", "independence_complex", "invariants",
-    "is_isomorphic", "mask_of", "null_graph", "ouroboros", "parse_family",
-    "path",
-    "read_edge_list", "regularity_by_recursion", "replay_catalogue",
-    "replay_family", "rules_for", "run_claims", "sdepth_bounds", "star",
-    "stanley_depth", "strip_isolated", "to_dot", "tsnake", "tsnake_star",
-    "tsnake_starstar", "validate_partition", "vars_of",
-    "verify_decomposition",
+    "add_variable", "betti_table", "betti_table_taylor", "bristled",
+    "bristled_star", "build_extended", "build_family", "closed_form",
+    "colon_by", "cycle", "edge_ideal", "expected_counts", "face_poset",
+    "invariants", "is_isomorphic", "mask_of", "ouroboros", "parse_family",
+    "path", "regularity_by_recursion", "replay_catalogue", "replay_family",
+    "rules_for", "run_claims", "sdepth_bounds", "star", "stanley_depth",
+    "to_dot", "tsnake", "tsnake_star", "tsnake_starstar",
+    "validate_partition", "vars_of", "verify_decomposition",
 ]

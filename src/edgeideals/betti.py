@@ -38,42 +38,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import CapExceededError, TooManyVariablesError
+from .errors import TooManyVariablesError
 from .gf import check_prime, gf2_rank, gfp_rank
-from .graphs import LabeledGraph, induced_adjacency
-from .ideals import (MonomialIdeal, compact, edge_ideal, faces_of, graph_parts,
-                     mask_of, vars_of)
+from .graphs import induced_adjacency
+from .ideals import (MonomialIdeal, compact, faces_of, graph_parts, mask_of,
+                     vars_of)
 
 DEFAULT_MAX_VARS = 16
-
-
-# ---------------------------------------------------------------------------
-# the Stanley-Reisner complex as an object
-
-
-class StanleyReisnerComplex:
-    """Faces are the squarefree monomials outside the ideal."""
-
-    def __init__(self, ideal: MonomialIdeal):
-        if ideal.is_unit:
-            raise ValueError("the unit ideal has the void complex")
-        self.ideal = ideal
-
-    @property
-    def n_vars(self) -> int:
-        return self.ideal.n_vars
-
-    def faces(self, max_vars: int = 20) -> list[int]:
-        """All faces, the empty face included, sorted by (size, mask)."""
-        if self.n_vars > max_vars:
-            raise CapExceededError(
-                f"face enumeration capped at {max_vars} variables")
-        return faces_of(self.n_vars, self.ideal.gens)
-
-
-def independence_complex(graph: LabeledGraph) -> StanleyReisnerComplex:
-    """Independence complex, i.e. the Stanley-Reisner complex of the edge ideal."""
-    return StanleyReisnerComplex(edge_ideal(graph))
 
 
 # ---------------------------------------------------------------------------

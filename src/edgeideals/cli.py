@@ -50,11 +50,21 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _parse_range(text: str) -> list[int]:
-    """'2' -> [2]; '1..4' -> [1, 2, 3, 4]."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    """'2' -> [2]; '1..4' -> [1, 2, 3, 4].
+
+    A malformed or empty range raises ArgumentTypeError, which argparse
+    reports with the flag's name before exiting with status 2.
+    """
+    lo, dots, hi = text.partition("..")
+    try:
+        values = list(range(int(lo), int(hi if dots else lo) + 1))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer or a range like 1..4, got {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError(
+            f"empty range {text!r}: its low end is above its high end")
+    return values
 
 
 def _build_from_arg(spec_text: str):
@@ -166,11 +176,8 @@ def cmd_verify(args) -> int:
                   file=sys.stderr)
             return 2
         claim_ids = [args.claim]
-    override = {}
-    for name in ("n", "p", "q", "u"):
-        text = getattr(args, name)
-        if text is not None:
-            override[name] = _parse_range(text)
+    override = {name: getattr(args, name) for name in ("n", "p", "q", "u")
+                if getattr(args, name) is not None}
     config = RunConfig(
         characteristic=args.field, cross_field=args.cross_field,
         hochster_cap=args.hochster_cap, sdepth_cap=args.sdepth_cap,
@@ -229,10 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="verify formula claims on a grid")
     p_ver.add_argument("claim", help='claim id or "all"')
-    p_ver.add_argument("--n", help="range like 1..4")
-    p_ver.add_argument("--p", help="range like 1..2")
-    p_ver.add_argument("--q", help="range like 1..2")
-    p_ver.add_argument("--u", help="range like 1..6")
+    p_ver.add_argument("--n", type=_parse_range, help="range like 1..4")
+    p_ver.add_argument("--p", type=_parse_range, help="range like 1..2")
+    p_ver.add_argument("--q", type=_parse_range, help="range like 1..2")
+    p_ver.add_argument("--u", type=_parse_range, help="range like 1..6")
     p_ver.add_argument("--cross-field", action="store_true",
                        help="also compute over GF(3) and compare")
     p_ver.add_argument("--durations", action="store_true",

@@ -20,7 +20,8 @@ from .families import (FamilySpec, build_extended, bristled, find_vertex,
                        star, tsnake_star, tsnake_starstar, validate_spec)
 from .graphs import (LabeledGraph, apex, component_masks, induced_adjacency,
                      is_isomorphic, mask_of, path_bristle, path_vertex)
-from .ideals import add_variable, colon_by, edge_ideal, graph_parts, vars_of
+from .ideals import (MonomialIdeal, add_variable, colon_by, edge_ideal,
+                     graph_parts, vars_of)
 
 
 @dataclass(frozen=True)
@@ -223,9 +224,10 @@ class _Replay:
     adjacency of every factor graph, each built once.  It lives for one
     replay_family call, so every call starts cold."""
 
-    def __init__(self, spec: FamilySpec, graph: LabeledGraph | None = None):
+    def __init__(self, spec: FamilySpec, graph: LabeledGraph | None = None,
+                 ideal: MonomialIdeal | None = None):
         self.graph = build_extended(spec) if graph is None else graph
-        self.ideal = edge_ideal(self.graph)
+        self.ideal = edge_ideal(self.graph) if ideal is None else ideal
         self._built: dict[FamilySpec, tuple[int, ...]] = {}
 
     def factor(self, fspec: FamilySpec) -> tuple[list[tuple[int, ...]], int]:
@@ -308,19 +310,23 @@ def _match_graphs(expected: list[tuple[int, ...]],
     return pick if go(0) else None
 
 
-def replay_family(spec: FamilySpec, graph: LabeledGraph | None = None
+def replay_family(spec: FamilySpec, graph: LabeledGraph | None = None,
+                  ideal: MonomialIdeal | None = None
                   ) -> list[DecompositionReport]:
     """Replay every catalogued rule of spec; [] when it has none.
 
-    graph, when given, must be build_extended(spec); otherwise the parent
-    graph is built, even when no rule applies, so an invalid spec raises.
+    graph and ideal come together or not at all: build_extended(spec)
+    and its edge ideal.  Without them the parent graph is built, even
+    when no rule applies, so an invalid spec raises.
     """
+    if (graph is None) != (ideal is None):
+        raise ValueError("pass graph and ideal together, or neither")
     rules = rules_for(spec)
     if graph is None:
         graph = build_extended(spec)
     if not rules:
         return []
-    replay = _Replay(spec, graph)
+    replay = _Replay(spec, graph, ideal)
     return [verify_decomposition(rule, spec, _replay=replay) for rule in rules]
 
 

@@ -22,10 +22,6 @@ class FamilySpecParseError(EdgeIdealsError, ValueError):
         self.position = position
 
 
-class FusionLoopError(EdgeIdealsError, ValueError):
-    """Fusing two adjacent vertices would create a loop."""
-
-
 class MembershipError(EdgeIdealsError, ValueError):
     """A monomial was required to lie outside the ideal but does not."""
 

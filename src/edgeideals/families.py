@@ -5,6 +5,10 @@ triangle apexes over every spine edge.  tsnake_star adds p pendants at
 the far end of the spine, tsnake_starstar adds p more at the near end,
 and ouroboros(n,p) closes the spine into a cycle.  brs(q, g) attaches q
 pendant bristles to every vertex of g.
+
+This module is the one place that assembles a family graph, bristling
+included: the builders below grow plain label and edge lists, and
+build_family / build_extended wrap the result in a single LabeledGraph.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FamilySpecParseError, InvalidParameterError
-from .graphs import (LabeledGraph, VertexLabel, apex, bristle, path_vertex)
+from .graphs import LabeledGraph, VertexLabel, anonymous, apex, path_vertex
 
 
 @dataclass(frozen=True)
@@ -115,26 +119,30 @@ def validate_spec(spec: FamilySpec) -> None:
         raise InvalidParameterError(f"unknown family kind {kind!r}")
 
 
-def _path_graph(n: int) -> LabeledGraph:
+# A family graph is assembled as (labels, edges) lists, label pairs as
+# edges, and wrapped in one LabeledGraph at the end.
+Parts = tuple[list[VertexLabel], list[tuple[VertexLabel, VertexLabel]]]
+
+
+def _path_graph(n: int) -> Parts:
     labels = [path_vertex(i) for i in range(1, n + 1)]
-    return LabeledGraph(labels, [(labels[i], labels[i + 1]) for i in range(n - 1)])
+    return labels, [(labels[i], labels[i + 1]) for i in range(n - 1)]
 
 
-def _cycle_graph(n: int) -> LabeledGraph:
+def _cycle_graph(n: int) -> Parts:
     labels = [path_vertex(i) for i in range(1, n + 1)]
-    edges = [(labels[i], labels[(i + 1) % n]) for i in range(n)]
-    return LabeledGraph(labels, edges)
+    return labels, [(labels[i], labels[(i + 1) % n]) for i in range(n)]
 
 
-def _star_graph(u: int) -> LabeledGraph:
+def _star_graph(u: int) -> Parts:
     """Star with center x1 and leaves y11..y1u, matching tsnake_star at n=0."""
     center = path_vertex(1)
     leaves = [apex(1, k) for k in range(1, u + 1)]
-    return LabeledGraph([center] + leaves, [(center, leaf) for leaf in leaves])
+    return [center] + leaves, [(center, leaf) for leaf in leaves]
 
 
 def _tsnake_graph(n: int, p: int, close: bool = False,
-                  end_star: bool = False, start_star: bool = False) -> LabeledGraph:
+                  end_star: bool = False, start_star: bool = False) -> Parts:
     """Shared builder for the snake variants.
 
     close=True identifies the spine ends into a cycle of length n with
@@ -164,10 +172,45 @@ def _tsnake_graph(n: int, p: int, close: bool = False,
             y = apex(n + 2, k)
             labels.append(y)
             edges.append((spine[0], y))
-    return LabeledGraph(labels, edges)
+    return labels, edges
 
 
-def _build(spec: FamilySpec, allow_base: bool) -> LabeledGraph:
+_LEAF_ROLE = {"path": "path_bristle", "apex": "apex_bristle"}
+_HOST_ROLE = {leaf: host for host, leaf in _LEAF_ROLE.items()}
+
+
+def _bristle(parts: Parts, q: int) -> Parts:
+    """Attach q pendant leaves to every vertex, extending both lists.
+
+    A spine vertex x_i gets leaves x_it and an apex y_jk leaves y_jkt,
+    numbered after the leaves it already has; every other vertex gets
+    fresh anonymous leaves.  Hosts are visited in canonical label order,
+    so the anonymous numbering does not depend on how the lists grew.
+    """
+    labels, edges = parts
+    taken: dict[VertexLabel, int] = {}
+    fresh = 0
+    for lab in labels:
+        if lab.role in _HOST_ROLE:
+            host = VertexLabel(_HOST_ROLE[lab.role], lab.indices[:-1])
+            taken[host] = max(taken.get(host, 0), lab.indices[-1])
+        elif lab.role == "anon":
+            fresh = max(fresh, lab.indices[0] + 1)
+    for host in sorted(labels, key=lambda lab: lab.sort_key):
+        for t in range(1, q + 1):
+            if host.role in _LEAF_ROLE:
+                leaf = VertexLabel(_LEAF_ROLE[host.role],
+                                   host.indices + (taken.get(host, 0) + t,))
+            else:
+                leaf = anonymous(fresh)
+                fresh += 1
+            labels.append(leaf)
+            edges.append((host, leaf))
+    return parts
+
+
+def _build(spec: FamilySpec) -> Parts:
+    """Labels and edges of a spec; starred snakes at n = 0 are stars."""
     kind = spec.kind
     if kind == "path":
         return _path_graph(spec.n)
@@ -176,16 +219,16 @@ def _build(spec: FamilySpec, allow_base: bool) -> LabeledGraph:
     if kind == "star":
         return _star_graph(spec.u)
     if kind == "brs":
-        return bristle(_build(spec.inner, allow_base), spec.q)
+        return _bristle(_build(spec.inner), spec.q)
     n, p = spec.n, spec.p
     if kind == "tsnake":
         return _tsnake_graph(n, p)
     if kind == "tsnake_star":
-        if n == 0 and allow_base:
+        if n == 0:
             return _star_graph(p)
         return _tsnake_graph(n, p, end_star=True)
     if kind == "tsnake_starstar":
-        if n == 0 and allow_base:
+        if n == 0:
             return _star_graph(2 * p)
         return _tsnake_graph(n, p, end_star=True, start_star=True)
     if kind == "ouroboros":
@@ -196,7 +239,7 @@ def _build(spec: FamilySpec, allow_base: bool) -> LabeledGraph:
 def build_family(spec: FamilySpec) -> LabeledGraph:
     """Build the graph for a validated family spec."""
     validate_spec(spec)
-    return _build(spec, allow_base=False)
+    return LabeledGraph(*_build(spec))
 
 
 def build_extended(spec: FamilySpec) -> LabeledGraph:
@@ -212,7 +255,7 @@ def build_extended(spec: FamilySpec) -> LabeledGraph:
             raise InvalidParameterError(f"{base.kind} needs p >= 1")
         if spec.kind == "brs" and (spec.q is None or spec.q < 1):
             raise InvalidParameterError("brs needs q >= 1")
-        return _build(spec, allow_base=True)
+        return LabeledGraph(*_build(spec))
     return build_family(spec)
 
 

@@ -1,17 +1,18 @@
-"""Labeled simple graphs plus the surgeries the family builders need.
+"""Labeled simple graphs, adjacency-mask helpers, isomorphism and DOT export.
 
 Vertices carry structured labels that record their role (spine vertex,
 triangle apex, bristle of either, or anonymous).  Vertex ids are always
 dense 0-based integers assigned in canonical label order, so two builds
-of the same family are identical object-for-object.
+of the same family are identical object-for-object.  There are no graph
+surgeries here: families.py assembles each family graph, bristles
+included, as label lists and wraps it in one LabeledGraph, and the
+engines work on its adjacency masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-from .errors import FusionLoopError
 
 # Canonical role order: spine, apexes, spine bristles, apex bristles, anonymous.
 _ROLE_RANK = {"path": 0, "apex": 1, "path_bristle": 2, "apex_bristle": 3, "anon": 4}
@@ -72,10 +73,6 @@ def apex(j: int, k: int) -> VertexLabel:
 
 def path_bristle(i: int, t: int) -> VertexLabel:
     return VertexLabel("path_bristle", (i, t))
-
-
-def apex_bristle(j: int, k: int, t: int) -> VertexLabel:
-    return VertexLabel("apex_bristle", (j, k, t))
 
 
 def anonymous(i: int) -> VertexLabel:
@@ -139,134 +136,8 @@ class LabeledGraph:
     def degree(self, v: int) -> int:
         return self.adjacency[v].bit_count()
 
-    def is_edge(self, a: int, b: int) -> bool:
-        return bool(self.adjacency[a] >> b & 1)
-
-    def neighbors(self, v: int) -> list[int]:
-        return vars_of(self.adjacency[v])
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(self.degree(v) for v in range(self.n_vertices)))
-
-    def __eq__(self, other):
-        return (isinstance(other, LabeledGraph)
-                and self.labels == other.labels and self.edges == other.edges)
-
-    def __hash__(self):
-        return hash((self.labels, self.edges))
-
     def __repr__(self):
         return f"<LabeledGraph {self.n_vertices} vertices, {self.n_edges} edges>"
-
-
-
-
-def null_graph(k: int, start: int = 0) -> LabeledGraph:
-    """k isolated anonymous vertices."""
-    return LabeledGraph([anonymous(start + i) for i in range(k)], [])
-
-
-def disjoint_union(g: LabeledGraph, h: LabeledGraph) -> LabeledGraph:
-    """Disjoint union; h's vertices are renamed to fresh anonymous labels."""
-    fresh = _fresh_anon_counter(g)
-    rename = {}
-    for lab in h.labels:
-        rename[lab] = anonymous(next(fresh))
-    labels = list(g.labels) + [rename[lab] for lab in h.labels]
-    edges = [(g.labels[a], g.labels[b]) for a, b in g.edges]
-    edges += [(rename[h.labels[a]], rename[h.labels[b]]) for a, b in h.edges]
-    return LabeledGraph(labels, edges)
-
-
-def _fresh_anon_counter(g: LabeledGraph):
-    used = [lab.indices[0] for lab in g.labels if lab.role == "anon"]
-    i = max(used) + 1 if used else 0
-    while True:
-        yield i
-        i += 1
-
-
-def corona(g: LabeledGraph, h: LabeledGraph) -> LabeledGraph:
-    """Corona product: one copy of h per vertex of g, joined to that vertex.
-
-    Copies get anonymous labels.  |V| = |V(g)|*(1+|V(h)|) and
-    |E| = |E(g)| + |V(g)|*(|E(h)| + |V(h)|).
-    """
-    fresh = _fresh_anon_counter(g)
-    labels = list(g.labels)
-    edges = [(g.labels[a], g.labels[b]) for a, b in g.edges]
-    for v in range(g.n_vertices):
-        copy = [anonymous(next(fresh)) for _ in range(h.n_vertices)]
-        labels.extend(copy)
-        edges.extend((copy[a], copy[b]) for a, b in h.edges)
-        edges.extend((g.labels[v], w) for w in copy)
-    return LabeledGraph(labels, edges)
-
-
-def bristle(g: LabeledGraph, q: int) -> LabeledGraph:
-    """Attach q pendant leaves to every vertex.
-
-    Leaves of spine vertices and apexes get structured bristle labels;
-    bristling an already-bristled or anonymous vertex falls back to
-    anonymous leaves.  Isomorphic to corona(g, null_graph(q)).
-    """
-    if q < 1:
-        raise ValueError("q must be at least 1")
-    fresh = _fresh_anon_counter(g)
-    # count bristles already attached per host so indices keep counting up
-    taken: dict[tuple, int] = {}
-    for lab in g.labels:
-        if lab.role == "path_bristle":
-            key = ("path", lab.indices[:1])
-            taken[key] = max(taken.get(key, 0), lab.indices[1])
-        elif lab.role == "apex_bristle":
-            key = ("apex", lab.indices[:2])
-            taken[key] = max(taken.get(key, 0), lab.indices[2])
-    labels = list(g.labels)
-    edges = [(g.labels[a], g.labels[b]) for a, b in g.edges]
-    for v in range(g.n_vertices):
-        host = g.labels[v]
-        base = taken.get((host.role, host.indices), 0)
-        for t in range(1, q + 1):
-            if host.role == "path":
-                leaf = path_bristle(host.indices[0], base + t)
-            elif host.role == "apex":
-                leaf = apex_bristle(host.indices[0], host.indices[1], base + t)
-            else:
-                leaf = anonymous(next(fresh))
-            labels.append(leaf)
-            edges.append((host, leaf))
-    return LabeledGraph(labels, edges)
-
-
-def fuse(g: LabeledGraph, a: int, b: int) -> LabeledGraph:
-    """Identify vertices a and b (keeping a's label), deduplicating edges.
-
-    Raises FusionLoopError when a and b are adjacent, since the merged
-    vertex would carry a loop.
-    """
-    if a == b:
-        raise ValueError("cannot fuse a vertex with itself")
-    if g.is_edge(a, b):
-        raise FusionLoopError(
-            f"vertices {g.labels[a].name} and {g.labels[b].name} are adjacent")
-    keep = g.labels[a]
-    labels = [lab for i, lab in enumerate(g.labels) if i != b]
-    edges = []
-    for u, v in g.edges:
-        lu = keep if u == b else g.labels[u]
-        lv = keep if v == b else g.labels[v]
-        edges.append((lu, lv))
-    return LabeledGraph(labels, edges)
-
-
-def strip_isolated(g: LabeledGraph) -> tuple[LabeledGraph, int]:
-    """Drop isolated vertices; returns (graph, number removed)."""
-    keep = [v for v in range(g.n_vertices) if g.adjacency[v]]
-    removed = g.n_vertices - len(keep)
-    labels = [g.labels[v] for v in keep]
-    edges = [(g.labels[a], g.labels[b]) for a, b in g.edges]
-    return LabeledGraph(labels, edges), removed
 
 
 def component_masks(adjacency: Sequence[int],
@@ -302,17 +173,6 @@ def induced_adjacency(adjacency: Sequence[int], comp: int) -> tuple[int, ...]:
             m |= local[w]
         out.append(m)
     return tuple(out)
-
-
-def connected_components(g: LabeledGraph) -> list[LabeledGraph]:
-    """Connected components with at least one vertex, isolated ones included."""
-    comps = []
-    for comp in component_masks(g.adjacency):
-        verts = vars_of(comp)
-        edges = [(g.labels[a], g.labels[b]) for a in verts
-                 for b in vars_of(g.adjacency[a]) if b > a]
-        comps.append(LabeledGraph([g.labels[v] for v in verts], edges))
-    return comps
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +274,7 @@ def is_isomorphic(g: Sequence[int], h: Sequence[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# input and output
+# output
 
 
 def to_dot(g: LabeledGraph, name: str = "family") -> str:
@@ -429,25 +289,3 @@ def to_dot(g: LabeledGraph, name: str = "family") -> str:
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def read_edge_list(text: str) -> LabeledGraph:
-    """Parse a whitespace edge list, one 'a b' pair of vertex ids per line.
-
-    Vertex count is one plus the largest id seen.  Blank lines and lines
-    starting with '#' are ignored.
-    """
-    pairs = []
-    top = -1
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"expected two vertex ids per line, got {raw!r}")
-        a, b = int(parts[0]), int(parts[1])
-        if a < 0 or b < 0:
-            raise ValueError("vertex ids must be non-negative")
-        top = max(top, a, b)
-        pairs.append((a, b))
-    return LabeledGraph.from_edge_list(top + 1, pairs)

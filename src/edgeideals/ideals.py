@@ -192,33 +192,3 @@ def graph_parts(ideal: MonomialIdeal
     free = ((1 << ideal.n_vars) - 1) & ~ideal.support
     return killed, tuple(adj), free, higher
 
-
-def ideal_to_text(ideal: MonomialIdeal, names: list[str]) -> str:
-    """One generator per line, variables joined by '*', e.g. x2*y11."""
-    lines = []
-    for g in sorted(ideal.gens, key=lambda g: (g.bit_count(), g)):
-        if g == 0:
-            lines.append("1")
-        else:
-            lines.append("*".join(names[v] for v in vars_of(g)))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def ideal_from_text(text: str, names: list[str], n_vars: int | None = None) -> MonomialIdeal:
-    """Inverse of ideal_to_text given the same variable name list."""
-    index = {name: i for i, name in enumerate(names)}
-    if n_vars is None:
-        n_vars = len(names)
-    gens = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line == "1":
-            gens.append(0)
-            continue
-        try:
-            gens.append(mask_of(index[part] for part in line.split("*")))
-        except KeyError as exc:
-            raise ValueError(f"unknown variable {exc.args[0]!r}") from None
-    return MonomialIdeal.make(n_vars, gens)

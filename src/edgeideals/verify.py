@@ -260,7 +260,7 @@ def run_cell(claim: Claim, cell: tuple[int, ...],
                         f"pdim={inv.projective_dimension}",
                         "pass" if same else "fail"))
     if config.decompositions:
-        for report in replay_family(spec, graph):
+        for report in replay_family(spec, graph, ideal):
             rows.append(row(f"decomp:{report.rule_id}",
                             "ok" if report.ok else "mismatch", "ok",
                             "pass" if report.ok else "fail"))

@@ -7,9 +7,16 @@ Every comparison is exact (tolerance 0).  The largest cells are a
 import random
 
 from edgeideals import (LabeledGraph, betti_table, betti_table_taylor,
-                        build_extended, colon_by, disjoint_union, edge_ideal,
-                        invariants, parse_family, regularity_by_recursion,
+                        build_extended, colon_by, edge_ideal, invariants,
+                        parse_family, regularity_by_recursion,
                         replay_catalogue, stanley_depth, MonomialIdeal)
+
+
+def disjoint_union(g, h):
+    """g beside h, h's vertices numbered after g's."""
+    k = g.n_vertices
+    return LabeledGraph.from_edge_list(
+        k + h.n_vertices, list(g.edges) + [(a + k, b + k) for a, b in h.edges])
 
 
 def _report(num, name, ok, detail=""):

@@ -134,6 +134,21 @@ def test_verify_grid_flags(capsys):
         {(("n", 1), ("p", 1)), (("n", 2), ("p", 1))}
 
 
+@pytest.mark.parametrize("value, why", [
+    ("abc", "expected an integer or a range like 1..4"),
+    ("1..", "expected an integer or a range like 1..4"),
+    ("4..1", "empty range"),
+], ids=["not-a-number", "open-ended", "empty"])
+def test_verify_rejects_a_malformed_or_empty_range(capsys, value, why):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "tsnake-reg", "--n", value])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument --n: {why}" in out.err and repr(value) in out.err
+    assert "Traceback" not in out.err
+
+
 def test_parse_error_exit_code_and_position(capsys):
     code, _, err = run(capsys, "gen", "brs(q=3")
     assert code == 2

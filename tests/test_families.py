@@ -2,10 +2,15 @@
 
 import pytest
 
-from edgeideals import (build_extended, build_family, bristled, bristled_star,
-                        expected_counts, fuse, is_isomorphic, ouroboros,
-                        parse_family, star, tsnake, tsnake_star,
+import hashlib
+import json
+
+from edgeideals import (LabeledGraph, build_extended, build_family, bristled,
+                        bristled_star, expected_counts, is_isomorphic,
+                        ouroboros, parse_family, star, tsnake, tsnake_star,
                         tsnake_starstar)
+from edgeideals import graphs
+from edgeideals.cli import main
 from edgeideals.errors import FamilySpecParseError, InvalidParameterError
 from edgeideals.families import cycle, path
 
@@ -78,7 +83,15 @@ def test_path_cycle_counts():
     assert counts(build_family(cycle(5))) == (5, 5)
 
 
+def nx_graph(nx, g):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n_vertices))
+    out.add_edges_from(g.edges)
+    return out
+
+
 def test_ouroboros_is_fused_tsnake():
+    nx = pytest.importorskip("networkx")
     from edgeideals.families import find_vertex
     from edgeideals.graphs import path_vertex
     for n in range(3, 6):
@@ -86,7 +99,9 @@ def test_ouroboros_is_fused_tsnake():
             t = build_family(tsnake(n, p))
             a = find_vertex(t, path_vertex(1))
             b = find_vertex(t, path_vertex(n + 1))
-            assert iso(fuse(t, a, b), build_family(ouroboros(n, p)))
+            fused = nx.contracted_nodes(nx_graph(nx, t), a, b, self_loops=False)
+            assert nx.is_isomorphic(
+                fused, nx_graph(nx, build_family(ouroboros(n, p))))
 
 
 def test_tsnake_star_pendants_sit_at_far_end():
@@ -155,3 +170,47 @@ def test_expected_counts_match_built_bristled_star_variants():
     for spec in [bristled(2, tsnake_star(2, 1)), bristled(1, tsnake_starstar(1, 2)),
                  bristled(2, ouroboros(3, 1))]:
         assert counts(build_family(spec)) == expected_counts(spec)
+
+
+# `gen --format json` output of nested bristlings, taken before bristling
+# moved into the family builder: the vertex list, and a SHA-256 of the
+# whole document, whose edges record which host each anonymous leaf
+# hangs from.  Visiting hosts in insertion order instead of canonical
+# order keeps the vertex lists but renumbers the leaves of the second.
+PINNED_GEN_JSON = {
+    "brs(q=1,brs(q=2,tsnake(n=1,p=1)))": (
+        "x1 x2 y11 x11 x12 x13 x21 x22 x23 y111 y112 y113 v0 v1 v2 v3 v4 v5",
+        "d935b22485bc5e279c389b86a7f33902dfe90d5ec9148ad1dae39b97b924d531"),
+    "brs(q=2,brs(q=1,brs(q=2,tsnake(n=2,p=2))))": (
+        "x1 x2 x3 y11 y12 y21 y22 x11 x12 x13 x14 x15 x21 x22 x23 x24 x25 "
+        "x31 x32 x33 x34 x35 y111 y112 y113 y114 y115 y121 y122 y123 y124 "
+        "y125 y211 y212 y213 y214 y215 y221 y222 y223 y224 y225 "
+        + " ".join(f"v{i}" for i in range(84)),
+        "4503205c80edd7880015c43955eeff72b4f5f1e600fc52a4b3e122a9954c4584"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_GEN_JSON))
+def test_nested_bristle_labels_are_pinned(capsys, spec):
+    vertices, digest = PINNED_GEN_JSON[spec]
+    assert main(["gen", spec, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["vertices"] == vertices.split()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("spec", [
+    "tsnake(n=2,p=1)", "star(u=3)", "tsnake_star(n=0,p=2)",
+    "brs(q=2,ouroboros(n=3,p=1))", "brs(q=1,tsnake_starstar(n=0,p=1))",
+    "brs(q=2,brs(q=1,brs(q=2,tsnake(n=2,p=2))))"])
+def test_one_labeled_graph_per_build(monkeypatch, spec):
+    built = []
+    init = LabeledGraph.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(graphs.LabeledGraph, "__init__", counting)
+    g = build_extended(parse_family(spec))
+    assert built == [g]

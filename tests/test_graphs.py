@@ -1,16 +1,16 @@
-"""Labeled graphs, products and the isomorphism checker."""
+"""Labeled graphs, components and the isomorphism checker."""
 
 import random
 
 import pytest
 
-from edgeideals import (LabeledGraph, bristle, build_extended,
-                        connected_components, corona, disjoint_union, fuse,
-                        is_isomorphic, null_graph, parse_family,
-                        read_edge_list, strip_isolated, to_dot)
-from edgeideals.errors import FusionLoopError
+from edgeideals import (LabeledGraph, build_extended, build_family, bristled,
+                        edge_ideal, is_isomorphic, parse_family, to_dot)
+from edgeideals import decompositions
+from edgeideals.families import cycle, path
 from edgeideals.graphs import (anonymous, apex, component_masks, path_bristle,
                                path_vertex)
+from edgeideals.ideals import graph_parts, mask_of, vars_of
 
 
 def k_path(n):
@@ -33,11 +33,32 @@ def random_graph(rng, max_v=7):
     return LabeledGraph.from_edge_list(nv, rng.sample(possible, ne))
 
 
+def disjoint_union(g, h):
+    """g beside h, h's vertices numbered after g's."""
+    k = g.n_vertices
+    return LabeledGraph.from_edge_list(
+        k + h.n_vertices, list(g.edges) + [(a + k, b + k) for a, b in h.edges])
+
+
+def corona_with_leaves(g, q):
+    """The corona of g with the null graph on q vertices: q leaves per vertex."""
+    n = g.n_vertices
+    leaves = [(v, n + q * v + t) for v in range(n) for t in range(q)]
+    return LabeledGraph.from_edge_list(n * (1 + q), list(g.edges) + leaves)
+
+
+# one spec of every family kind, the n = 0 star degeneration and a nesting
+EVERY_KIND = ["path(n=3)", "cycle(n=4)", "star(u=3)", "bstar(u=2,q=1)",
+              "tsnake(n=2,p=2)", "tsnake_star(n=2,p=1)", "tsnake_star(n=0,p=2)",
+              "tsnake_starstar(n=1,p=2)", "tsnake_starstar(n=0,p=1)",
+              "ouroboros(n=3,p=2)", "brs(q=1,tsnake(n=1,p=1))"]
+
+
 def test_from_edge_list_counts():
     g = k_path(4)
     assert g.n_vertices == 4
     assert g.n_edges == 3
-    assert g.degree_sequence() == (1, 1, 2, 2)
+    assert sorted(g.degree(v) for v in range(4)) == [1, 1, 2, 2]
 
 
 def test_labels_sort_canonically():
@@ -60,82 +81,80 @@ def test_self_loop_rejected():
 
 
 def test_neighbors_and_is_edge():
+    # neighbours and edges are read off the adjacency masks
     g = k_cycle(5)
-    assert g.is_edge(0, 4)
-    assert not g.is_edge(0, 2)
-    assert g.neighbors(0) == [1, 4]
+    assert g.adjacency[0] >> 4 & 1
+    assert not g.adjacency[0] >> 2 & 1
+    assert vars_of(g.adjacency[0]) == [1, 4]
 
 
 def test_disjoint_union_counts():
     u = disjoint_union(k_path(3), k_cycle(4))
     assert u.n_vertices == 7
     assert u.n_edges == 6
-    assert len(connected_components(u)) == 2
+    assert component_masks(u.adjacency) == [0b111, 0b1111000]
 
 
 def test_corona_counts():
-    # |V| = |V(g)|(1+|V(h)|), |E| = |E(g)| + |V(g)|(|E(h)|+|V(h)|)
-    g, h = k_cycle(4), k_path(3)
-    c = corona(g, h)
+    # the oracle below: |V| = |V(g)|(1+q), |E| = |E(g)| + q|V(g)|
+    c = corona_with_leaves(k_cycle(4), 3)
     assert c.n_vertices == 4 * 4
-    assert c.n_edges == 4 + 4 * (2 + 3)
+    assert c.n_edges == 4 + 4 * 3
+    assert sorted(c.degree(v) for v in range(16)) == [1] * 12 + [5] * 4
 
 
 def test_bristle_equals_corona_with_null():
-    rng = random.Random(11)
-    for _ in range(20):
-        g = random_graph(rng)
-        q = rng.randint(1, 3)
-        assert iso(bristle(g, q), corona(g, null_graph(q)))
+    for text in EVERY_KIND:
+        inner = build_extended(parse_family(text))
+        for q in (1, 2, 3):
+            g = build_extended(parse_family(f"brs(q={q},{text})"))
+            assert iso(g, corona_with_leaves(inner, q)), (q, text)
 
 
 def test_bristle_pendant_degrees():
-    g = bristle(k_path(3), 2)
+    g = build_family(bristled(2, path(3)))
     ones = sum(1 for v in range(g.n_vertices) if g.degree(v) == 1)
     assert ones == 6
     assert g.n_vertices == 9
 
 
 def test_bristle_twice_keeps_indices_distinct():
-    g = bristle(bristle(k_path(2), 1), 1)
+    g = build_family(bristled(1, bristled(1, path(2))))
     assert g.n_vertices == 8
     assert len({lab.name for lab in g.labels}) == 8
 
 
 def test_fuse_path_ends_makes_cycle():
+    # the cycle family is the path family with its two ends identified
+    nx = pytest.importorskip("networkx")
     for n in (4, 5, 6):
-        g = k_path(n)
-        fused = fuse(g, 0, n - 1)
-        assert iso(fused, k_cycle(n - 1))
-
-
-def test_fuse_adjacent_raises():
-    with pytest.raises(FusionLoopError):
-        fuse(k_path(3), 0, 1)
-
-
-def test_fuse_self_raises():
-    with pytest.raises(ValueError):
-        fuse(k_path(3), 1, 1)
+        fused = nx.contracted_nodes(nx_graph(nx, build_family(path(n))),
+                                    0, n - 1, self_loops=False)
+        assert nx.is_isomorphic(fused, nx_graph(nx, build_family(cycle(n - 1))))
 
 
 def test_strip_isolated():
+    # isolated vertices are free variables of the edge ideal, and the
+    # replay's components leave them out
     g = LabeledGraph.from_edge_list(5, [(0, 1)])
-    stripped, removed = strip_isolated(g)
-    assert removed == 3
-    assert stripped.n_vertices == 2
-    assert stripped.n_edges == 1
+    assert graph_parts(edge_ideal(g))[2] == 0b11100
+    assert decompositions._component_graphs(g.adjacency) == [(0b10, 0b01)]
 
 
 def test_components_split_and_cover():
     g = LabeledGraph.from_edge_list(6, [(0, 1), (1, 2), (4, 5)])
-    parts = connected_components(g)
-    assert sorted(c.n_vertices for c in parts) == [1, 2, 3]
-    assert sum(c.n_edges for c in parts) == 3
+    parts = component_masks(g.adjacency)
+    assert sorted(c.bit_count() for c in parts) == [1, 2, 3]
+    assert sum(parts) == 0b111111
 
 
 def reference_components(g):
-    """Components by a label-level search, the order of their lowest vertex."""
+    """Vertex sets of the components by a search over the edge list,
+    ordered by their lowest vertex."""
+    nbrs = {v: set() for v in range(g.n_vertices)}
+    for a, b in g.edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
     left, comps = set(range(g.n_vertices)), []
     while left:
         stack, comp = [min(left)], set()
@@ -143,11 +162,9 @@ def reference_components(g):
             v = stack.pop()
             if v not in comp:
                 comp.add(v)
-                stack.extend(g.neighbors(v))
+                stack.extend(nbrs[v])
         left -= comp
-        comps.append(LabeledGraph([g.labels[v] for v in comp],
-                                  [(g.labels[a], g.labels[b]) for a, b in g.edges
-                                   if a in comp]))
+        comps.append(comp)
     return comps
 
 
@@ -156,9 +173,11 @@ def test_components_match_a_label_level_search():
     graphs = [random_graph(rng, max_v=12) for _ in range(300)]
     graphs += [build_extended(parse_family(t)) for t in
                ("brs(q=2,ouroboros(n=4,p=2))", "tsnake_star(n=3,p=2)")]
-    graphs.append(disjoint_union(bristle(k_cycle(5), 1), null_graph(2)))
+    graphs.append(disjoint_union(build_family(bristled(1, cycle(5))),
+                                 LabeledGraph.from_edge_list(2, [])))
     for g in graphs:
-        assert connected_components(g) == reference_components(g)
+        assert component_masks(g.adjacency) == \
+            [mask_of(c) for c in reference_components(g)]
 
 
 def test_component_masks_stay_inside_the_vertex_set():
@@ -217,30 +236,12 @@ def test_isomorphic_random_permutations():
 
 
 def test_to_dot_mentions_counts_and_labels():
-    g = bristle(k_path(2), 1)
+    g = build_family(bristled(1, path(2)))
     dot = to_dot(g)
     assert "// vertices: 4" in dot
     assert "// edges: 3" in dot
     assert dot.startswith("graph ")
     assert dot.rstrip().endswith("}")
-
-
-def test_read_edge_list_round_trip():
-    g = read_edge_list("0 1\n1 2\n# comment\n\n2 3\n")
-    assert iso(g, k_path(4))
-
-
-def test_read_edge_list_isolated_via_max_index():
-    g = read_edge_list("0 1\n3 4\n")
-    assert g.n_vertices == 5
-    assert g.n_edges == 2
-
-
-def test_anonymous_labels_unique_in_union():
-    g = null_graph(3)
-    h = null_graph(3)
-    u = disjoint_union(g, h)
-    assert len({lab.name for lab in u.labels}) == 6
 
 
 def test_path_bristle_label_names():

@@ -1,4 +1,4 @@
-"""Bitmask monomial ideals: minimization, colon, membership, text I/O."""
+"""Bitmask monomial ideals: minimization, colon, membership, graph parts."""
 
 import random
 
@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeideals import (LabeledGraph, MonomialIdeal, add_variable, colon_by,
-                        edge_ideal, ideal_from_text, ideal_to_text, mask_of,
-                        vars_of)
+                        edge_ideal, mask_of, vars_of)
 from edgeideals.errors import MembershipError, TooManyVariablesError
 from edgeideals.ideals import compact, faces_of, graph_parts, minimize
 
@@ -165,16 +164,3 @@ def test_edge_ideal_gen_count():
     assert len(ideal.gens) == 3
     assert ideal.max_degree == 2
 
-
-def test_text_round_trip():
-    names = ["x1", "x2", "y11"]
-    ideal = MonomialIdeal.make(3, [0b011, 0b110])
-    text = ideal_to_text(ideal, names)
-    assert "x1*x2" in text
-    back = ideal_from_text(text, names)
-    assert back == ideal
-
-
-def test_text_unknown_variable():
-    with pytest.raises(ValueError):
-        ideal_from_text("x1*zz", ["x1", "x2"])

@@ -2,8 +2,10 @@
 
 import json
 
-from edgeideals import (CLAIMS, RunConfig, build_extended, replay_family,
-                        run_claims)
+import pytest
+
+from edgeideals import (CLAIMS, RunConfig, build_extended, edge_ideal,
+                        replay_family, run_claims)
 from edgeideals import decompositions, verify
 
 
@@ -120,3 +122,31 @@ def test_run_cell_builds_its_graph_once(monkeypatch):
             got = [(r.invariant, r.computed) for r in rows
                    if r.invariant.startswith("decomp:")]
             assert got == want, spec
+
+
+def test_run_cell_takes_one_edge_ideal(monkeypatch):
+    # the replay reuses the ideal run_cell took; factors need no ideal
+    taken = []
+
+    def counting(graph):
+        taken.append(graph)
+        return edge_ideal(graph)
+
+    monkeypatch.setattr(verify, "edge_ideal", counting)
+    monkeypatch.setattr(decompositions, "edge_ideal", counting)
+    replayed = 0
+    for claim in CLAIMS.values():
+        for cell in claim.default_cells:
+            taken.clear()
+            rows = verify.run_cell(claim, cell, RunConfig())
+            replayed += any(r.invariant.startswith("decomp:") for r in rows)
+            assert len(taken) == 1, (claim.claim_id, cell)
+    assert replayed > 20
+
+
+def test_replay_family_takes_graph_and_ideal_together():
+    spec = CLAIMS["tsnake-reg"].builder({"n": 2, "p": 1})
+    graph = build_extended(spec)
+    with pytest.raises(ValueError):
+        replay_family(spec, graph)
+    assert replay_family(spec, graph, edge_ideal(graph)) == replay_family(spec)
