@@ -8,10 +8,9 @@ parameters sit inside the range the formula is claimed for; outside
 that range the same expression can still be evaluated on request and
 is then flagged observational.
 
-Degenerate indices n in {0, -1, -2} for the starred snake families are
-resolved here (they denote stars, bristled stars, copies of the ground
-field, or loose polynomial variables) even though the graph builder
-refuses them.
+A starred snake at a degenerate index n <= 0 stands for stars, bristled
+stars, loose polynomial variables or nothing at all (families.resolve);
+its predictions are the sums of those parts' predictions.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError, OutOfStatedRangeError
-from .families import FamilySpec, validate_spec
+from .families import FamilySpec, resolve, validate_spec
 
 
 @dataclass(frozen=True)
@@ -27,51 +26,6 @@ class ClosedForm:
     spec: FamilySpec
     stated: bool
     values: dict[str, int]  # keys among depth, sdepth, reg, pdim
-
-
-def _star_values(u: int) -> dict[str, int]:
-    return {"depth": 1, "sdepth": 1, "reg": 1, "pdim": u}
-
-
-def _bstar_values(u: int, q: int) -> dict[str, int]:
-    return {"depth": u + q, "sdepth": u + q, "reg": u, "pdim": u * q + 1}
-
-
-def _base_case(spec: FamilySpec) -> dict[str, int] | None:
-    """Values for the degenerate starred-family indices, or None.
-
-    n = 0 collapses a starred snake to a star (and its bristling to a
-    bristled star); n = -1 leaves either nothing or a batch of loose
-    variables; n = -2 leaves nothing.  "Nothing" means the quotient is
-    the field itself: every invariant is 0.
-    """
-    if spec.kind == "brs" and spec.inner is not None:
-        inner = spec.inner
-        if inner.kind == "tsnake_star" and inner.n is not None and inner.n <= 0:
-            if inner.n == 0:
-                return _bstar_values(inner.p, spec.q)
-            return {"depth": 0, "sdepth": 0, "reg": 0, "pdim": 0}
-        if inner.kind == "tsnake_starstar" and inner.n is not None and inner.n <= 0:
-            if inner.n == 0:
-                return _bstar_values(2 * inner.p, spec.q)
-            if inner.n == -1:
-                # p disjoint q-star quotients; invariants add across the
-                # tensor factors
-                p, q = inner.p, spec.q
-                return {"depth": p, "sdepth": p, "reg": p, "pdim": p * q}
-            return {"depth": 0, "sdepth": 0, "reg": 0, "pdim": 0}
-        return None
-    if spec.kind == "tsnake_star" and spec.n is not None and spec.n <= 0:
-        if spec.n == 0:
-            return _star_values(spec.p)
-        return {"depth": 0, "sdepth": 0, "reg": 0, "pdim": 0}
-    if spec.kind == "tsnake_starstar" and spec.n is not None and spec.n <= 0:
-        if spec.n == 0:
-            return _star_values(2 * spec.p)
-        if spec.n == -1:
-            return {"depth": spec.p, "sdepth": spec.p, "reg": 0, "pdim": 0}
-        return {"depth": 0, "sdepth": 0, "reg": 0, "pdim": 0}
-    return None
 
 
 def closed_form(spec: FamilySpec, allow_observational: bool = False) -> ClosedForm:
@@ -82,15 +36,25 @@ def closed_form(spec: FamilySpec, allow_observational: bool = False) -> ClosedFo
     set, in which case the formulas are evaluated anyway and the result
     is marked stated=False.
     """
-    base = _base_case(spec)
-    if base is not None:
-        return ClosedForm(spec, True, base)
+    parts, loose = resolve(spec)
+    if parts != [spec]:
+        # the quotient is the tensor product of the parts' quotients and
+        # a polynomial ring in the loose variables; every invariant adds
+        # up across the factors, and "nothing" leaves the field: all 0
+        values = {"depth": loose, "sdepth": loose, "reg": 0, "pdim": 0}
+        for part in parts:
+            for key, value in closed_form(part).values.items():
+                values[key] += value
+        return ClosedForm(spec, True, values)
     validate_spec(spec)
     kind = spec.kind
     if kind == "star":
-        return ClosedForm(spec, True, _star_values(spec.u))
+        return ClosedForm(spec, True, {
+            "depth": 1, "sdepth": 1, "reg": 1, "pdim": spec.u})
     if kind == "brs" and spec.inner.kind == "star":
-        return ClosedForm(spec, True, _bstar_values(spec.inner.u, spec.q))
+        u, q = spec.inner.u, spec.q
+        return ClosedForm(spec, True, {
+            "depth": u + q, "sdepth": u + q, "reg": u, "pdim": u * q + 1})
     if kind in ("tsnake", "tsnake_star", "tsnake_starstar"):
         n = spec.n
         return ClosedForm(spec, True, {"reg": (n + 2) // 2})

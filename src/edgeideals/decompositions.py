@@ -3,21 +3,25 @@
 Every catalogued rule says: take the edge ideal of a family member,
 colon out (or add) a pivot monomial, strip killed and free variables,
 and the leftover graph splits into components isomorphic to smaller
-catalogue members.  The rules record the expected factors and the
-expected number of freed variables; verify_decomposition replays one
+catalogue members.  Each row of _RULES carries its own outcome, the
+expected factors and the expected number of freed variables, and names
+its pivot by a key of _PIVOTS; verify_decomposition replays one rule
 mechanically and reports per-factor isomorphism results.
 
-Factor indices can drop to 0 or below; those degenerate members resolve
-to stars, bristled stars, loose variables, or nothing at all.
+Factor indices can drop to 0 or below; families.resolve turns those
+degenerate members into stars, bristled stars, loose variables, or
+nothing at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 from .errors import RuleInapplicableError
 from .families import (FamilySpec, build_extended, bristled, find_vertex,
-                       star, tsnake_star, tsnake_starstar, validate_spec)
+                       resolve, star, tsnake_star, tsnake_starstar,
+                       validate_spec)
 from .graphs import (LabeledGraph, apex, component_masks, induced_adjacency,
                      is_isomorphic, mask_of, path_bristle, path_vertex)
 from .ideals import (MonomialIdeal, add_variable, colon_by, edge_ideal,
@@ -29,41 +33,87 @@ class DecompositionRule:
     rule_id: str
     family: str  # "tsnake", "brs-tsnake-star", ...
     kind: str  # "colon" or "add"
-    pivot_desc: str
+    pivot_desc: str  # a key of _PIVOTS
+    # the parent's (n, p, q), q None when unbristled -> (expected factor
+    # specs, expected count of freed variables)
+    outcome: Callable[[int, int, int | None], tuple[list[FamilySpec], int]] = \
+        field(repr=False)
     min_n: int = 1
 
 
 _RULES = [
-    DecompositionRule("tsnake:colon-xn", "tsnake", "colon", "x_n"),
-    DecompositionRule("tsnake:add-xn", "tsnake", "add", "x_n"),
-    DecompositionRule("tsnake-star:colon-xn", "tsnake_star", "colon", "x_n"),
-    DecompositionRule("tsnake-star:add-xn", "tsnake_star", "add", "x_n"),
-    DecompositionRule("tsnake-starstar:colon-xn", "tsnake_starstar", "colon", "x_n"),
-    DecompositionRule("tsnake-starstar:add-xn", "tsnake_starstar", "add", "x_n"),
-    DecompositionRule("ouroboros:colon-xn", "ouroboros", "colon", "x_n", 3),
-    DecompositionRule("ouroboros:add-xn", "ouroboros", "add", "x_n", 3),
-    DecompositionRule("brs-tsnake:colon-end", "brs-tsnake", "colon", "x_{n+1}"),
-    DecompositionRule("brs-tsnake:add-end", "brs-tsnake", "add", "x_{n+1}"),
+    DecompositionRule("tsnake:colon-xn", "tsnake", "colon", "x_n",
+                      lambda n, p, q: ([tsnake_star(n - 3, p)], 1)),
+    DecompositionRule("tsnake:add-xn", "tsnake", "add", "x_n",
+                      lambda n, p, q: ([tsnake_star(n - 2, p), star(p)], 0)),
+    DecompositionRule("tsnake-star:colon-xn", "tsnake_star", "colon", "x_n",
+                      lambda n, p, q: ([tsnake_star(n - 3, p)], 1 + p)),
+    DecompositionRule("tsnake-star:add-xn", "tsnake_star", "add", "x_n",
+                      lambda n, p, q: ([tsnake_star(n - 2, p), star(2 * p)], 0)),
+    DecompositionRule("tsnake-starstar:colon-xn", "tsnake_starstar", "colon",
+                      "x_n", lambda n, p, q: ([tsnake_starstar(n - 3, p)], 1 + p)),
+    DecompositionRule("tsnake-starstar:add-xn", "tsnake_starstar", "add", "x_n",
+                      lambda n, p, q: ([tsnake_starstar(n - 2, p), star(2 * p)], 0)),
+    DecompositionRule("ouroboros:colon-xn", "ouroboros", "colon", "x_n",
+                      lambda n, p, q: ([tsnake_starstar(n - 4, p)], 1), 3),
+    DecompositionRule("ouroboros:add-xn", "ouroboros", "add", "x_n",
+                      lambda n, p, q: ([tsnake_starstar(n - 2, p)], 0), 3),
+    DecompositionRule("brs-tsnake:colon-end", "brs-tsnake", "colon", "x_{n+1}",
+                      lambda n, p, q: ([bristled(q, tsnake_star(n - 2, p))],
+                                       1 + q + p * q)),
+    DecompositionRule("brs-tsnake:add-end", "brs-tsnake", "add", "x_{n+1}",
+                      lambda n, p, q: ([bristled(q, tsnake_star(n - 1, p))], q)),
     DecompositionRule("brs-tsnake:colon-brush", "brs-tsnake", "colon",
-                      "x_{(n+1)1}..x_{(n+1)q}"),
+                      "x_{(n+1)1}..x_{(n+1)q}",
+                      lambda n, p, q: ([bristled(q, tsnake_star(n - 1, p))], q)),
     DecompositionRule("brs-tsnake-star:colon-end", "brs-tsnake_star", "colon",
-                      "x_{n+1}"),
+                      "x_{n+1}",
+                      lambda n, p, q: ([bristled(q, tsnake_star(n - 2, p))],
+                                       1 + q + 2 * p * q)),
     DecompositionRule("brs-tsnake-star:add-end", "brs-tsnake_star", "add",
-                      "x_{n+1}"),
+                      "x_{n+1}",
+                      lambda n, p, q: ([bristled(q, tsnake_star(n - 1, p))]
+                                       + [star(q)] * p, q)),
     DecompositionRule("brs-tsnake-star:colon-row", "brs-tsnake_star", "colon",
-                      "y_{(n+1)1}..y_{(n+1)p}"),
+                      "y_{(n+1)1}..y_{(n+1)p}",
+                      lambda n, p, q: ([bristled(q, tsnake_star(n - 1, p))],
+                                       q + p)),
     DecompositionRule("brs-tsnake-starstar:colon-end", "brs-tsnake_starstar",
-                      "colon", "x_{n+1}"),
+                      "colon", "x_{n+1}",
+                      lambda n, p, q: ([bristled(q, tsnake_starstar(n - 2, p))],
+                                       1 + q + 2 * p * q)),
     DecompositionRule("brs-tsnake-starstar:add-end", "brs-tsnake_starstar",
-                      "add", "x_{n+1}"),
+                      "add", "x_{n+1}",
+                      lambda n, p, q: ([bristled(q, tsnake_starstar(n - 1, p))]
+                                       + [star(q)] * p, q)),
     DecompositionRule("brs-tsnake-starstar:colon-row", "brs-tsnake_starstar",
-                      "colon", "y_{(n+1)1}..y_{(n+1)p}"),
-    DecompositionRule("brs-ouroboros:colon-xn", "brs-ouroboros", "colon",
-                      "x_n", 3),
-    DecompositionRule("brs-ouroboros:add-xn", "brs-ouroboros", "add", "x_n", 3),
+                      "colon", "y_{(n+1)1}..y_{(n+1)p}",
+                      lambda n, p, q: ([bristled(q, tsnake_starstar(n - 1, p))],
+                                       q + p)),
+    DecompositionRule("brs-ouroboros:colon-xn", "brs-ouroboros", "colon", "x_n",
+                      lambda n, p, q: ([bristled(q, tsnake_starstar(n - 4, p))],
+                                       1 + 2 * q + 2 * p * q), 3),
+    DecompositionRule("brs-ouroboros:add-xn", "brs-ouroboros", "add", "x_n",
+                      lambda n, p, q: ([bristled(q, tsnake_starstar(n - 2, p))],
+                                       q), 3),
     DecompositionRule("brs-ouroboros:colon-brush", "brs-ouroboros", "colon",
-                      "x_{n1}..x_{nq}", 3),
+                      "x_{n1}..x_{nq}",
+                      lambda n, p, q: ([bristled(q, tsnake_starstar(n - 2, p))],
+                                       q), 3),
 ]
+
+# The pivot vertices that each pivot_desc names, from the parent's (n, p, q).
+_PIVOTS = {
+    "x_n": lambda n, p, q: [path_vertex(n)],
+    "x_{n+1}": lambda n, p, q: [path_vertex(n + 1)],
+    "y_{(n+1)1}..y_{(n+1)p}": lambda n, p, q: [apex(n + 1, k)
+                                               for k in range(1, p + 1)],
+    # bristle brushes: the q leaves hanging off one spine vertex
+    "x_{(n+1)1}..x_{(n+1)q}": lambda n, p, q: [path_bristle(n + 1, t)
+                                               for t in range(1, q + 1)],
+    "x_{n1}..x_{nq}": lambda n, p, q: [path_bristle(n, t)
+                                       for t in range(1, q + 1)],
+}
 
 RULES_BY_ID = {r.rule_id: r for r in _RULES}
 
@@ -89,96 +139,18 @@ def _params(spec: FamilySpec) -> tuple[int, int, int | None]:
 
 def pivot_mask(rule: DecompositionRule, spec: FamilySpec,
                graph: LabeledGraph) -> int:
-    n, p, q = _params(spec)
-    if rule.pivot_desc == "x_n":
-        return 1 << find_vertex(graph, path_vertex(n))
-    if rule.pivot_desc == "x_{n+1}":
-        return 1 << find_vertex(graph, path_vertex(n + 1))
-    if rule.pivot_desc.startswith("y_"):
-        mask = 0
-        for k in range(1, p + 1):
-            mask |= 1 << find_vertex(graph, apex(n + 1, k))
-        return mask
-    # bristle brushes: the q leaves hanging off one spine vertex
-    host = n + 1 if "(n+1)" in rule.pivot_desc else n
-    mask = 0
-    for t in range(1, q + 1):
-        mask |= 1 << find_vertex(graph, path_bristle(host, t))
-    return mask
+    return mask_of(find_vertex(graph, label)
+                   for label in _PIVOTS[rule.pivot_desc](*_params(spec)))
 
 
 def expected_outcome(rule: DecompositionRule,
                      spec: FamilySpec) -> tuple[list[FamilySpec], int]:
     """(expected factor specs, expected count of freed variables).
 
-    Factor specs may carry n <= 0; resolve_factor turns those into
-    concrete graphs or extra free variables.
+    Factor specs may carry n <= 0; families.resolve turns those into
+    concrete graphs or loose variables.
     """
-    n, p, q = _params(spec)
-    rid = rule.rule_id
-    if rid == "tsnake:colon-xn":
-        return [tsnake_star(n - 3, p)], 1
-    if rid == "tsnake:add-xn":
-        return [tsnake_star(n - 2, p), star(p)], 0
-    if rid == "tsnake-star:colon-xn":
-        return [tsnake_star(n - 3, p)], 1 + p
-    if rid == "tsnake-star:add-xn":
-        return [tsnake_star(n - 2, p), star(2 * p)], 0
-    if rid == "tsnake-starstar:colon-xn":
-        return [tsnake_starstar(n - 3, p)], 1 + p
-    if rid == "tsnake-starstar:add-xn":
-        return [tsnake_starstar(n - 2, p), star(2 * p)], 0
-    if rid == "ouroboros:colon-xn":
-        return [tsnake_starstar(n - 4, p)], 1
-    if rid == "ouroboros:add-xn":
-        return [tsnake_starstar(n - 2, p)], 0
-    if rid == "brs-tsnake:colon-end":
-        return [bristled(q, tsnake_star(n - 2, p))], 1 + q + p * q
-    if rid == "brs-tsnake:add-end":
-        return [bristled(q, tsnake_star(n - 1, p))], q
-    if rid == "brs-tsnake:colon-brush":
-        return [bristled(q, tsnake_star(n - 1, p))], q
-    if rid == "brs-tsnake-star:colon-end":
-        return [bristled(q, tsnake_star(n - 2, p))], 1 + q + 2 * p * q
-    if rid == "brs-tsnake-star:add-end":
-        return [bristled(q, tsnake_star(n - 1, p))] + [star(q)] * p, q
-    if rid == "brs-tsnake-star:colon-row":
-        return [bristled(q, tsnake_star(n - 1, p))], q + p
-    if rid == "brs-tsnake-starstar:colon-end":
-        return [bristled(q, tsnake_starstar(n - 2, p))], 1 + q + 2 * p * q
-    if rid == "brs-tsnake-starstar:add-end":
-        return [bristled(q, tsnake_starstar(n - 1, p))] + [star(q)] * p, q
-    if rid == "brs-tsnake-starstar:colon-row":
-        return [bristled(q, tsnake_starstar(n - 1, p))], q + p
-    if rid == "brs-ouroboros:colon-xn":
-        return [bristled(q, tsnake_starstar(n - 4, p))], 1 + 2 * q + 2 * p * q
-    if rid == "brs-ouroboros:add-xn":
-        return [bristled(q, tsnake_starstar(n - 2, p))], q
-    if rid == "brs-ouroboros:colon-brush":
-        return [bristled(q, tsnake_starstar(n - 2, p))], q
-    raise RuleInapplicableError(f"unknown rule {rid}")
-
-
-def resolve_factor(fspec: FamilySpec) -> tuple[list[FamilySpec], int]:
-    """Specs of the concrete graphs (plus stray free variables) of a factor.
-
-    Degenerate indices: a starred snake at n=0 is a star, at n<0 nothing;
-    a doubly starred snake at n=-1 leaves p loose variables (p loose
-    q-stars once bristled).  Every returned spec is buildable by
-    build_extended.
-    """
-    inner = fspec.inner
-    if fspec.kind == "brs" and inner.kind in ("tsnake_star", "tsnake_starstar"):
-        if inner.n >= 0:
-            return [fspec], 0
-        if inner.kind == "tsnake_starstar" and inner.n == -1:
-            return [star(fspec.q)] * inner.p, 0
-        return [], 0
-    if fspec.kind in ("tsnake_star", "tsnake_starstar") and fspec.n < 0:
-        if fspec.kind == "tsnake_starstar" and fspec.n == -1:
-            return [], fspec.p
-        return [], 0
-    return [fspec], 0
+    return rule.outcome(*_params(spec))
 
 
 @dataclass(frozen=True)
@@ -232,7 +204,7 @@ class _Replay:
 
     def factor(self, fspec: FamilySpec) -> tuple[list[tuple[int, ...]], int]:
         """Adjacency tuples and extra free variables of a factor spec."""
-        specs, extra = resolve_factor(fspec)
+        specs, extra = resolve(fspec)
         for s in specs:
             if s not in self._built:
                 self._built[s] = build_extended(s).adjacency

@@ -210,7 +210,7 @@ def _bristle(parts: Parts, q: int) -> Parts:
 
 
 def _build(spec: FamilySpec) -> Parts:
-    """Labels and edges of a spec; starred snakes at n = 0 are stars."""
+    """Labels and edges of a spec whose indices need no resolving."""
     kind = spec.kind
     if kind == "path":
         return _path_graph(spec.n)
@@ -224,16 +224,38 @@ def _build(spec: FamilySpec) -> Parts:
     if kind == "tsnake":
         return _tsnake_graph(n, p)
     if kind == "tsnake_star":
-        if n == 0:
-            return _star_graph(p)
         return _tsnake_graph(n, p, end_star=True)
     if kind == "tsnake_starstar":
-        if n == 0:
-            return _star_graph(2 * p)
         return _tsnake_graph(n, p, end_star=True, start_star=True)
     if kind == "ouroboros":
         return _tsnake_graph(n, p, close=True)
     raise InvalidParameterError(f"unknown family kind {kind!r}")
+
+
+def resolve(spec: FamilySpec) -> tuple[list[FamilySpec], int]:
+    """(concrete specs, loose variables) that a spec with degenerate
+    indices stands for, at any nesting of brs.
+
+    A starred snake at n = 0 is a star: tsnake_star(0,p) is star(p) and
+    tsnake_starstar(0,p) is star(2p).  Below that, tsnake_starstar(-1,p)
+    leaves p loose variables and every lower index leaves nothing.  A
+    bristled loose variable is star(q).  Any other spec stands for
+    itself.  Raises InvalidParameterError for p < 1 or q < 1 at any index.
+    """
+    if spec.kind == "brs":
+        parts, loose = resolve(spec.inner)
+        if spec.q is None or spec.q < 1:
+            raise InvalidParameterError("brs needs q >= 1")
+        return [bristled(spec.q, s) for s in parts] + [star(spec.q)] * loose, 0
+    kind, n, p = spec.kind, spec.n, spec.p
+    if kind not in ("tsnake_star", "tsnake_starstar") or n is None or n >= 1:
+        return [spec], 0
+    if p is None or p < 1:
+        raise InvalidParameterError(f"{kind} needs p >= 1")
+    double = kind == "tsnake_starstar"
+    if n == 0:
+        return [star(2 * p if double else p)], 0
+    return [], p if double and n == -1 else 0
 
 
 def build_family(spec: FamilySpec) -> LabeledGraph:
@@ -243,24 +265,22 @@ def build_family(spec: FamilySpec) -> LabeledGraph:
 
 
 def build_extended(spec: FamilySpec) -> LabeledGraph:
-    """Like build_family but also accepts the n=0 degenerations.
-
-    tsnake_star(0,p) is the star on p leaves and tsnake_starstar(0,p)
-    the star on 2p leaves; bristled versions follow by bristling.
-    Used when resolving decomposition factors.
+    """Like build_family, but a starred snake may also sit at n = 0 under
+    any nesting of brs: it builds as the star, bristled or not, that
+    resolve makes of it.  Lower indices are refused as build_family
+    refuses them.
     """
-    base = spec.inner if spec.kind == "brs" else spec
-    if base.kind in ("tsnake_star", "tsnake_starstar") and base.n == 0:
-        if base.p is None or base.p < 1:
-            raise InvalidParameterError(f"{base.kind} needs p >= 1")
-        if spec.kind == "brs" and (spec.q is None or spec.q < 1):
-            raise InvalidParameterError("brs needs q >= 1")
-        return LabeledGraph(*_build(spec))
+    base = spec
+    while base.kind == "brs" and base.inner is not None:
+        base = base.inner
+    if base.n == 0:
+        (spec,), _ = resolve(spec)
     return build_family(spec)
 
 
 def expected_counts(spec: FamilySpec) -> tuple[int, int]:
-    """Closed-form (vertices, edges) for a family spec."""
+    """Closed-form (vertices, edges) for a family spec; a starred snake
+    at n = 0 gives the counts of the star it resolves to."""
     kind = spec.kind
     if kind == "path":
         return spec.n, spec.n - 1
@@ -275,12 +295,8 @@ def expected_counts(spec: FamilySpec) -> tuple[int, int]:
     if kind == "tsnake":
         return 1 + n + n * p, (2 * p + 1) * n
     if kind == "tsnake_star":
-        if n == 0:
-            return 1 + p, p
         return 1 + n + (n + 1) * p, (2 * p + 1) * n + p
     if kind == "tsnake_starstar":
-        if n == 0:
-            return 1 + 2 * p, 2 * p
         return 1 + n + (n + 2) * p, (2 * p + 1) * n + 2 * p
     if kind == "ouroboros":
         return (p + 1) * n, (2 * p + 1) * n

@@ -17,6 +17,7 @@ clock durations are only included on request for that reason.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -25,8 +26,8 @@ from .betti import DEFAULT_MAX_VARS, invariants
 from .catalogue import closed_form
 from .decompositions import replay_family
 from .errors import CapExceededError, EdgeIdealsError
-from .families import (FamilySpec, build_extended, bristled, ouroboros, star,
-                       tsnake, tsnake_star, tsnake_starstar)
+from .families import (FamilySpec, build_extended, bristled, expected_counts,
+                       ouroboros, star, tsnake, tsnake_star, tsnake_starstar)
 from .ideals import edge_ideal
 from .recursion import regularity_by_recursion
 from .sdepth import DEFAULT_EXACT_CAP, stanley_depth
@@ -62,13 +63,10 @@ class Claim:
     description: str
 
 
-def _snake_cells(ns, ps, var_cap, count):
-    cells = []
-    for n in ns:
-        for p in ps:
-            if count(n, p) <= var_cap:
-                cells.append((n, p))
-    return tuple(cells)
+def _snake_cells(family, ns, ps, var_cap):
+    """The (n, p) cells whose graph family(n, p) has at most var_cap vertices."""
+    return tuple((n, p) for n in ns for p in ps
+                 if expected_counts(family(n, p))[0] <= var_cap)
 
 
 CLAIMS: dict[str, Claim] = {}
@@ -88,18 +86,16 @@ _register(Claim(
     "bristled stars: depth = sdepth = u+q, reg = u, pdim = uq+1"))
 _register(Claim(
     "tsnake-reg", ("n", "p"), lambda d: tsnake(d["n"], d["p"]),
-    _snake_cells(range(1, 5), range(1, 4), 13, lambda n, p: 1 + n + n * p),
+    _snake_cells(tsnake, range(1, 5), range(1, 4), 13),
     "snake quotients: reg = ceil((n+1)/2)"))
 _register(Claim(
     "tsnake-star-reg", ("n", "p"), lambda d: tsnake_star(d["n"], d["p"]),
-    _snake_cells(range(1, 5), range(1, 3), 14,
-                 lambda n, p: 1 + n + (n + 1) * p),
+    _snake_cells(tsnake_star, range(1, 5), range(1, 3), 14),
     "end-starred snake quotients: reg = ceil((n+1)/2)"))
 _register(Claim(
     "tsnake-starstar-reg", ("n", "p"),
     lambda d: tsnake_starstar(d["n"], d["p"]),
-    _snake_cells(range(1, 4), range(1, 3), 12,
-                 lambda n, p: 1 + n + (n + 2) * p),
+    _snake_cells(tsnake_starstar, range(1, 4), range(1, 3), 12),
     "doubly starred snake quotients: reg = ceil((n+1)/2)"))
 _register(Claim(
     "ouroboros-reg", ("n", "p"), lambda d: ouroboros(d["n"], d["p"]),
@@ -276,17 +272,12 @@ def run_claims(claim_ids: list[str], config: RunConfig,
         cells = claim.default_cells
         if grid_override:
             axes = []
-            for name in claim.param_names:
+            for i, name in enumerate(claim.param_names):
                 values = grid_override.get(name)
                 if values is None:
-                    values = sorted({c[claim.param_names.index(name)]
-                                     for c in claim.default_cells})
+                    values = sorted({c[i] for c in claim.default_cells})
                 axes.append(values)
-            cells = []
-            stack = [()]
-            for axis in axes:
-                stack = [t + (v,) for t in stack for v in axis]
-            cells = tuple(stack)
+            cells = tuple(itertools.product(*axes))
         started = time.monotonic()
         for cell in cells:
             report.rows.extend(run_cell(claim, cell, config))

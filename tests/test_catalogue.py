@@ -1,5 +1,8 @@
 """Closed-form invariant predictions for the graph families."""
 
+import json
+from pathlib import Path
+
 import pytest
 import sympy
 
@@ -76,6 +79,35 @@ def test_base_case_negative_indices():
     # bristling those free variables gives p disjoint star quotients
     cf = closed_form(bristled(2, tsnake_starstar(-1, 3)))
     assert cf.values == {"depth": 3, "sdepth": 3, "reg": 3, "pdim": 6}
+
+
+def test_degenerate_closed_forms_match_the_pinned_table():
+    # every degenerate index n = 0..-3, p = 1..3, bare and under brs(q=1..3)
+    pinned = json.loads((Path(__file__).parent / "pinned_outcomes.json")
+                        .read_text())["closed_forms"]
+    want = {row[0]: row[1:] for row in pinned}
+    got = {}
+    for family in (tsnake_star, tsnake_starstar):
+        for n in range(0, -4, -1):
+            for p in (1, 2, 3):
+                for spec in [family(n, p)] + [bristled(q, family(n, p))
+                                              for q in (1, 2, 3)]:
+                    cf = closed_form(spec)
+                    assert cf.stated
+                    got[str(spec)] = [cf.values[k] for k in
+                                      ("depth", "sdepth", "reg", "pdim")]
+    assert got == want
+
+
+@pytest.mark.parametrize("spec", [
+    tsnake_star(0, 0), tsnake_starstar(-1, 0), tsnake_star(-2, 0),
+    bristled(0, tsnake_star(0, 1)), bristled(0, tsnake_starstar(-1, 2)),
+    bristled(1, tsnake_starstar(0, 0)), bristled(1, bristled(0, tsnake_star(0, 1))),
+], ids=str)
+def test_closed_form_refuses_what_the_builder_refuses(spec):
+    # p < 1 or q < 1 has no graph at any index, so no predicted values
+    with pytest.raises(InvalidParameterError):
+        closed_form(spec)
 
 
 def test_unknown_family_rejected():

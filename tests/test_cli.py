@@ -161,6 +161,30 @@ def test_invalid_parameters_exit_two(capsys):
     assert err.strip()
 
 
+def test_gen_builds_a_starred_snake_at_n_zero_under_nested_bristles(capsys):
+    code, out, _ = run(capsys, "gen", "--format", "json",
+                       "brs(q=1,brs(q=2,tsnake_star(n=0,p=1)))")
+    assert code == 0
+    doc = json.loads(out)
+    code, out, _ = run(capsys, "gen", "--format", "json",
+                       "brs(q=1,brs(q=2,star(u=1)))")
+    assert code == 0
+    want = json.loads(out)
+    assert (doc["vertices"], doc["edges"]) == (want["vertices"], want["edges"])
+
+
+@pytest.mark.parametrize("spec, err", [
+    ("tsnake_star(n=0,p=0)", "error: tsnake_star needs p >= 1\n"),
+    ("brs(q=0,tsnake_star(n=0,p=1))", "error: brs needs q >= 1\n"),
+    ("brs(q=0,tsnake_starstar(n=0,p=0))", "error: tsnake_starstar needs p >= 1\n"),
+    ("brs(q=1,brs(q=0,tsnake(n=1,p=1)))", "error: brs needs q >= 1\n"),
+    ("tsnake_star(n=-1,p=1)", "error: expected an integer (at position 14)\n"),
+])
+def test_degenerate_refusals_keep_their_message(capsys, spec, err):
+    for command in ("gen", "inv", "decomp"):
+        assert run(capsys, command, spec) == (2, "", err)
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "star", "--out", str(target))

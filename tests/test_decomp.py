@@ -1,18 +1,23 @@
 """Replay of the colon/add decomposition catalogue."""
 
+import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from edgeideals import (LabeledGraph, bristled, ouroboros, parse_family,
-                        replay_catalogue, replay_family, rules_for, star,
-                        tsnake, tsnake_star, tsnake_starstar,
-                        verify_decomposition)
+from edgeideals import (FamilySpec, LabeledGraph, build_extended, bristled,
+                        ouroboros, parse_family, replay_catalogue,
+                        replay_family, rules_for, star, tsnake, tsnake_star,
+                        tsnake_starstar, verify_decomposition)
 from edgeideals import decompositions
 from edgeideals.cli import main
-from edgeideals.decompositions import RULES_BY_ID, expected_outcome, family_key
+from edgeideals.decompositions import (RULES_BY_ID, expected_outcome,
+                                       family_key, pivot_mask)
 from edgeideals.families import cycle
+
+PINNED = json.loads((Path(__file__).parent / "pinned_outcomes.json").read_text())
 
 
 def failure_text(r):
@@ -57,6 +62,23 @@ def test_expected_outcome_accounting_examples():
     factors, free = expected_outcome(rule, tsnake(4, 2))
     assert sorted(str(f) for f in factors) == ["star(u=2)", "tsnake_star(n=2,p=2)"]
     assert free == 0
+
+
+def test_rule_outcomes_and_pivots_match_the_pinned_table():
+    # every rule at n = min_n..min_n+3, p = 1..2 and q = 1..2 (None when
+    # unbristled): factor specs, freed count and pivot vertex mask
+    seen = set()
+    for rid, n, p, q, factors, free, mask in PINNED["rules"]:
+        rule = RULES_BY_ID[rid]
+        spec = FamilySpec(rule.family.removeprefix("brs-"), n=n, p=p)
+        if q is not None:
+            spec = bristled(q, spec)
+        got, got_free = expected_outcome(rule, spec)
+        assert ([str(f) for f in got], got_free) == (factors, free), (rid, str(spec))
+        assert pivot_mask(rule, spec, build_extended(spec)) == mask, (rid, str(spec))
+        seen.add((rid, n, p, q))
+    assert len(seen) == len(PINNED["rules"])
+    assert {r[0] for r in seen} == set(RULES_BY_ID)
 
 
 def test_single_rule_report_fields():

@@ -12,7 +12,7 @@ from edgeideals import (LabeledGraph, build_extended, build_family, bristled,
 from edgeideals import graphs
 from edgeideals.cli import main
 from edgeideals.errors import FamilySpecParseError, InvalidParameterError
-from edgeideals.families import cycle, path
+from edgeideals.families import cycle, path, resolve
 
 
 def counts(g):
@@ -117,6 +117,41 @@ def test_build_extended_star_degenerations():
     assert iso(build_extended(tsnake_starstar(0, 2)), build_family(star(4)))
     assert iso(build_extended(bristled(1, tsnake_starstar(0, 1))),
                build_family(bristled_star(2, 1)))
+
+
+@pytest.mark.parametrize("family", [tsnake_star, tsnake_starstar])
+def test_expected_counts_match_build_extended_at_n_zero(family):
+    for p in (1, 2, 3):
+        for spec in [family(0, p)] + [bristled(q, family(0, p)) for q in (1, 2)]:
+            assert counts(build_extended(spec)) == expected_counts(spec), spec
+
+
+def test_resolve_degenerate_indices_at_any_brs_depth():
+    assert resolve(tsnake_star(2, 1)) == ([tsnake_star(2, 1)], 0)
+    assert resolve(tsnake_star(0, 3)) == ([star(3)], 0)
+    assert resolve(tsnake_starstar(0, 2)) == ([star(4)], 0)
+    assert resolve(tsnake_star(-1, 2)) == ([], 0)
+    assert resolve(tsnake_starstar(-1, 3)) == ([], 3)
+    assert resolve(tsnake_starstar(-2, 3)) == ([], 0)
+    assert resolve(bristled(2, tsnake_starstar(-1, 3))) == ([star(2)] * 3, 0)
+    assert resolve(bristled(1, bristled(2, tsnake_star(0, 1)))) == \
+        ([bristled(1, bristled(2, star(1)))], 0)
+    assert resolve(bristled(1, bristled(2, tsnake_starstar(-1, 2)))) == \
+        ([bristled(1, star(2))] * 2, 0)
+    for spec in [tsnake_star(0, 0), tsnake_starstar(-1, 0),
+                 bristled(0, tsnake_star(0, 1)),
+                 bristled(1, bristled(0, tsnake_starstar(-1, 1)))]:
+        with pytest.raises(InvalidParameterError):
+            resolve(spec)
+
+
+def test_build_extended_refuses_negative_indices():
+    # no negative index builds, not even a bristled loose variable, which
+    # resolve gives as one star
+    for spec in [tsnake_star(-1, 1), tsnake_starstar(-1, 1),
+                 bristled(1, tsnake_starstar(-1, 1))]:
+        with pytest.raises(InvalidParameterError, match="needs n >= 1"):
+            build_extended(spec)
 
 
 def test_build_family_rejects_degenerations():
