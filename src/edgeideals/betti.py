@@ -28,9 +28,9 @@ homology in degree d to beta_{|W|-d-1, |W|}(S/I).  Conventions:
 Degree-1 generators kill their variable: it belongs to no face, but the
 subset W still counts it, which is what produces the linear beta_{i,i}
 strands.  The split engine applies them at the end as one Koszul factor
-per killed variable; ideals with a generator of degree 3 or more are
-scanned whole.  Homology is taken over GF(p); ranks over GF(2) run on
-packed bitmask rows and other primes on sparse rows of signs.
+per killed variable; ideals.graph_parts refuses degree 3 or more, which
+only betti_table_taylor takes.  Homology is taken over GF(p); ranks over
+GF(2) run on packed bitmask rows and other primes on sparse rows of signs.
 """
 
 from __future__ import annotations
@@ -155,21 +155,6 @@ def _graph_homology(verts: int, adj: tuple[int, ...], char: int, do_fold: bool,
     return dims
 
 
-def _generic_homology(w2: int, live: list[int], char: int,
-                      memo: dict) -> tuple[tuple[int, int], ...]:
-    vlist = vars_of(w2)
-    m = len(vlist)
-    pos = {v: i for i, v in enumerate(vlist)}
-    cgens = tuple(sorted(mask_of(pos[v] for v in vars_of(g)) for g in live))
-    key = (m, cgens)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    dims = _homology_dims(faces_of(m, cgens), char)
-    memo[key] = dims
-    return dims
-
-
 # ---------------------------------------------------------------------------
 # the subset scan
 
@@ -181,12 +166,10 @@ def _scan(ideal: MonomialIdeal, char: int,
     do_fold=False skips the dominated-vertex folds, so the tests can
     check the folds against the plain scan.
     """
-    killed, adj, _free, higher = graph_parts(ideal)
+    killed, adj, _free = graph_parts(ideal)
     n = ideal.n_vars
-    gens2 = [g for g in ideal.gens if g.bit_count() == 2]
     entries: dict[tuple[int, int], int] = {}
     core_memo: dict = {}
-    generic_memo: dict = {}
     for w in range(1 << n):
         w2 = w & ~killed
         j = w.bit_count()
@@ -195,33 +178,16 @@ def _scan(ideal: MonomialIdeal, char: int,
             # {emptyset} in degree -1, landing in beta_{j,j}
             entries[(j, j)] = entries.get((j, j), 0) + 1
             continue
-        if higher:
-            live = [g for g in gens2 if g & w == g]
-            live += [g for g in higher if g & w == g]
-            union = 0
-            for g in live:
-                union |= g
-            if w2 & ~union:
-                continue  # some vertex lies in no generator inside W: a cone
-            if any(g.bit_count() > 2 for g in live):
-                dims = _generic_homology(w2, live, char, generic_memo)
-            else:
-                dims = _graph_homology(w2, adj, char, do_fold, core_memo)
+        rem = w2
+        while rem:
+            low = rem & -rem
+            rem ^= low
+            if adj[low.bit_length() - 1] & w2 == 0:
+                break  # isolated vertex cones the complex off
         else:
-            skip = False
-            rem = w2
-            while rem:
-                low = rem & -rem
-                rem ^= low
-                if adj[low.bit_length() - 1] & w2 == 0:
-                    skip = True  # isolated vertex cones the complex off
-                    break
-            if skip:
-                continue
-            dims = _graph_homology(w2, adj, char, do_fold, core_memo)
-        for d, dim in dims:
-            key = (j - d - 1, j)
-            entries[key] = entries.get(key, 0) + dim
+            for d, dim in _graph_homology(w2, adj, char, do_fold, core_memo):
+                key = (j - d - 1, j)
+                entries[key] = entries.get(key, 0) + dim
     return entries
 
 
@@ -250,9 +216,7 @@ def _split(ideal: MonomialIdeal, char: int) -> dict[tuple[int, int], int]:
 
     Memoised on the induced vertex mask, for this call only.
     """
-    killed, adj, _free, higher = graph_parts(ideal)
-    if higher:
-        return _scan(ideal, char, True)
+    killed, adj, _free = graph_parts(ideal)
     memo: dict[int, dict[tuple[int, int], int]] = {}
 
     def table(verts: int) -> dict[tuple[int, int], int]:
@@ -346,8 +310,8 @@ def betti_table(ideal: MonomialIdeal, characteristic: int = 2,
                 max_vars: int = DEFAULT_MAX_VARS) -> BettiTable:
     """Betti table of S/I by splitting at simplicial vertices.
 
-    Induced subgraphs without a simplicial vertex, and ideals with a
-    generator of degree 3 or more, fall back to the subset scan.
+    Induced subgraphs without a simplicial vertex fall back to the
+    subset scan; a generator of degree 3 or more raises ValueError.
     """
     _check_input(ideal, characteristic, max_vars)
     entries = _split(ideal, characteristic)

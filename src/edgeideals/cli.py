@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Iterable
 
 from .betti import DEFAULT_MAX_VARS, invariants
 from .decompositions import replay_family
@@ -125,7 +126,7 @@ def cmd_sdepth(args) -> int:
     spec, graph = _build_from_arg(args.spec)
     ideal = edge_ideal(graph)
     value, witness = stanley_depth(ideal, args.sdepth_cap)
-    validate_partition(face_poset(ideal, cap=max(14, ideal.n_vars)), witness)
+    validate_partition(face_poset(ideal, cap=ideal.n_vars), witness)
     names = [lab.name for lab in graph.labels]
     doc = {
         "spec": str(spec),
@@ -193,22 +194,29 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _add_common(parser: argparse.ArgumentParser,
-                default_format: str = "json") -> None:
-    parser.add_argument("--field", type=int, default=2,
-                        help="prime field characteristic (default 2)")
-    parser.add_argument("--format", choices=["json", "text", "csv", "dot"],
-                        default=default_format)
+_FLAGS = {
+    "--field": dict(type=int, default=2,
+                    help="prime field characteristic (default 2)"),
+    "--hochster-cap": dict(type=int, default=DEFAULT_MAX_VARS,
+                           help="max ambient variables for exact homology"),
+    "--sdepth-cap": dict(type=int, default=DEFAULT_EXACT_CAP,
+                         help="max live variables for exact Stanley depth"),
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, formats: list[str],
+                flags: Iterable[str] = ()) -> None:
+    """--format (its first choice is the default), --out and the given flags."""
+    parser.add_argument("--format", choices=formats, default=formats[0])
     parser.add_argument("--out", help="write output to this file")
-    parser.add_argument("--hochster-cap", type=int, default=DEFAULT_MAX_VARS,
-                        help="max ambient variables for exact homology")
-    parser.add_argument("--sdepth-cap", type=int, default=DEFAULT_EXACT_CAP,
-                        help="max live variables for exact Stanley depth")
+    for flag in flags:
+        parser.add_argument(flag, **_FLAGS[flag])
 
 
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared after that."""
+    """The argument parser, built on first use and shared after that.
+    Each subcommand accepts only the flags it reads."""
     parser = argparse.ArgumentParser(
         prog="edgeideals",
         description="edge-ideal invariants of snake-family graphs")
@@ -216,22 +224,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="emit a family graph")
     p_gen.add_argument("spec", help='e.g. "brs(q=3,tsnake(n=3,p=3))"')
-    _add_common(p_gen, default_format="dot")
+    _add_common(p_gen, ["dot", "json"])
     p_gen.set_defaults(func=cmd_gen)
 
     p_inv = sub.add_parser("inv", help="invariants of the edge-ideal quotient")
     p_inv.add_argument("spec")
-    _add_common(p_inv)
+    _add_common(p_inv, ["json", "text", "csv"], _FLAGS)
     p_inv.set_defaults(func=cmd_inv)
 
     p_sd = sub.add_parser("sdepth", help="exact Stanley depth with witness")
     p_sd.add_argument("spec")
-    _add_common(p_sd)
+    _add_common(p_sd, ["json", "text"], ["--sdepth-cap"])
     p_sd.set_defaults(func=cmd_sdepth)
 
     p_dec = sub.add_parser("decomp", help="replay induction decompositions")
     p_dec.add_argument("spec")
-    _add_common(p_dec)
+    _add_common(p_dec, ["json", "text"])
     p_dec.set_defaults(func=cmd_decomp)
 
     p_ver = sub.add_parser("verify", help="verify formula claims on a grid")
@@ -246,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="include wall-clock durations in the report")
     p_ver.add_argument("--no-decomp", action="store_true",
                        help="skip decomposition replay")
-    _add_common(p_ver)
+    _add_common(p_ver, ["json", "text", "csv"], _FLAGS)
     p_ver.set_defaults(func=cmd_verify)
     return parser
 

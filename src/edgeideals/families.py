@@ -264,23 +264,30 @@ def build_family(spec: FamilySpec) -> LabeledGraph:
     return LabeledGraph(*_build(spec))
 
 
+def _resolved(spec: FamilySpec) -> FamilySpec:
+    """The validated spec that build_extended builds for spec."""
+    base = spec
+    while base.kind == "brs" and base.inner is not None:
+        base = base.inner
+    if base.n == 0:
+        (spec,), _ = resolve(spec)
+    validate_spec(spec)
+    return spec
+
+
 def build_extended(spec: FamilySpec) -> LabeledGraph:
     """Like build_family, but a starred snake may also sit at n = 0 under
     any nesting of brs: it builds as the star, bristled or not, that
     resolve makes of it.  Lower indices are refused as build_family
     refuses them.
     """
-    base = spec
-    while base.kind == "brs" and base.inner is not None:
-        base = base.inner
-    if base.n == 0:
-        (spec,), _ = resolve(spec)
-    return build_family(spec)
+    return LabeledGraph(*_build(_resolved(spec)))
 
 
 def expected_counts(spec: FamilySpec) -> tuple[int, int]:
-    """Closed-form (vertices, edges) for a family spec; a starred snake
-    at n = 0 gives the counts of the star it resolves to."""
+    """Closed-form (vertices, edges) of build_extended(spec); refuses
+    with InvalidParameterError, and the same message, where it does."""
+    spec = _resolved(spec)
     kind = spec.kind
     if kind == "path":
         return spec.n, spec.n - 1
@@ -298,9 +305,7 @@ def expected_counts(spec: FamilySpec) -> tuple[int, int]:
         return 1 + n + (n + 1) * p, (2 * p + 1) * n + p
     if kind == "tsnake_starstar":
         return 1 + n + (n + 2) * p, (2 * p + 1) * n + 2 * p
-    if kind == "ouroboros":
-        return (p + 1) * n, (2 * p + 1) * n
-    raise InvalidParameterError(f"unknown family kind {kind!r}")
+    return (p + 1) * n, (2 * p + 1) * n  # ouroboros
 
 
 # ---------------------------------------------------------------------------

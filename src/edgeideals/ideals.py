@@ -120,10 +120,6 @@ class MonomialIdeal:
             m |= g
         return m
 
-    @property
-    def max_degree(self) -> int:
-        return max((g.bit_count() for g in self.gens), default=0)
-
     def contains(self, monomial: int) -> bool:
         """Membership test: some generator divides the monomial."""
         return any(g & monomial == g for g in self.gens)
@@ -165,18 +161,17 @@ def compact(ideal: MonomialIdeal, variables: Iterable[int]) -> MonomialIdeal:
     return MonomialIdeal.make(len(varlist), gens)
 
 
-def graph_parts(ideal: MonomialIdeal
-                ) -> tuple[int, tuple[int, ...], int, list[int]]:
-    """Split generators into (killed mask, adjacency, free mask, higher gens).
+def graph_parts(ideal: MonomialIdeal) -> tuple[int, tuple[int, ...], int]:
+    """Split generators into (killed mask, adjacency, free mask).
 
     killed collects degree-1 generators, and adjacency[v] is the mask of
     v's neighbours in the graph of the degree-2 ones, one entry per
     variable.  free holds the variables missing from every generator.
-    Degree >= 3 generators are returned as-is so callers can refuse them.
+    This is the one check that an ideal has the form I(G) + (x_K): a
+    generator of degree 0 or of degree 3 or more raises ValueError.
     """
     killed = 0
     adj = [0] * ideal.n_vars
-    higher = []
     for g in ideal.gens:
         d = g.bit_count()
         if d == 0:
@@ -188,7 +183,6 @@ def graph_parts(ideal: MonomialIdeal
             adj[a] |= 1 << b
             adj[b] |= 1 << a
         else:
-            higher.append(g)
+            raise ValueError(f"generator of degree {d} has no graph form")
     free = ((1 << ideal.n_vars) - 1) & ~ideal.support
-    return killed, tuple(adj), free, higher
-
+    return killed, tuple(adj), free

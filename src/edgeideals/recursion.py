@@ -119,15 +119,11 @@ def regularity_by_recursion(ideal: MonomialIdeal,
                             max_steps: int = DEFAULT_MAX_STEPS) -> RegInterval:
     """reg(S/I) for an edge-type ideal by the colon/add trichotomy.
 
-    Generators must have degree at most two.  first_pivot forces the
-    variable used at the top level (the family proofs always name one);
-    deeper levels pick their own pivots.
+    The unit ideal, or a generator of degree 3 or more, raises
+    ValueError.  first_pivot forces the variable used at the top level
+    (the family proofs always name one); deeper levels pick their own.
     """
-    if ideal.is_unit:
-        raise ValueError("S/I is the zero module")
-    if ideal.max_degree > 2:
-        raise ValueError("recursion is only defined for edge-type ideals")
-    killed, adj, _free, _higher = graph_parts(ideal)
+    killed, adj, _free = graph_parts(ideal)
     engine = _Engine(adj, max_steps)
     verts = ((1 << ideal.n_vars) - 1) & ~killed
     if first_pivot is None:

@@ -6,7 +6,8 @@ import pytest
 
 from edgeideals import (BettiTable, LabeledGraph, MonomialIdeal, betti_table,
                         betti_table_taylor, build_extended, colon_by,
-                        edge_ideal, invariants, parse_family)
+                        edge_ideal, invariants, parse_family,
+                        regularity_by_recursion)
 from edgeideals import betti
 from edgeideals.ideals import faces_of
 from edgeideals.errors import (NonPrimeCharacteristicError,
@@ -256,14 +257,28 @@ def test_fold_off_agrees():
             assert_all_engines_agree(ideal, char)
 
 
+# x0x1x2, x2x3, x3x4x5 and a killed x6
+CUBIC_IDEAL = MonomialIdeal.make(7, [0b0000111, 0b0001100, 0b0111000, 0b1000000])
+
+
 @pytest.mark.parametrize("char", [2, 3])
-def test_degree_three_generator_goes_to_the_whole_ideal_scan(char):
-    # x0x1x2, x2x3, x3x4x5 and a killed x6
-    ideal = MonomialIdeal.make(7, [0b0000111, 0b0001100, 0b0111000, 0b1000000])
-    assert_all_engines_agree(ideal, char)
+def test_degree_three_generator_is_refused_before_any_work(char, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an engine ran on an ideal with a cubic generator")
+
+    monkeypatch.setattr(betti, "_scan", refuse)
+    monkeypatch.setattr(betti, "_homology_dims", refuse)
+    for engine in (lambda i: betti_table(i, char), lambda i: invariants(i, char),
+                   regularity_by_recursion):
+        with pytest.raises(ValueError, match="degree 3"):
+            engine(CUBIC_IDEAL)
+
+
+@pytest.mark.parametrize("char", [2, 3])
+def test_degree_three_generator_goes_to_taylor(char):
     # Taylor on x0x1x2, x2x3, x3x4x5 is minimal except that the pair
     # {x0x1x2, x3x4x5} cancels the triple (same lcm); then one Koszul factor
-    assert betti_table(ideal, char).as_dict() == {
+    assert betti_table_taylor(CUBIC_IDEAL, char).as_dict() == {
         (0, 0): 1, (1, 1): 1, (1, 2): 1, (1, 3): 2, (2, 3): 1, (2, 4): 4,
         (3, 5): 2}
 

@@ -192,6 +192,37 @@ def test_out_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text())["ok"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "tsnake(n=2,p=1)", "--field", "3"],
+    ["gen", "tsnake(n=2,p=1)", "--hochster-cap", "20"],
+    ["gen", "tsnake(n=2,p=1)", "--sdepth-cap", "5"],
+    ["sdepth", "path(4)", "--field", "3"],
+    ["sdepth", "path(4)", "--hochster-cap", "20"],
+    ["decomp", "tsnake(n=2,p=1)", "--field", "3"],
+    ["decomp", "tsnake(n=2,p=1)", "--hochster-cap", "20"],
+    ["decomp", "tsnake(n=2,p=1)", "--sdepth-cap", "5"],
+])
+def test_a_flag_the_subcommand_does_not_read_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[2:]) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "path(3)", "--format", "csv"],
+    ["inv", "path(3)", "--format", "dot"],
+    ["sdepth", "path(3)", "--format", "csv"],
+    ["decomp", "path(3)", "--format", "dot"],
+    ["verify", "star", "--format", "dot"],
+])
+def test_a_format_the_subcommand_cannot_write_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_verify_runs_are_byte_identical(capsys):
     _, first, _ = run(capsys, "verify", "bstar")
     _, second, _ = run(capsys, "verify", "bstar")

@@ -1,12 +1,15 @@
-"""The package exports, and the names the benchmark's pinning script uses."""
+"""The package exports, and the names and command lines the benchmark uses."""
 
+import json
 import re
 from collections import Counter
 from pathlib import Path
 
 import edgeideals
+from edgeideals.cli import build_parser
 
-PIN = Path(__file__).resolve().parent.parent / "perfbench" / "pin.py"
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PIN = BENCH / "pin.py"
 
 
 def test_every_exported_name_resolves_once():
@@ -20,3 +23,17 @@ def test_pinning_script_uses_only_exported_names():
     used = set(re.findall(r"\bei\.(\w+)", PIN.read_text()))
     assert len(used) > 10
     assert sorted(used - set(edgeideals.__all__)) == []
+
+
+def test_every_benchmark_command_line_parses():
+    # a flag or format the parser drops would otherwise surface only as
+    # failed ops when the benchmark runs
+    workloads = json.loads((BENCH / "workloads.json").read_text())["workloads"]
+    argvs = []
+    for work in workloads.values():
+        ladder = work["ladder"]
+        first = str(ladder["k_first"])
+        argvs += work["ops"] + [[a.replace("{k}", first) for a in ladder["argv"]]]
+    assert len(argvs) > 100
+    for argv in argvs:
+        build_parser().parse_args(argv)

@@ -154,6 +154,31 @@ def test_build_extended_refuses_negative_indices():
             build_extended(spec)
 
 
+def _degenerate_grid():
+    """Snake specs over n = -3..1 and p = 0..2, bare and under one or two
+    brs with q = 0..2."""
+    bare = [family(n, p) for family in (tsnake, tsnake_star, tsnake_starstar,
+                                        ouroboros)
+            for n in range(-3, 2) for p in range(3)]
+    once = [bristled(q, s) for q in range(3) for s in bare]
+    return bare + once + [bristled(q, s) for q in range(3) for s in once]
+
+
+def test_expected_counts_refuses_exactly_what_build_extended_refuses():
+    built = 0
+    for spec in _degenerate_grid():
+        try:
+            g = build_extended(spec)
+        except InvalidParameterError as exc:
+            with pytest.raises(InvalidParameterError) as refused:
+                expected_counts(spec)
+            assert str(refused.value) == str(exc), spec
+        else:
+            built += 1
+            assert expected_counts(spec) == counts(g), spec
+    assert built > 0  # the grid reaches buildable specs, n = 0 and 1 ones
+
+
 def test_build_family_rejects_degenerations():
     with pytest.raises(InvalidParameterError):
         build_family(tsnake_star(0, 3))

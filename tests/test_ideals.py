@@ -149,18 +149,21 @@ def test_compact_renumbers():
 
 
 def test_graph_parts_classifies_generators():
-    # killed variable, one edge, one free variable, one cubic generator
-    ideal = MonomialIdeal.make(6, [0b000001, 0b000110, 0b111000])
-    killed, adj, free, higher = graph_parts(ideal)
+    # killed variable, one edge, one free variable
+    ideal = MonomialIdeal.make(6, [0b000001, 0b000110])
+    killed, adj, free = graph_parts(ideal)
     assert killed == 0b000001
     assert adj == (0, 0b100, 0b010, 0, 0, 0)  # the edge x1 x2
-    assert higher == [0b111000]
-    assert free == 0  # everything touches a generator
+    assert free == 0b111000  # x3, x4, x5 touch no generator
+    # a cubic generator, or the unit ideal, has no graph form
+    with pytest.raises(ValueError, match="degree 3"):
+        graph_parts(MonomialIdeal.make(6, [0b000001, 0b000110, 0b111000]))
+    with pytest.raises(ValueError, match="unit ideal"):
+        graph_parts(MonomialIdeal.unit(6))
 
 
 def test_edge_ideal_gen_count():
     g = LabeledGraph.from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
     ideal = edge_ideal(g)
     assert len(ideal.gens) == 3
-    assert ideal.max_degree == 2
 

@@ -94,6 +94,12 @@ def test_cubic_generator_rejected():
         regularity_by_recursion(MonomialIdeal.make(3, [0b111]))
 
 
+def test_unit_ideal_rejected():
+    # graph_parts refuses the degree-0 generator before any recursion
+    with pytest.raises(ValueError, match="unit ideal"):
+        regularity_by_recursion(MonomialIdeal.unit(3))
+
+
 def test_step_cap():
     ideal = cycle_ideal(7)
     with pytest.raises(RecursionCapError):
