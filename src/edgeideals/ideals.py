@@ -23,7 +23,8 @@ def minimize(gens: Iterable[int]) -> tuple[int, ...]:
     through it, and distinct degree-2 generators never divide each
     other, so only generators of degree 3 or more scan the kept ones.
     """
-    ordered = sorted(set(gens), key=lambda g: (g.bit_count(), g))
+    ordered = sorted(set(gens))
+    ordered.sort(key=int.bit_count)  # stable: sorted by (size, mask)
     if ordered and ordered[0] == 0:
         return (0,)
     killed = 0

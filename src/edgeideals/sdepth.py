@@ -17,7 +17,10 @@ search below it runs only if that probe fails.  A probe covers the
 skeleton smallest face first; the lowest uncovered face must start an
 interval, failed cover states are memoised, and a state is dropped as
 soon as an uncovered face has too few uncovered faces above it to reach
-size d.  Only the top-level ideal needs a witness: its faces above the
+size d.  That prune is incremental: a step can only strand the faces one
+below the faces it covers, so it tests those, and the faces already
+stranded before anything is covered.  Each colon is compacted in one
+pass.  Only the top-level ideal needs a witness: its faces above the
 skeleton cover are partitioned greedily once the value is known.  Every
 search stops with CapExceededError after SEARCH_NODE_BUDGET nodes.
 
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .errors import CapExceededError
-from .ideals import MonomialIdeal, colon_by, compact, faces_of, mask_of, vars_of
+from .ideals import MonomialIdeal, faces_of, mask_of, minimize, vars_of
 
 DEFAULT_EXACT_CAP = 10
 DEFAULT_POSET_CAP = 14
@@ -128,30 +131,56 @@ class _Search:
 
     def __init__(self, faces: tuple[int, ...], d: int, solver: _Exact):
         self.faces = [f for f in faces if f.bit_count() <= d]
-        self.index = {f: i for i, f in enumerate(self.faces)}
+        index = self.index = {f: i for i, f in enumerate(self.faces)}
         self.d = d
         self.solver = solver
         self.failed: set[int] = set()
         covers = [0] * len(self.faces)  # bits of the faces one larger above
+        under = [0] * len(self.faces)  # bits of the faces one smaller below
         for j, g in enumerate(self.faces):
-            for v in vars_of(g):
-                covers[self.index[g ^ 1 << v]] |= 1 << j
-        # per face below size d, in face order: its bit, its covers, and
-        # how many of those it needs
-        self.below = [(1 << i, covers[i], d - f.bit_count())
+            rest = g
+            while rest:
+                low = rest & -rest
+                i = index[g ^ low]
+                covers[i] |= 1 << j
+                under[j] |= 1 << i
+                rest ^= low
+        self.under = under
+        # per face below size d, in face order: its covers, and how many
+        # of those it needs
+        self.below = [(covers[i], d - f.bit_count())
                       for i, f in enumerate(self.faces) if f.bit_count() < d]
         self.low = (1 << len(self.below)) - 1
+        # faces with too few covers even before anything is covered; the
+        # root state is never tested, so each step tests these as well
+        self.stranded = mask_of(i for i, (c, need) in enumerate(self.below)
+                                if c.bit_count() < need)
 
-    def _open(self, covered: int) -> bool:
-        """No uncovered face below size d is already stranded.
+    def _open(self, step: int, bits: int) -> bool:
+        """No uncovered face below size d is stranded once bits are covered.
 
         An uncovered face F lies in a future interval [C, D] with
         C <= F <= D and |D| = d, so at least d - |F| of the faces one
-        larger above F must still be uncovered.
+        larger above F must still be uncovered.  The state before the
+        step passed this test, or is the root, so a face stranded now is
+        stranded at the root or lies one below a face of bits.
         """
-        for bit, covers, need in self.below:
-            if not covered & bit and (covers & ~covered).bit_count() < need:
+        if self.stranded & ~step:
+            return False
+        under = self.under
+        near = 0
+        while bits:
+            low = bits & -bits
+            near |= under[low.bit_length() - 1]
+            bits ^= low
+        near &= ~step
+        below = self.below
+        while near:
+            low = near & -near
+            covers, need = below[low.bit_length() - 1]
+            if (covers & ~step).bit_count() < need:
                 return False
+            near ^= low
         return True
 
     def run(self) -> list[tuple[int, int]] | None:
@@ -165,7 +194,7 @@ class _Search:
                 step = covered | bits
                 if step & self.low == self.low:
                     return chosen + [(sigma, top)]
-                if step in self.failed or not self._open(step):
+                if step in self.failed or not self._open(step, bits):
                     continue
                 chosen.append((sigma, top))
                 frames.append((step, self._candidates(step)))
@@ -191,7 +220,12 @@ class _Search:
         index = self.index
         i = (~covered & (covered + 1)).bit_length() - 1
         sigma = self.faces[i]
-        dirs = [self.faces[j] ^ sigma for j in vars_of(self.below[i][1] & ~covered)]
+        dirs = []
+        up = self.below[i][0] & ~covered
+        while up:
+            low = up & -up
+            dirs.append(self.faces[low.bit_length() - 1] ^ sigma)
+            up ^= low
 
         def grow(top, members, bits, start, left):
             if left == 0:
@@ -227,12 +261,43 @@ def _reduce(ideal: MonomialIdeal) -> tuple[MonomialIdeal, list[int], int]:
     """(ideal compacted to its live variables, those variables, free count).
 
     A live variable lies in some generator of degree >= 2; a killed one
-    is itself a generator and a free one lies in no generator.
+    is itself a generator and a free one lies in no generator.  The
+    generators are minimal and sorted, and renumbering the live
+    variables in order keeps them so.
     """
-    support = ideal.support
-    killed = mask_of(vars_of(g)[0] for g in ideal.gens if g.bit_count() == 1)
+    support = killed = 0
+    for g in ideal.gens:
+        support |= g
+        if g & (g - 1) == 0:
+            killed |= g
     live = vars_of(support & ~killed)
-    return compact(ideal, live), live, ideal.n_vars - support.bit_count()
+    position = [0] * ideal.n_vars
+    for k, u in enumerate(live):
+        position[u] = k
+    compacted = []
+    for g in ideal.gens:
+        if g & killed:
+            continue
+        m = 0
+        while g:
+            low = g & -g
+            m |= 1 << position[low.bit_length() - 1]
+            g ^= low
+        compacted.append(m)
+    return (MonomialIdeal(len(live), tuple(compacted)), live,
+            ideal.n_vars - support.bit_count())
+
+
+def _colon(reduced: MonomialIdeal, v: int) -> tuple[MonomialIdeal, int]:
+    """(I : x_v) compacted to its live variables, and the count it frees.
+
+    v is cleared from every generator, the result is minimized once,
+    and _reduce compacts it as it stands: no MonomialIdeal.make round
+    trip.
+    """
+    gens = minimize(g & ~(1 << v) for g in reduced.gens)
+    quotient, _, free = _reduce(MonomialIdeal(reduced.n_vars, gens))
+    return quotient, free
 
 
 def _colon_bound(reduced: MonomialIdeal, upper: int,
@@ -244,7 +309,7 @@ def _colon_bound(reduced: MonomialIdeal, upper: int,
     them.  value_of may return an upper bound instead of the exact value.
     """
     for v in range(reduced.n_vars):
-        quotient, _, free = _reduce(colon_by(reduced, 1 << v))
+        quotient, free = _colon(reduced, v)
         upper = min(upper, value_of(quotient) + free)
     return upper
 
@@ -365,7 +430,7 @@ def sdepth_bounds(ideal: MonomialIdeal, exact_cap: int = DEFAULT_EXACT_CAP,
     bound from the colon bound of the exact search: sdepth can only grow
     along (I : x_v), so each colon gives an upper bound, exact when the
     colon lands back inside the exact cap and its largest face size
-    otherwise.
+    otherwise.  Bounds that cross raise RuntimeError naming both.
     """
     if ideal.is_unit:
         raise ValueError("S/I is the zero module")
@@ -386,5 +451,10 @@ def sdepth_bounds(ideal: MonomialIdeal, exact_cap: int = DEFAULT_EXACT_CAP,
             return solver.value(quotient)
         return face_poset(quotient, cap=poset_cap).faces[-1].bit_count()
 
-    upper = _colon_bound(reduced, faces[-1].bit_count(), colon_upper)
-    return lower, max(lower, upper + free_count)
+    upper = free_count + _colon_bound(reduced, faces[-1].bit_count(),
+                                      colon_upper)
+    if upper < lower:
+        raise RuntimeError(
+            f"sdepth bounds crossed: greedy lower bound {lower} is above "
+            f"colon upper bound {upper}")
+    return lower, upper

@@ -1,18 +1,23 @@
 """Exact Stanley depth via interval partitions of the face poset."""
 
+import json
 import math
 import random
 from collections import Counter
+from hashlib import sha256
+from pathlib import Path
 
 import pytest
 
 from edgeideals import (LabeledGraph, MonomialIdeal, build_extended, colon_by,
-                        edge_ideal, face_poset, invariants, parse_family,
-                        sdepth_bounds, stanley_depth, validate_partition)
+                        edge_ideal, face_poset, invariants, mask_of,
+                        parse_family, sdepth_bounds, stanley_depth,
+                        validate_partition, vars_of)
 from edgeideals import sdepth as sdepth_module
 from edgeideals.cli import main
 from edgeideals.errors import CapExceededError
-from edgeideals.sdepth import IntervalPartition
+from edgeideals.ideals import compact
+from edgeideals.sdepth import IntervalPartition, _colon, _reduce, _Search
 from edgeideals.verify import CLAIMS, RunConfig, run_cell
 
 # the sdepth cells of the benchmark's sdepth workload
@@ -312,7 +317,7 @@ def test_one_feasibility_probe_per_ideal(monkeypatch, text):
     monkeypatch.setattr(sdepth_module, "_feasible", counting)
     ideal = family_ideal(text)
     stanley_depth(ideal, exact_cap=14)
-    reduced, _, _ = sdepth_module._reduce(ideal)
+    reduced, _, _ = _reduce(ideal)
     per_ideal = Counter(faces for faces, _ in probes)
     assert per_ideal[face_poset(reduced).faces] == 1
     assert set(per_ideal.values()) == {1}
@@ -348,3 +353,159 @@ def test_node_budget_fails_loudly(monkeypatch, capsys):
     rows = run_cell(claim, claim.default_cells[-1], RunConfig())
     assert [r.status for r in rows if r.invariant == "sdepth"] == ["skipped"]
     assert all(r.status == "pass" for r in rows if r.invariant != "sdepth")
+
+
+def test_bounds_that_cross_fail_loudly(monkeypatch):
+    # an upper bound below the greedy lower bound is an engine fault, not
+    # a value to clamp
+    ideal = family_ideal("tsnake(n=3,p=2)")
+    monkeypatch.setattr(sdepth_module, "_colon_bound",
+                        lambda reduced, upper, value_of: 0)
+    with pytest.raises(RuntimeError,
+                       match="lower bound 2 is above colon upper bound 0"):
+        sdepth_bounds(ideal, exact_cap=0)
+
+
+# the cells whose search is pinned: the benchmark's sdepth cells at its
+# --sdepth-cap 14, the paths 1..16 and the cycles 3..14
+PINNED_CELLS = ([(text, 14) for text in WORKLOAD_CELLS]
+                + [(f"path({n})", max(14, n)) for n in range(1, 17)]
+                + [(f"cycle({n})", 14) for n in range(3, 15)])
+
+
+def search_record(text, exact_cap):
+    """Value, search nodes, ideals solved and witness hash of one cell."""
+    solvers = []
+
+    class Counting(sdepth_module._Exact):
+        def __init__(self, poset_cap):
+            super().__init__(poset_cap)
+            self.solved = 0
+            solvers.append(self)
+
+        def solve(self, reduced):
+            self.solved += 1
+            return super().solve(reduced)
+
+    graph = build_extended(parse_family(text))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sdepth_module, "_Exact", Counting)
+        value, witness = stanley_depth(edge_ideal(graph), exact_cap)
+    (solver,) = solvers
+    doc = json.dumps(witness.to_json_dict([lab.name for lab in graph.labels]),
+                     sort_keys=True)
+    return {"cell": text, "exact_cap": exact_cap, "value": value,
+            "nodes": solver.nodes, "solved": solver.solved,
+            "witness_sha256": sha256(doc.encode()).hexdigest()}
+
+
+def test_search_matches_its_pinned_nodes_and_witnesses():
+    # pins the point where SEARCH_NODE_BUDGET trips and every witness the
+    # sdepth command prints
+    pinned = json.loads((Path(__file__).parent / "pinned_sdepth.json")
+                        .read_text())["cells"]
+    assert [search_record(text, cap) for text, cap in PINNED_CELLS] == pinned
+
+
+def reduce_by_compact(ideal):
+    """The two-step reduction the engine replaced: ideals.compact."""
+    killed = mask_of(g.bit_length() - 1 for g in ideal.gens
+                     if g.bit_count() == 1)
+    live = vars_of(ideal.support & ~killed)
+    return (compact(ideal, live), live,
+            ideal.n_vars - ideal.support.bit_count())
+
+
+def prune_corpus(seed=12, count=500):
+    """Seeded ideals on at most 11 variables; half edge ideals.
+
+    The other half has generators of degree 1 to 4.  Ideals that reduce
+    to no variables at all are skipped.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        nv = rng.randint(2, 11)
+        if len(out) % 2:
+            gens = [1 << a | 1 << b for a in range(nv)
+                    for b in range(a + 1, nv) if rng.random() < 2.5 / nv]
+        else:
+            gens = []
+            for _ in range(rng.randint(1, 2 * nv)):
+                deg = min(nv, rng.choice((1, 2, 2, 2, 3, 3, 4, 4)))
+                gens.append(sum(1 << v for v in rng.sample(range(nv), deg)))
+        ideal = MonomialIdeal.make(nv, gens)
+        if reduce_by_compact(ideal)[0].n_vars:
+            out.append(ideal)
+    return out
+
+
+def full_scan_table(search):
+    """(bit, covers, need) per face below size d, from the faces alone."""
+    index = {f: i for i, f in enumerate(search.faces)}
+    n_vars = max(search.faces).bit_length()
+    table = []
+    for i, f in enumerate(search.faces):
+        if f.bit_count() < search.d:
+            covers = 0
+            for v in range(n_vars):
+                j = index.get(f | 1 << v)
+                if j is not None and j != i:
+                    covers |= 1 << j
+            table.append((1 << i, covers, search.d - f.bit_count()))
+    return table
+
+
+def full_scan_open(table, step):
+    """The full-scan prune the engine's incremental one replaced.
+
+    No uncovered face below size d has fewer uncovered faces one larger
+    above it than it needs to reach size d.
+    """
+    for bit, covers, need in table:
+        if not step & bit and (covers & ~step).bit_count() < need:
+            return False
+    return True
+
+
+def test_prune_decides_every_node_as_the_full_scan(monkeypatch):
+    # every probe size from 1 to the largest face: probes above the value
+    # have faces stranded at the root, the colon-seeded probes do not
+    decisions = Counter()
+    tables = {}
+    engine_open = _Search._open
+
+    def compared(search, step, bits):
+        ok = engine_open(search, step, bits)
+        if search not in tables:
+            tables[search] = full_scan_table(search)
+        assert ok == full_scan_open(tables[search], step)
+        decisions[ok] += 1
+        return ok
+
+    monkeypatch.setattr(_Search, "_open", compared)
+    # a few probes far above the value would run to the full budget
+    monkeypatch.setattr(sdepth_module, "SEARCH_NODE_BUDGET", 20_000)
+    rooted = 0
+    for ideal in prune_corpus():
+        faces = face_poset(reduce_by_compact(ideal)[0]).faces
+        for d in range(1, faces[-1].bit_count() + 1):
+            search = _Search(faces, d, sdepth_module._Exact(11))
+            rooted += search.stranded != 0
+            try:
+                search.run()
+            except CapExceededError:
+                pass
+    assert rooted and decisions[True] and decisions[False]
+
+
+def test_one_pass_colon_matches_colon_then_compact():
+    corpus = prune_corpus()
+    degrees = Counter(g.bit_count() for ideal in corpus for g in ideal.gens)
+    assert degrees[1] and degrees[3] and degrees[4]
+    for ideal in corpus:
+        assert _reduce(ideal) == reduce_by_compact(ideal), ideal
+        reduced = reduce_by_compact(ideal)[0]
+        for v in range(reduced.n_vars):
+            quotient, _, free = reduce_by_compact(colon_by(reduced, 1 << v))
+            assert _colon(reduced, v) == (quotient, free), (reduced, v)
