@@ -44,7 +44,7 @@ from .graphs import induced_adjacency
 from .ideals import (MonomialIdeal, compact, faces_of, graph_parts, mask_of,
                      vars_of)
 
-DEFAULT_MAX_VARS = 16
+DEFAULT_HOCHSTER_CAP = 16
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +307,7 @@ def _check_input(ideal: MonomialIdeal, characteristic: int, max_vars: int) -> No
 
 
 def betti_table(ideal: MonomialIdeal, characteristic: int = 2,
-                max_vars: int = DEFAULT_MAX_VARS) -> BettiTable:
+                max_vars: int = DEFAULT_HOCHSTER_CAP) -> BettiTable:
     """Betti table of S/I by splitting at simplicial vertices.
 
     Induced subgraphs without a simplicial vertex fall back to the
@@ -319,7 +319,7 @@ def betti_table(ideal: MonomialIdeal, characteristic: int = 2,
 
 
 def invariants(ideal: MonomialIdeal, characteristic: int = 2,
-               max_vars: int = DEFAULT_MAX_VARS) -> InvariantBundle:
+               max_vars: int = DEFAULT_HOCHSTER_CAP) -> InvariantBundle:
     """Regularity, projective dimension and depth via the Betti table.
 
     depth comes out of the Auslander-Buchsbaum formula

@@ -17,13 +17,13 @@ import json
 import sys
 from collections.abc import Iterable
 
-from .betti import DEFAULT_MAX_VARS, invariants
+from .betti import DEFAULT_HOCHSTER_CAP, invariants
 from .decompositions import replay_family
 from .errors import (CapExceededError, EdgeIdealsError, FamilySpecParseError,
                      SizeLimitError)
 from .families import build_extended, parse_family
 from .graphs import to_dot
-from .ideals import MAX_VARS, edge_ideal
+from .ideals import edge_ideal
 from .sdepth import DEFAULT_EXACT_CAP, stanley_depth, validate_partition, face_poset
 from .verify import CLAIMS, RunConfig, run_claims
 
@@ -32,8 +32,6 @@ from .verify import CLAIMS, RunConfig, run_claims
 _LIMIT_HINTS = {
     "hochster_cap": "raise --hochster-cap, or pick smaller parameters",
     "sdepth_cap": "raise --sdepth-cap, or pick smaller parameters",
-    "ceiling": f"no cap flag lifts the {MAX_VARS}-variable ceiling; "
-               f"pick smaller parameters",
     "node_budget": "no cap flag lifts the search node budget; "
                    "pick smaller parameters",
     "primality_bound": "no cap flag lifts the primality bound; "
@@ -197,7 +195,7 @@ def cmd_verify(args) -> int:
 _FLAGS = {
     "--field": dict(type=int, default=2,
                     help="prime field characteristic (default 2)"),
-    "--hochster-cap": dict(type=int, default=DEFAULT_MAX_VARS,
+    "--hochster-cap": dict(type=int, default=DEFAULT_HOCHSTER_CAP,
                            help="max ambient variables for exact homology"),
     "--sdepth-cap": dict(type=int, default=DEFAULT_EXACT_CAP,
                          help="max live variables for exact Stanley depth"),
@@ -272,6 +270,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except EdgeIdealsError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        if not args.out:  # only --out is opened for writing
+            raise
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}",
+              file=sys.stderr)
         return 2
 
 

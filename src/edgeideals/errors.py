@@ -29,10 +29,10 @@ class MembershipError(EdgeIdealsError, ValueError):
 class SizeLimitError(EdgeIdealsError, ValueError):
     """An input is past a size limit, so an exact answer is refused.
 
-    `limit` names the limit: "hochster_cap", "sdepth_cap", "ceiling" (the
-    64-variable ceiling of MonomialIdeal), "node_budget" (the Stanley
-    depth search) or "primality_bound" (the exact primality test); None
-    for a size argument that only the library API sets.
+    `limit` names the limit: "hochster_cap" or "sdepth_cap" (the caps the
+    CLI flags set), "node_budget" (the Stanley depth search) or
+    "primality_bound" (the exact primality test); None for a size
+    argument that only the library API sets.
     """
 
     def __init__(self, message: str, limit: str | None = None):

@@ -1,4 +1,4 @@
-"""Squarefree monomial ideals on at most 64 variables, stored as bitmasks.
+"""Squarefree monomial ideals, stored as bitmasks of any width.
 
 A squarefree monomial is the bitmask of its support.  An ideal keeps the
 sorted antichain of minimal generators; mask 0 denotes the monomial 1,
@@ -10,10 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import MembershipError, TooManyVariablesError
+from .errors import MembershipError
 from .graphs import LabeledGraph, mask_of, vars_of
-
-MAX_VARS = 64
 
 
 def minimize(gens: Iterable[int]) -> tuple[int, ...]:
@@ -88,10 +86,8 @@ class MonomialIdeal:
 
     @classmethod
     def make(cls, n_vars: int, gens: Iterable[int]) -> "MonomialIdeal":
-        if not 0 <= n_vars <= MAX_VARS:
-            raise TooManyVariablesError(
-                f"n_vars must be between 0 and {MAX_VARS}, got {n_vars}",
-                limit="ceiling")
+        if n_vars < 0:
+            raise ValueError(f"n_vars must be at least 0, got {n_vars}")
         gens = minimize(gens)
         top = 1 << n_vars
         if any(g >= top for g in gens):

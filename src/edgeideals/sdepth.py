@@ -317,8 +317,7 @@ def _colon_bound(reduced: MonomialIdeal, upper: int,
 class _Exact:
     """Exact Stanley depth of compacted ideals, memoised for one call."""
 
-    def __init__(self, poset_cap: int):
-        self.poset_cap = poset_cap
+    def __init__(self):
         self.memo: dict[MonomialIdeal, int] = {}
         self.nodes = 0
 
@@ -331,7 +330,7 @@ class _Exact:
     def solve(self, reduced: MonomialIdeal
               ) -> tuple[int, tuple[int, ...], list[tuple[int, int]]]:
         """(value, faces, skeleton cover at the value)."""
-        faces = face_poset(reduced, cap=self.poset_cap).faces
+        faces = face_poset(reduced, cap=reduced.n_vars).faces
         d = _colon_bound(reduced, faces[-1].bit_count(), self.value)
         found = _feasible(faces, d, self)
         if found is None:
@@ -366,7 +365,7 @@ def stanley_depth(ideal: MonomialIdeal, exact_cap: int = DEFAULT_EXACT_CAP
         raise CapExceededError(
             f"exact Stanley depth capped at {exact_cap} live variables, "
             f"got {reduced.n_vars}", limit="sdepth_cap")
-    value, faces, cover = _Exact(max(exact_cap, DEFAULT_POSET_CAP)).solve(reduced)
+    value, faces, cover = _Exact().solve(reduced)
     covered = {m for s, t in cover for m in _interval_members(s, t)}
     intervals = cover + _greedy_partition(tuple(f for f in faces if f not in covered))
     return value + free_count, _lift_partition(ideal, live, intervals)
@@ -430,7 +429,8 @@ def sdepth_bounds(ideal: MonomialIdeal, exact_cap: int = DEFAULT_EXACT_CAP,
     bound from the colon bound of the exact search: sdepth can only grow
     along (I : x_v), so each colon gives an upper bound, exact when the
     colon lands back inside the exact cap and its largest face size
-    otherwise.  Bounds that cross raise RuntimeError naming both.
+    otherwise.  Past poset_cap live variables the face poset raises
+    CapExceededError; bounds that cross raise RuntimeError naming both.
     """
     if ideal.is_unit:
         raise ValueError("S/I is the zero module")
@@ -438,13 +438,10 @@ def sdepth_bounds(ideal: MonomialIdeal, exact_cap: int = DEFAULT_EXACT_CAP,
     if reduced.n_vars <= exact_cap:
         value, _ = stanley_depth(ideal, exact_cap)
         return value, value
-    if reduced.n_vars > poset_cap:
-        raise CapExceededError(
-            f"sdepth bounds capped at {poset_cap} live variables")
     faces = face_poset(reduced, cap=poset_cap).faces
     greedy = _greedy_partition(faces)
     lower = min(t.bit_count() for _, t in greedy) + free_count
-    solver = _Exact(max(exact_cap, DEFAULT_POSET_CAP))
+    solver = _Exact()
 
     def colon_upper(quotient: MonomialIdeal) -> int:
         if quotient.n_vars <= exact_cap:

@@ -22,10 +22,10 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .betti import DEFAULT_MAX_VARS, invariants
+from .betti import DEFAULT_HOCHSTER_CAP, invariants
 from .catalogue import closed_form
 from .decompositions import replay_family
-from .errors import CapExceededError, EdgeIdealsError
+from .errors import CapExceededError, EdgeIdealsError, TooManyVariablesError
 from .families import (FamilySpec, build_extended, bristled, expected_counts,
                        ouroboros, star, tsnake, tsnake_star, tsnake_starstar)
 from .ideals import edge_ideal
@@ -39,7 +39,7 @@ SCHEMA_VERSION = 2
 class RunConfig:
     characteristic: int = 2
     cross_field: bool = False
-    hochster_cap: int = DEFAULT_MAX_VARS
+    hochster_cap: int = DEFAULT_HOCHSTER_CAP
     sdepth_cap: int = DEFAULT_EXACT_CAP
     include_durations: bool = False
     decompositions: bool = True
@@ -213,12 +213,12 @@ def run_cell(claim: Claim, cell: tuple[int, ...],
         return [row("build", str(exc), None, "skipped")]
     ideal = edge_ideal(graph)
     prediction = closed_form(spec, allow_observational=True)
+    try:
+        inv = invariants(ideal, config.characteristic, max_vars=config.hochster_cap)
+    except TooManyVariablesError:
+        return [row(name, None, want, "skipped")
+                for name, want in sorted(prediction.values.items())]
     rows = []
-    if ideal.n_vars > config.hochster_cap:
-        for name in sorted(prediction.values):
-            rows.append(row(name, None, prediction.values[name], "skipped"))
-        return rows
-    inv = invariants(ideal, config.characteristic, max_vars=config.hochster_cap)
     computed = {"reg": inv.regularity, "pdim": inv.projective_dimension,
                 "depth": inv.depth}
     sdepth_value = None

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import edgeideals
-from edgeideals import sdepth
+from edgeideals import closed_form, parse_family, sdepth
 from edgeideals.cli import build_parser, main
 
 SRC = str(Path(edgeideals.__file__).resolve().parent.parent)
@@ -248,16 +248,57 @@ def test_sdepth_cap_hint_names_its_flag(capsys):
     assert "--hochster-cap" not in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["decomp", "brs(q=1,ouroboros(n=9,p=3))"],  # 72 variables
-    ["inv", "tsnake(n=22,p=2)", "--sdepth-cap", "0", "--hochster-cap", "64"],
-])
-def test_variable_ceiling_refusal_says_no_flag_lifts_it(capsys, argv):
-    code, _, err = run(capsys, *argv)
+def test_decomp_answers_past_64_variables(capsys):
+    spec = "brs(q=1,ouroboros(n=9,p=3))"
+    _, out, _ = run(capsys, "gen", spec, "--format", "json")
+    assert json.loads(out)["n_vertices"] == 72
+    code, out, err = run(capsys, "decomp", spec, "--format", "json")
+    assert code == 0 and not err
+    doc = json.loads(out)
+    assert doc["ok"] and doc["rules"]
+    assert all(rule["ok"] for rule in doc["rules"])
+
+
+INV_67 = ["inv", "tsnake(n=22,p=2)", "--sdepth-cap", "0"]  # 67 variables
+
+
+def test_hochster_cap_alone_bounds_the_ambient_count(capsys):
+    code, out, err = run(capsys, *INV_67, "--hochster-cap", "64")
+    assert code == 2 and not out
+    assert "67 variables exceeds the cap of 64" in err
+    assert "hint: raise --hochster-cap" in err
+
+
+def test_inv_answers_past_64_variables_when_the_cap_allows(capsys):
+    code, out, _ = run(capsys, *INV_67, "--hochster-cap", "67")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["n_vars"] == 67
+    assert (doc["reg"], doc["pdim"], doc["depth"]) == (12, 56, 11)
+    assert doc["reg"] == closed_form(parse_family(INV_67[1])).values["reg"]
+
+
+def test_sdepth_past_64_variables_names_its_flag(capsys):
+    code, _, err = run(capsys, "sdepth", "tsnake(n=22,p=2)")
     assert code == 2
-    assert "between 0 and 64" in err
-    assert "hint: no cap flag lifts the 64-variable ceiling" in err
-    assert "--hochster-cap" not in err and "--sdepth-cap" not in err
+    assert "got 67" in err
+    assert "hint: raise --sdepth-cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "tsnake(n=2,p=1)"],
+    ["inv", "tsnake(n=2,p=1)"],
+    ["sdepth", "tsnake(n=2,p=1)"],
+    ["decomp", "tsnake(n=2,p=1)"],
+    ["verify", "star", "--u", "1"],
+])
+def test_unwritable_out_path_exits_2_naming_it(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "out"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2 and not out
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "No such file or directory" in err
+    assert not target.parent.exists()
 
 
 def test_node_budget_refusal_says_no_flag_lifts_it(monkeypatch, capsys):

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeideals import (LabeledGraph, MonomialIdeal, add_variable, colon_by,
-                        edge_ideal, mask_of, vars_of)
-from edgeideals.errors import MembershipError, TooManyVariablesError
+                        edge_ideal, invariants, mask_of, stanley_depth,
+                        vars_of)
+from edgeideals.errors import MembershipError
 from edgeideals.ideals import compact, faces_of, graph_parts, minimize
 
 
@@ -64,9 +65,21 @@ def test_faces_of_matches_brute_force():
     assert faces_of(3, [0]) == []  # the unit ideal has no faces
 
 
-def test_make_rejects_too_many_variables():
-    with pytest.raises(TooManyVariablesError):
-        MonomialIdeal.make(65, [1])
+def test_make_takes_any_variable_count_but_a_negative_one():
+    ideal = MonomialIdeal.make(65, [1 << 64 | 1])
+    assert ideal.gens == (1 << 64 | 1,)
+    assert not ideal.contains(1 << 64) and ideal.contains(1 << 64 | 3)
+    with pytest.raises(ValueError, match="at least 0"):
+        MonomialIdeal.make(-1, [])
+
+
+def test_engines_take_an_ideal_past_64_variables():
+    # one edge x_0 x_69 and 68 free variables: free variables only add to
+    # depth and sdepth, so every engine answers from the one edge
+    ideal = MonomialIdeal.make(70, [1 | 1 << 69])
+    inv = invariants(ideal, max_vars=70)
+    assert (inv.regularity, inv.projective_dimension, inv.depth) == (1, 1, 69)
+    assert stanley_depth(ideal)[0] == 69
 
 
 def test_zero_and_unit():

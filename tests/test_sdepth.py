@@ -355,6 +355,14 @@ def test_node_budget_fails_loudly(monkeypatch, capsys):
     assert all(r.status == "pass" for r in rows if r.invariant != "sdepth")
 
 
+def test_bounds_refuse_past_the_poset_cap():
+    ideal = family_ideal("path(15)")
+    with pytest.raises(CapExceededError, match="capped at 14 variables, got 15"):
+        sdepth_bounds(ideal, exact_cap=10)
+    lo, hi = sdepth_bounds(ideal, exact_cap=10, poset_cap=15)
+    assert lo <= 5 <= hi  # sdepth of a path on n vertices is ceil(n/3)
+
+
 def test_bounds_that_cross_fail_loudly(monkeypatch):
     # an upper bound below the greedy lower bound is an engine fault, not
     # a value to clamp
@@ -378,8 +386,8 @@ def search_record(text, exact_cap):
     solvers = []
 
     class Counting(sdepth_module._Exact):
-        def __init__(self, poset_cap):
-            super().__init__(poset_cap)
+        def __init__(self):
+            super().__init__()
             self.solved = 0
             solvers.append(self)
 
@@ -490,7 +498,7 @@ def test_prune_decides_every_node_as_the_full_scan(monkeypatch):
     for ideal in prune_corpus():
         faces = face_poset(reduce_by_compact(ideal)[0]).faces
         for d in range(1, faces[-1].bit_count() + 1):
-            search = _Search(faces, d, sdepth_module._Exact(11))
+            search = _Search(faces, d, sdepth_module._Exact())
             rooted += search.stranded != 0
             try:
                 search.run()

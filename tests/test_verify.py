@@ -1,6 +1,7 @@
 """Claim registry and verification reports."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +40,15 @@ def test_sdepth_rows_skip_over_cap():
     lifted = run_claims(["brs-ouroboros"], RunConfig(sdepth_cap=12))
     rows = [r for r in lifted.rows if r.invariant == "sdepth"]
     assert rows and all(r.status == "pass" for r in rows)
+
+
+def test_rows_over_the_hochster_cap_skip_as_pinned():
+    # the Betti engine refuses cells over the cap and run_cell turns the
+    # refusal into one skipped row per predicted invariant
+    report = run_claims(["tsnake-reg", "brs-tsnake"], RunConfig(hochster_cap=8))
+    pinned = (Path(__file__).parent / "pinned_skip_report.json").read_text()
+    assert report.as_json() == pinned
+    assert report.summary()["skipped"] == 13
 
 
 def test_grid_override():
