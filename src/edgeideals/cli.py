@@ -25,7 +25,7 @@ from .families import build_extended, parse_family
 from .graphs import to_dot
 from .ideals import edge_ideal
 from .sdepth import DEFAULT_EXACT_CAP, stanley_depth, validate_partition, face_poset
-from .verify import CLAIMS, RunConfig, run_claims
+from .verify import CLAIMS, RunConfig, csv_line, run_claims
 
 # What helps past each size limit; every hint says "cap", which scripts
 # reading stderr key on.
@@ -113,8 +113,8 @@ def cmd_inv(args) -> int:
         _emit(f"{doc['spec']} over {doc['field']}\n{body}\n", args.out)
     elif args.format == "csv":
         keys = sorted(doc)
-        _emit(",".join(keys) + "\n"
-              + ",".join(str(doc[k]) for k in keys) + "\n", args.out)
+        _emit(csv_line(keys) + "\n"
+              + csv_line([doc[k] for k in keys]) + "\n", args.out)
     else:
         _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     return 0

@@ -24,6 +24,13 @@ pass.  Only the top-level ideal needs a witness: its faces above the
 skeleton cover are partitioned greedily once the value is known.  Every
 search stops with CapExceededError after SEARCH_NODE_BUDGET nodes.
 
+Colon values are memoised on the compacted ideal and, for an edge ideal,
+on its isomorphism class too, since Stanley depth does not change when
+the variables are renamed: its graph is compared, with
+graphs.is_isomorphic, against the graphs solved with the same variable
+count and sorted degree sequence.  An ideal with a generator of degree
+3 or more has no graph form and keeps the exact-key memo alone.
+
 Free variables and killed variables both factor out: sdepth goes up by
 one per free variable and is untouched by a variable that appears as a
 generator, so the search always runs on the support-compacted ideal.
@@ -35,7 +42,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .errors import CapExceededError
-from .ideals import MonomialIdeal, faces_of, mask_of, minimize, vars_of
+from .graphs import is_isomorphic
+from .ideals import (MonomialIdeal, faces_of, graph_parts, mask_of, minimize,
+                     vars_of)
 
 DEFAULT_EXACT_CAP = 10
 DEFAULT_POSET_CAP = 14
@@ -315,16 +324,37 @@ def _colon_bound(reduced: MonomialIdeal, upper: int,
 
 
 class _Exact:
-    """Exact Stanley depth of compacted ideals, memoised for one call."""
+    """Exact Stanley depth of compacted ideals, memoised for one call.
+
+    memo is keyed on the ideal; classes maps (n_vars, sorted degree
+    sequence) to the adjacency and value of each edge ideal solved.
+    """
 
     def __init__(self):
         self.memo: dict[MonomialIdeal, int] = {}
+        self.classes: dict[tuple[int, tuple[int, ...]],
+                           list[tuple[tuple[int, ...], int]]] = {}
         self.nodes = 0
 
     def value(self, reduced: MonomialIdeal) -> int:
         hit = self.memo.get(reduced)
-        if hit is None:
-            hit = self.memo[reduced] = self.solve(reduced)[0]
+        if hit is not None:
+            return hit
+        try:
+            _, adj, _ = graph_parts(reduced)
+        except ValueError:  # a generator of degree 3 or more
+            hit = self.solve(reduced)[0]
+        else:
+            key = (reduced.n_vars, tuple(sorted(m.bit_count() for m in adj)))
+            bucket = self.classes.setdefault(key, [])
+            for other, known in bucket:
+                if is_isomorphic(adj, other):
+                    hit = known
+                    break
+            else:
+                hit = self.solve(reduced)[0]
+                bucket.append((adj, hit))
+        self.memo[reduced] = hit
         return hit
 
     def solve(self, reduced: MonomialIdeal

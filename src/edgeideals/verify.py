@@ -142,6 +142,15 @@ class CheckRow:
         }
 
 
+def csv_line(fields: list) -> str:
+    """One CSV row with every comma inside a field written as ';'.
+
+    Family specs and field-agree values contain commas, so this keeps
+    every row as wide as its header without quoting.
+    """
+    return ",".join(str(f).replace(",", ";") for f in fields)
+
+
 @dataclass
 class VerificationReport:
     config: RunConfig
@@ -178,9 +187,8 @@ class VerificationReport:
         lines = ["claim,family,params,invariant,computed,predicted,status"]
         for r in self.rows:
             params = ";".join(f"{k}={v}" for k, v in r.params)
-            fam = r.family.replace(",", ";")
-            lines.append(f"{r.claim},{fam},{params},{r.invariant},"
-                         f"{r.computed},{r.predicted},{r.status}")
+            lines.append(csv_line([r.claim, r.family, params, r.invariant,
+                                   r.computed, r.predicted, r.status]))
         return "\n".join(lines) + "\n"
 
     def as_text(self) -> str:

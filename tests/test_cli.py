@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, formats and exit codes."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -227,6 +229,21 @@ def test_verify_runs_are_byte_identical(capsys):
     _, first, _ = run(capsys, "verify", "bstar")
     _, second, _ = run(capsys, "verify", "bstar")
     assert first == second
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "all", "--cross-field", "--format", "csv"],
+    ["inv", "tsnake(n=2,p=1)", "--format", "csv"],
+])
+def test_csv_rows_are_as_wide_as_the_header(capsys, argv):
+    # family specs and field-agree values hold commas; fields carry them
+    # as ';'
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) > 1
+    assert all(len(row) == len(rows[0]) for row in rows), out
+    assert "tsnake(n=2;p=1)" in out
 
 
 def test_field_flag_accepts_three(capsys):

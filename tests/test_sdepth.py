@@ -17,7 +17,8 @@ from edgeideals import sdepth as sdepth_module
 from edgeideals.cli import main
 from edgeideals.errors import CapExceededError
 from edgeideals.ideals import compact
-from edgeideals.sdepth import IntervalPartition, _colon, _reduce, _Search
+from edgeideals.sdepth import (IntervalPartition, _colon, _Exact, _reduce,
+                               _Search)
 from edgeideals.verify import CLAIMS, RunConfig, run_cell
 
 # the sdepth cells of the benchmark's sdepth workload
@@ -517,3 +518,63 @@ def test_one_pass_colon_matches_colon_then_compact():
         for v in range(reduced.n_vars):
             quotient, _, free = reduce_by_compact(colon_by(reduced, 1 << v))
             assert _colon(reduced, v) == (quotient, free), (reduced, v)
+
+
+class ExactKeyOnly(_Exact):
+    """The memo keyed on the compacted ideal alone, kept as an oracle."""
+
+    def value(self, reduced):
+        hit = self.memo.get(reduced)
+        if hit is None:
+            hit = self.memo[reduced] = self.solve(reduced)[0]
+        return hit
+
+
+def test_isomorphism_memo_matches_the_exact_key_memo(monkeypatch):
+    # same value and same top-level witness, generators of degree 3 and 4
+    # included
+    corpus = [(ideal, ideal.n_vars) for ideal in prune_corpus()]
+    degrees = Counter(g.bit_count() for ideal, _ in corpus for g in ideal.gens)
+    assert degrees[3] and degrees[4]
+    corpus += [(family_ideal(text), cap) for text, cap in PINNED_CELLS]
+    for ideal, cap in corpus:
+        engine = stanley_depth(ideal, cap)
+        with monkeypatch.context() as patch:
+            patch.setattr(sdepth_module, "_Exact", ExactKeyOnly)
+            assert stanley_depth(ideal, cap) == engine, ideal
+
+
+class CountingExact(_Exact):
+    def __init__(self):
+        super().__init__()
+        self.solved = []
+
+    def solve(self, reduced):
+        self.solved.append(reduced)
+        return super().solve(reduced)
+
+
+def test_one_solver_tells_apart_graphs_with_one_degree_sequence():
+    # P3 + P3 and P4 + P2: six vertices and degrees (1,1,1,1,2,2) each,
+    # so they share a bucket and only the isomorphism test parts them
+    p3_p3 = MonomialIdeal.make(6, [0b11, 0b110, 0b11000, 0b110000])
+    p4_p2 = MonomialIdeal.make(6, [0b11, 0b110, 0b1100, 0b110000])
+    p2_p4 = MonomialIdeal.make(6, [0b11, 0b1100, 0b11000, 0b110000])
+    solver = CountingExact()
+    assert solver.value(p3_p3) == 2
+    assert solver.value(p4_p2) == 3
+    solved = len(solver.solved)
+    assert solver.value(p2_p4) == 3  # a relabelling: found by its class
+    assert len(solver.solved) == solved
+    assert solver.memo[p2_p4] == 3
+
+
+def test_ideals_without_a_graph_form_keep_the_exact_key_memo():
+    # four variables and no degree-2 generator each: read as graphs both
+    # would be four isolated vertices
+    simplex = MonomialIdeal.make(4, [0b1111])
+    triples = MonomialIdeal.make(4, [0b0111, 0b1011, 0b1101, 0b1110])
+    solver = CountingExact()
+    assert solver.value(simplex) == 3
+    assert solver.value(triples) == 2
+    assert {simplex, triples} <= set(solver.solved)
