@@ -191,19 +191,21 @@ def _bristle(parts: Parts, q: int) -> Parts:
     taken: dict[VertexLabel, int] = {}
     fresh = 0
     for lab in labels:
-        if lab.role in _HOST_ROLE:
-            host = VertexLabel(_HOST_ROLE[lab.role], lab.indices[:-1])
-            taken[host] = max(taken.get(host, 0), lab.indices[-1])
-        elif lab.role == "anon":
-            fresh = max(fresh, lab.indices[0] + 1)
-    for host in sorted(labels, key=lambda lab: lab.sort_key):
+        role, indices = lab.role, lab.indices
+        if role in _HOST_ROLE:
+            host = VertexLabel(_HOST_ROLE[role], indices[:-1])
+            taken[host] = max(taken.get(host, 0), indices[-1])
+        elif role == "anon":
+            fresh = max(fresh, indices[0] + 1)
+    for host in sorted(labels):
+        leaf_role = _LEAF_ROLE.get(host.role)
+        indices, base = host.indices, taken.get(host, 0)
         for t in range(1, q + 1):
-            if host.role in _LEAF_ROLE:
-                leaf = VertexLabel(_LEAF_ROLE[host.role],
-                                   host.indices + (taken.get(host, 0) + t,))
-            else:
+            if leaf_role is None:
                 leaf = anonymous(fresh)
                 fresh += 1
+            else:
+                leaf = VertexLabel(leaf_role, indices + (base + t,))
             labels.append(leaf)
             edges.append((host, leaf))
     return parts

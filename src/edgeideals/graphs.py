@@ -1,21 +1,26 @@
 """Labeled simple graphs, adjacency-mask helpers, isomorphism and DOT export.
 
 Vertices carry structured labels that record their role (spine vertex,
-triangle apex, bristle of either, or anonymous).  Vertex ids are always
-dense 0-based integers assigned in canonical label order, so two builds
-of the same family are identical object-for-object.  There are no graph
-surgeries here: families.py assembles each family graph, bristles
-included, as label lists and wraps it in one LabeledGraph, and the
-engines work on its adjacency masks.
+triangle apex, bristle of either, or anonymous).  A label is a tuple
+(role rank, indices), so it hashes and compares as a tuple, and its
+natural order is the canonical one: by role, then by indices.  Vertex
+ids are always dense 0-based integers assigned in that order, so two
+builds of the same family are identical object-for-object.  There are
+no graph surgeries here: families.py assembles each family graph,
+bristles included, as label lists and wraps it in one LabeledGraph, and
+the engines work on its adjacency masks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 # Canonical role order: spine, apexes, spine bristles, apex bristles, anonymous.
-_ROLE_RANK = {"path": 0, "apex": 1, "path_bristle": 2, "apex_bristle": 3, "anon": 4}
+_ROLES = ("path", "apex", "path_bristle", "apex_bristle", "anon")
+_ROLE_RANK = {role: rank for rank, role in enumerate(_ROLES)}
+_PREFIX = ("x", "y", "x", "y", "v")
 
 
 def mask_of(variables: Iterable[int]) -> int:
@@ -35,48 +40,60 @@ def vars_of(mask: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class VertexLabel:
-    """Structured vertex name, e.g. apex(2, 1) prints as y21."""
+class VertexLabel(tuple):
+    """Structured vertex name, e.g. apex(2, 1) prints as y21.
 
-    role: str
-    indices: tuple[int, ...]
+    The tuple (role rank, indices): hashing, equality and the canonical
+    order are tuple operations on ints.
+    """
 
-    def __post_init__(self):
-        if self.role not in _ROLE_RANK:
-            raise ValueError(f"unknown vertex role {self.role!r}")
+    __slots__ = ()
+
+    def __new__(cls, role: str, indices: tuple[int, ...]):
+        rank = _ROLE_RANK.get(role)
+        if rank is None:
+            raise ValueError(f"unknown vertex role {role!r}")
+        return tuple.__new__(cls, (rank, indices))
+
+    def __getnewargs__(self):
+        return self.role, self.indices
 
     @property
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        return (_ROLE_RANK[self.role], self.indices)
+    def role(self) -> str:
+        return _ROLES[self[0]]
+
+    # a C getter: family builds read this once per label
+    indices = property(itemgetter(1), doc="The label's index tuple.")
 
     @property
     def name(self) -> str:
         """Compact display name; underscores appear only for indices >= 10."""
-        prefix = {"path": "x", "apex": "y", "path_bristle": "x",
-                  "apex_bristle": "y", "anon": "v"}[self.role]
-        if all(i <= 9 for i in self.indices):
-            return prefix + "".join(str(i) for i in self.indices)
-        return prefix + "_".join(str(i) for i in self.indices)
+        rank, indices = self
+        sep = "" if all(i <= 9 for i in indices) else "_"
+        return _PREFIX[rank] + sep.join(str(i) for i in indices)
 
     def __repr__(self):
         return f"VertexLabel({self.role!r}, {self.indices!r})"
 
 
+# The factories below name valid roles, so they skip VertexLabel's check.
+_labeled = partial(tuple.__new__, VertexLabel)
+
+
 def path_vertex(i: int) -> VertexLabel:
-    return VertexLabel("path", (i,))
+    return _labeled((_ROLE_RANK["path"], (i,)))
 
 
 def apex(j: int, k: int) -> VertexLabel:
-    return VertexLabel("apex", (j, k))
+    return _labeled((_ROLE_RANK["apex"], (j, k)))
 
 
 def path_bristle(i: int, t: int) -> VertexLabel:
-    return VertexLabel("path_bristle", (i, t))
+    return _labeled((_ROLE_RANK["path_bristle"], (i, t)))
 
 
 def anonymous(i: int) -> VertexLabel:
-    return VertexLabel("anon", (i,))
+    return _labeled((_ROLE_RANK["anon"], (i,)))
 
 
 class LabeledGraph:
@@ -90,10 +107,11 @@ class LabeledGraph:
 
     def __init__(self, labels: Iterable[VertexLabel],
                  edges: Iterable[tuple[VertexLabel, VertexLabel]]):
-        ordered = sorted(labels, key=lambda l: l.sort_key)
-        if len(set(ordered)) != len(ordered):
+        ordered = sorted(labels)
+        index = dict(zip(ordered, range(len(ordered))))
+        if len(index) != len(ordered):
             raise ValueError("duplicate vertex labels")
-        index = {lab: i for i, lab in enumerate(ordered)}
+        adj = [0] * len(ordered)
         pairs = set()
         for a, b in edges:
             if a == b:
@@ -102,13 +120,13 @@ class LabeledGraph:
                 ia, ib = index[a], index[b]
             except KeyError as exc:
                 raise ValueError(f"edge endpoint {exc.args[0]!r} not a vertex") from None
-            pairs.add((min(ia, ib), max(ia, ib)))
+            if ia > ib:
+                ia, ib = ib, ia
+            pairs.add((ia, ib))
+            adj[ia] |= 1 << ib
+            adj[ib] |= 1 << ia
         self.labels: tuple[VertexLabel, ...] = tuple(ordered)
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(pairs))
-        adj = [0] * len(ordered)
-        for a, b in self.edges:
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
         self.adjacency: tuple[int, ...] = tuple(adj)
         self._index = index
 
@@ -117,7 +135,13 @@ class LabeledGraph:
                        pairs: Iterable[tuple[int, int]]) -> "LabeledGraph":
         """Anonymous graph on vertices 0..n-1 given as index pairs."""
         labels = [anonymous(i) for i in range(n_vertices)]
-        return cls(labels, [(labels[a], labels[b]) for a, b in pairs])
+        edges = []
+        for a, b in pairs:
+            if not (0 <= a < n_vertices and 0 <= b < n_vertices):
+                raise ValueError(f"edge ({a}, {b}) has an endpoint outside "
+                                 f"range({n_vertices})")
+            edges.append((labels[a], labels[b]))
+        return cls(labels, edges)
 
     @property
     def n_vertices(self) -> int:
@@ -163,14 +187,19 @@ def component_masks(adjacency: Sequence[int],
 
 
 def induced_adjacency(adjacency: Sequence[int], comp: int) -> tuple[int, ...]:
-    """Adjacency masks of the subgraph on `comp`, renumbered 0..k-1 in order."""
-    verts = vars_of(comp)
-    local = {v: 1 << i for i, v in enumerate(verts)}
+    """Adjacency masks of the subgraph on `comp`, renumbered 0..k-1 in order.
+
+    A neighbour w lands at bit i, where i counts the members of comp
+    below w.
+    """
     out = []
-    for v in verts:
+    for v in vars_of(comp):
         m = 0
-        for w in vars_of(adjacency[v] & comp):
-            m |= local[w]
+        nbrs = adjacency[v] & comp
+        while nbrs:
+            low = nbrs & -nbrs
+            m |= 1 << (comp & (low - 1)).bit_count()
+            nbrs ^= low
         out.append(m)
     return tuple(out)
 

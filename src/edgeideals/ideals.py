@@ -170,16 +170,16 @@ def graph_parts(ideal: MonomialIdeal) -> tuple[int, tuple[int, ...], int]:
     killed = 0
     adj = [0] * ideal.n_vars
     for g in ideal.gens:
-        d = g.bit_count()
-        if d == 0:
+        if g == 0:
             raise ValueError("unit ideal has no graph form")
-        if d == 1:
+        low = g & -g
+        high = g ^ low  # every variable of g but the lowest
+        if not high:
             killed |= g
-        elif d == 2:
-            a, b = vars_of(g)
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
+        elif high & (high - 1):
+            raise ValueError(f"generator of degree {g.bit_count()} has no graph form")
         else:
-            raise ValueError(f"generator of degree {d} has no graph form")
+            adj[low.bit_length() - 1] |= high
+            adj[high.bit_length() - 1] |= low
     free = ((1 << ideal.n_vars) - 1) & ~ideal.support
     return killed, tuple(adj), free

@@ -1,16 +1,19 @@
 """Labeled graphs, components and the isomorphism checker."""
 
+import copy
+import pickle
 import random
 
 import pytest
 
-from edgeideals import (LabeledGraph, build_extended, build_family, bristled,
-                        edge_ideal, is_isomorphic, parse_family, to_dot)
+from edgeideals import (LabeledGraph, VertexLabel, build_extended,
+                        build_family, bristled, edge_ideal, is_isomorphic,
+                        parse_family, to_dot)
 from edgeideals import decompositions
 from edgeideals.families import cycle, path
-from edgeideals.graphs import (anonymous, apex, component_masks, path_bristle,
-                               path_vertex)
-from edgeideals.ideals import graph_parts, mask_of, vars_of
+from edgeideals.graphs import (anonymous, apex, component_masks,
+                               induced_adjacency, path_bristle, path_vertex)
+from edgeideals.ideals import MonomialIdeal, graph_parts, mask_of, vars_of
 
 
 def k_path(n):
@@ -78,6 +81,90 @@ def test_duplicate_edges_collapse():
 def test_self_loop_rejected():
     with pytest.raises(ValueError):
         LabeledGraph.from_edge_list(2, [(0, 0)])
+
+
+@pytest.mark.parametrize("pair", [(-1, 0), (3, 0), (0, 3), (1, -3)])
+def test_from_edge_list_refuses_an_index_outside_the_vertices(pair):
+    # a negative index must not wrap round to a vertex at the far end
+    with pytest.raises(ValueError, match=rf"edge \({pair[0]}, {pair[1]}\)"):
+        LabeledGraph.from_edge_list(3, [(0, 1), pair])
+
+
+def test_refusals_name_what_is_wrong():
+    x1, x9 = path_vertex(1), path_vertex(9)
+    with pytest.raises(ValueError, match="^duplicate vertex labels$"):
+        LabeledGraph([x1, apex(1, 1), x1], [])
+    # a loop is reported before its endpoint is looked up
+    with pytest.raises(ValueError, match="^loop at x9$"):
+        LabeledGraph([x1], [(x9, x9)])
+    with pytest.raises(ValueError) as info:
+        LabeledGraph([x1], [(x1, x9)])
+    assert str(info.value) == "edge endpoint VertexLabel('path', (9,)) not a vertex"
+    with pytest.raises(ValueError) as info:
+        LabeledGraph([x1], [(x9, apex(1, 1))])
+    assert str(info.value) == "edge endpoint VertexLabel('path', (9,)) not a vertex"
+    with pytest.raises(ValueError) as info:
+        VertexLabel("foo", (1,))
+    assert str(info.value) == "unknown vertex role 'foo'"
+
+
+# ---------------------------------------------------------------------------
+# vertex labels are values
+
+
+# the canonical role order of vertex labels
+ROLE_RANK = {"path": 0, "apex": 1, "path_bristle": 2, "apex_bristle": 3,
+             "anon": 4}
+
+
+def every_kind_labels():
+    labels = []
+    for text in EVERY_KIND:
+        labels += build_extended(parse_family(text)).labels
+        labels += build_extended(parse_family(f"brs(q=2,{text})")).labels
+    return labels
+
+
+def test_vertex_labels_survive_pickle_and_deepcopy():
+    labels = every_kind_labels()
+    for lab in labels + [anonymous(12), apex(10, 3)]:
+        for back in (pickle.loads(pickle.dumps(lab)), copy.deepcopy(lab),
+                     copy.copy(lab)):
+            assert back == lab and hash(back) == hash(lab)
+            assert type(back) is VertexLabel
+            assert (back.role, back.indices, back.name) == \
+                (lab.role, lab.indices, lab.name)
+    g = build_extended(parse_family("brs(q=1,tsnake(n=2,p=1))"))
+    assert copy.deepcopy(g.labels) == g.labels
+
+
+def test_vertex_label_repr_and_roles():
+    assert repr(apex(2, 1)) == "VertexLabel('apex', (2, 1))"
+    assert repr(path_vertex(3)) == "VertexLabel('path', (3,))"
+    assert repr(anonymous(0)) == "VertexLabel('anon', (0,))"
+    lab = path_bristle(10, 2)
+    assert (lab.role, lab.indices, lab.name) == ("path_bristle", (10, 2), "x10_2")
+
+
+def test_labels_of_different_roles_stay_distinct():
+    keys = {path_bristle(1, 1): "leaf", apex(1, 1): "apex",
+            VertexLabel("apex_bristle", (1, 1)): "apex leaf"}
+    assert len(keys) == 3
+    assert keys[apex(1, 1)] == "apex"
+    assert path_bristle(1, 1) != apex(1, 1)
+    assert path_vertex(1) == VertexLabel("path", (1,))
+
+
+def test_labels_sort_by_role_rank_then_indices():
+    labels = every_kind_labels()
+    assert len(labels) > 200
+    assert {lab.role for lab in labels} == set(ROLE_RANK)
+    want = sorted(labels, key=lambda lab: (ROLE_RANK[lab.role], lab.indices))
+    assert sorted(labels) == want
+    rng = random.Random(17)
+    shuffled = labels[:]
+    rng.shuffle(shuffled)
+    assert sorted(shuffled) == want
 
 
 def test_neighbors_and_is_edge():
@@ -204,6 +291,82 @@ def test_component_masks_stay_inside_the_vertex_set():
                             grown = True
             comps.append(comp)
         assert component_masks(adj, within) == comps
+
+
+def reference_induced_adjacency(adjacency, comp):
+    """The induced adjacency renumbered through a dict of local bits."""
+    verts = vars_of(comp)
+    local = {v: 1 << i for i, v in enumerate(verts)}
+    out = []
+    for v in verts:
+        m = 0
+        for w in vars_of(adjacency[v] & comp):
+            m |= local[w]
+        out.append(m)
+    return tuple(out)
+
+
+def reference_graph_parts(ideal):
+    """(killed, adjacency, free) with each generator's ends from vars_of."""
+    killed = 0
+    adj = [0] * ideal.n_vars
+    for g in ideal.gens:
+        d = g.bit_count()
+        if d == 0:
+            raise ValueError("unit ideal has no graph form")
+        if d == 1:
+            killed |= g
+        elif d == 2:
+            a, b = vars_of(g)
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        else:
+            raise ValueError(f"generator of degree {d} has no graph form")
+    free = ((1 << ideal.n_vars) - 1) & ~ideal.support
+    return killed, tuple(adj), free
+
+
+def test_induced_adjacency_matches_the_dict_renumbering():
+    rng = random.Random(43)
+    seen_gap = False
+    for _ in range(400):
+        g = random_graph(rng, max_v=14)
+        n, adj = g.n_vertices, g.adjacency
+        full = (1 << n) - 1
+        masks = [0, full, rng.getrandbits(n), full & ~(1 << rng.randrange(n))]
+        masks += component_masks(adj) + component_masks(adj, masks[2])
+        for comp in masks:
+            got = induced_adjacency(adj, comp)
+            assert got == reference_induced_adjacency(adj, comp), (g.edges, comp)
+            assert len(got) == comp.bit_count()
+            seen_gap |= comp.bit_length() > comp.bit_count() > 1
+    assert seen_gap
+    assert induced_adjacency((), 0) == ()
+
+
+def test_graph_parts_matches_the_vars_of_split():
+    rng = random.Random(47)
+    refused = 0
+    for _ in range(600):
+        n = rng.randint(0, 14)
+        gens = []
+        for _ in range(rng.randint(0, 2 * n)):
+            d = rng.choice([1, 2, 2, 2, 2, 3]) if rng.random() > 0.01 else 0
+            gens.append(mask_of(rng.sample(range(n), min(d, n))))
+        ideal = MonomialIdeal.make(n, gens)
+        try:
+            want = reference_graph_parts(ideal)
+        except ValueError as exc:
+            refused += 1
+            with pytest.raises(ValueError) as info:
+                graph_parts(ideal)
+            assert str(info.value) == str(exc)
+            continue
+        assert graph_parts(ideal) == want
+    assert 50 < refused < 550
+    for text in EVERY_KIND:
+        ideal = edge_ideal(build_extended(parse_family(text)))
+        assert graph_parts(ideal) == reference_graph_parts(ideal)
 
 
 def test_isomorphic_positive_cycle_relabelings():
