@@ -17,10 +17,9 @@ from .errors import (CapExceededError, EdgeIdealsError, FamilySpecParseError,
                      NonPrimeCharacteristicError, OutOfStatedRangeError,
                      RecursionCapError, RuleInapplicableError,
                      TooManyGeneratorsError, TooManyVariablesError)
-from .families import (FamilySpec, build_extended, build_family, bristled,
-                       bristled_star, cycle, expected_counts, ouroboros,
-                       parse_family, path, star, tsnake, tsnake_star,
-                       tsnake_starstar)
+from .families import (FamilySpec, build_extended, bristled, bristled_star,
+                       cycle, expected_counts, ouroboros, parse_family, path,
+                       star, tsnake, tsnake_star, tsnake_starstar)
 from .graphs import LabeledGraph, VertexLabel, is_isomorphic, to_dot
 from .ideals import (MonomialIdeal, add_variable, colon_by, edge_ideal,
                      mask_of, vars_of)
@@ -42,7 +41,7 @@ __all__ = [
     "RuleInapplicableError", "RunConfig", "TooManyGeneratorsError",
     "TooManyVariablesError", "VerificationReport", "VertexLabel",
     "add_variable", "betti_table", "betti_table_taylor", "bristled",
-    "bristled_star", "build_extended", "build_family", "closed_form",
+    "bristled_star", "build_extended", "closed_form",
     "colon_by", "cycle", "edge_ideal", "expected_counts", "face_poset",
     "invariants", "is_isomorphic", "mask_of", "ouroboros", "parse_family",
     "path", "regularity_by_recursion", "replay_catalogue", "replay_family",

@@ -40,9 +40,8 @@ from math import comb
 
 from .errors import TooManyVariablesError
 from .gf import check_prime, gf2_rank, gfp_rank
-from .graphs import induced_adjacency
-from .ideals import (MonomialIdeal, compact, faces_of, graph_parts, mask_of,
-                     vars_of)
+from .graphs import induced_adjacency, live_vertices
+from .ideals import MonomialIdeal, compact, faces_of, graph_parts, vars_of
 
 DEFAULT_HOCHSTER_CAP = 16
 
@@ -135,15 +134,10 @@ def _fold_down(verts: int, adj: tuple[int, ...]) -> int | None:
 
 def _graph_homology(verts: int, adj: tuple[int, ...], char: int, do_fold: bool,
                     memo: dict) -> tuple[tuple[int, int], ...]:
-    if do_fold:
-        core = _fold_down(verts, adj)
-        if core is None:
-            return ()
-    else:
-        core = verts
-        for v in vars_of(core):
-            if adj[v] & core == 0:
-                return ()
+    # _scan passes only subsets without an isolated vertex
+    core =_fold_down(verts, adj) if do_fold else verts
+    if core is None:
+        return ()
     key = induced_adjacency(adj, core)
     cached = memo.get(key)
     if cached is not None:
@@ -220,7 +214,7 @@ def _split(ideal: MonomialIdeal, char: int) -> dict[tuple[int, int], int]:
     memo: dict[int, dict[tuple[int, int], int]] = {}
 
     def table(verts: int) -> dict[tuple[int, int], int]:
-        verts = mask_of(v for v in vars_of(verts) if adj[v] & verts)
+        verts = live_vertices(adj, verts)
         if not verts:
             return {(0, 0): 1}
         cached = memo.get(verts)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from collections.abc import Iterable
 
@@ -25,7 +24,7 @@ from .families import build_extended, parse_family
 from .graphs import to_dot
 from .ideals import edge_ideal
 from .sdepth import DEFAULT_EXACT_CAP, stanley_depth, validate_partition, face_poset
-from .verify import CLAIMS, RunConfig, csv_line, run_claims
+from .verify import CLAIMS, RunConfig, csv_line, json_text, run_claims
 
 # What helps past each size limit; every hint says "cap", which scripts
 # reading stderr key on.
@@ -82,7 +81,7 @@ def cmd_gen(args) -> int:
             "n_vertices": graph.n_vertices,
             "n_edges": graph.n_edges,
         }
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(json_text(doc), args.out)
     else:
         _emit(to_dot(graph), args.out)
     return 0
@@ -116,7 +115,7 @@ def cmd_inv(args) -> int:
         _emit(csv_line(keys) + "\n"
               + csv_line([doc[k] for k in keys]) + "\n", args.out)
     else:
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(json_text(doc), args.out)
     return 0
 
 
@@ -138,7 +137,7 @@ def cmd_sdepth(args) -> int:
                          f"{'*'.join(pair['upper']) or '1'}]")
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(json_text(doc), args.out)
     return 0
 
 
@@ -161,11 +160,13 @@ def cmd_decomp(args) -> int:
     else:
         doc = {"spec": str(spec), "ok": ok,
                "rules": [r.as_dict() for r in reports]}
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(json_text(doc), args.out)
     return 0 if ok else 1
 
 
 def cmd_verify(args) -> int:
+    override = {name: getattr(args, name) for name in ("n", "p", "q", "u")
+                if getattr(args, name) is not None}
     if args.claim == "all":
         claim_ids = sorted(CLAIMS)
     else:
@@ -174,9 +175,14 @@ def cmd_verify(args) -> int:
             print(f"error: unknown claim {args.claim!r}; known: {known}",
                   file=sys.stderr)
             return 2
+        params = CLAIMS[args.claim].param_names
+        lacking = [name for name in override if name not in params]
+        if lacking:
+            print(f"error: claim {args.claim!r} has no parameter "
+                  f"{', '.join(lacking)}; its parameters are "
+                  f"{', '.join(params)}", file=sys.stderr)
+            return 2
         claim_ids = [args.claim]
-    override = {name: getattr(args, name) for name in ("n", "p", "q", "u")
-                if getattr(args, name) is not None}
     config = RunConfig(
         characteristic=args.field, cross_field=args.cross_field,
         hochster_cap=args.hochster_cap, sdepth_cap=args.sdepth_cap,

@@ -23,7 +23,8 @@ from .families import (FamilySpec, build_extended, bristled, find_vertex,
                        resolve, star, tsnake_star, tsnake_starstar,
                        validate_spec)
 from .graphs import (LabeledGraph, apex, component_masks, induced_adjacency,
-                     is_isomorphic, mask_of, path_bristle, path_vertex)
+                     is_isomorphic, live_vertices, mask_of, path_bristle,
+                     path_vertex)
 from .ideals import (MonomialIdeal, add_variable, colon_by, edge_ideal,
                      graph_parts, vars_of)
 
@@ -186,9 +187,9 @@ class DecompositionReport:
 
 def _component_graphs(adj: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Components with an edge of a graph, as local adjacency masks."""
-    touched = mask_of(v for v, m in enumerate(adj) if m)
+    live = live_vertices(adj, (1 << len(adj)) - 1)
     return [induced_adjacency(adj, comp)
-            for comp in component_masks(adj, touched)]
+            for comp in component_masks(adj, live)]
 
 
 class _Replay:

@@ -8,7 +8,7 @@ pendant bristles to every vertex of g.
 
 This module is the one place that assembles a family graph, bristling
 included: the builders below grow plain label and edge lists, and
-build_family / build_extended wrap the result in a single LabeledGraph.
+build_extended wraps the result in a single LabeledGraph.
 """
 
 from __future__ import annotations
@@ -260,12 +260,6 @@ def resolve(spec: FamilySpec) -> tuple[list[FamilySpec], int]:
     return [], p if double and n == -1 else 0
 
 
-def build_family(spec: FamilySpec) -> LabeledGraph:
-    """Build the graph for a validated family spec."""
-    validate_spec(spec)
-    return LabeledGraph(*_build(spec))
-
-
 def _resolved(spec: FamilySpec) -> FamilySpec:
     """The validated spec that build_extended builds for spec."""
     base = spec
@@ -278,10 +272,11 @@ def _resolved(spec: FamilySpec) -> FamilySpec:
 
 
 def build_extended(spec: FamilySpec) -> LabeledGraph:
-    """Like build_family, but a starred snake may also sit at n = 0 under
-    any nesting of brs: it builds as the star, bristled or not, that
-    resolve makes of it.  Lower indices are refused as build_family
-    refuses them.
+    """Build the graph for a family spec, refusing invalid parameters.
+
+    A starred snake may also sit at n = 0 under any nesting of brs: it
+    builds as the star, bristled or not, that resolve makes of it.
+    Lower indices are refused as validate_spec refuses them.
     """
     return LabeledGraph(*_build(_resolved(spec)))
 

@@ -164,6 +164,22 @@ class LabeledGraph:
         return f"<LabeledGraph {self.n_vertices} vertices, {self.n_edges} edges>"
 
 
+def live_vertices(adjacency: Sequence[int], vertices: int) -> int:
+    """The vertices of the mask that have a neighbour inside it.
+
+    The others are isolated in the induced subgraph: free variables of
+    its edge ideal, which every engine drops before it does any work.
+    """
+    live = 0
+    rem = vertices
+    while rem:
+        low = rem & -rem
+        rem ^= low
+        if adjacency[low.bit_length() - 1] & vertices:
+            live |= low
+    return live
+
+
 def component_masks(adjacency: Sequence[int],
                     vertices: int | None = None) -> list[int]:
     """Vertex masks of the connected components, lowest vertex first.

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import RecursionCapError
-from .graphs import component_masks, induced_adjacency, mask_of, vars_of
+from .graphs import component_masks, induced_adjacency, live_vertices, vars_of
 from .ideals import MonomialIdeal, graph_parts
 
 DEFAULT_MAX_STEPS = 200_000
@@ -85,9 +85,8 @@ class _Engine:
             raise RecursionCapError(
                 f"regularity recursion exceeded {self.max_steps} steps")
         adj = self.adj
-        live = mask_of(v for v in vars_of(verts) if adj[v] & verts)
         total = _POINT_ZERO
-        for comp in component_masks(adj, live):
+        for comp in component_masks(adj, live_vertices(adj, verts)):
             total = total + self._component(comp)
         return total
 

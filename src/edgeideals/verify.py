@@ -151,6 +151,11 @@ def csv_line(fields: list) -> str:
     return ",".join(str(f).replace(",", ";") for f in fields)
 
 
+def json_text(doc) -> str:
+    """doc as JSON with sorted keys, indented by two, ending in a newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 @dataclass
 class VerificationReport:
     config: RunConfig
@@ -181,7 +186,7 @@ class VerificationReport:
         return doc
 
     def as_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.as_dict())
 
     def as_csv(self) -> str:
         lines = ["claim,family,params,invariant,computed,predicted,status"]
@@ -274,17 +279,22 @@ def run_cell(claim: Claim, cell: tuple[int, ...],
 def run_claims(claim_ids: list[str], config: RunConfig,
                grid_override: dict[str, list[int]] | None = None
                ) -> VerificationReport:
+    """Run each claim over its grid.
+
+    grid_override maps an axis name to its values.  A claim with one of
+    those axes runs over the product of its axes, each overridden one
+    replaced and the others taking the values of its default cells; a
+    claim with none of them keeps its default cells.
+    """
+    override = grid_override or {}
     report = VerificationReport(config)
     for cid in claim_ids:
         claim = CLAIMS[cid]
         cells = claim.default_cells
-        if grid_override:
-            axes = []
-            for i, name in enumerate(claim.param_names):
-                values = grid_override.get(name)
-                if values is None:
-                    values = sorted({c[i] for c in claim.default_cells})
-                axes.append(values)
+        if any(name in override for name in claim.param_names):
+            axes = [override[name] if name in override
+                    else sorted({c[i] for c in cells})
+                    for i, name in enumerate(claim.param_names)]
             cells = tuple(itertools.product(*axes))
         started = time.monotonic()
         for cell in cells:

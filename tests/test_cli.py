@@ -136,6 +136,27 @@ def test_verify_grid_flags(capsys):
         {(("n", 1), ("p", 1)), (("n", 2), ("p", 1))}
 
 
+def test_verify_refuses_a_grid_flag_its_claim_lacks(capsys):
+    code, out, err = run(capsys, "verify", "tsnake-reg", "--u", "9")
+    assert code == 2
+    assert out == ""
+    assert "no parameter u" in err and "its parameters are n, p" in err
+
+
+def test_verify_all_applies_an_axis_only_to_the_claims_that_have_it(capsys):
+    def cells(*flags):
+        code, out, _ = run(capsys, "verify", "all", *flags)
+        assert code == 0
+        return json.loads(out)["cells"]
+
+    with_u = {cid for cid, c in edgeideals.CLAIMS.items() if "u" in c.param_names}
+    assert with_u == {"star", "bstar"}
+    plain, narrowed = cells(), cells("--u", "2")
+    assert ([c for c in narrowed if c["claim"] not in with_u]
+            == [c for c in plain if c["claim"] not in with_u])
+    assert {c["params"]["u"] for c in narrowed if c["claim"] in with_u} == {2}
+
+
 @pytest.mark.parametrize("value, why", [
     ("abc", "expected an integer or a range like 1..4"),
     ("1..", "expected an integer or a range like 1..4"),

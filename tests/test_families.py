@@ -5,7 +5,7 @@ import pytest
 import hashlib
 import json
 
-from edgeideals import (LabeledGraph, build_extended, build_family, bristled,
+from edgeideals import (LabeledGraph, build_extended, bristled,
                         bristled_star, expected_counts, is_isomorphic,
                         ouroboros, parse_family, star, tsnake, tsnake_star,
                         tsnake_starstar)
@@ -26,7 +26,7 @@ def iso(g, h):
 def test_tsnake_counts_across_grid():
     for n in range(1, 5):
         for p in range(1, 4):
-            g = build_family(tsnake(n, p))
+            g = build_extended(tsnake(n, p))
             assert counts(g) == (1 + n + n * p, (2 * p + 1) * n)
             assert counts(g) == expected_counts(tsnake(n, p))
 
@@ -34,53 +34,53 @@ def test_tsnake_counts_across_grid():
 def test_tsnake_star_counts():
     for n in range(1, 4):
         for p in range(1, 3):
-            g = build_family(tsnake_star(n, p))
+            g = build_extended(tsnake_star(n, p))
             assert counts(g) == (1 + n + (n + 1) * p, (2 * p + 1) * n + p)
 
 
 def test_tsnake_starstar_counts():
     for n in range(1, 4):
         for p in range(1, 3):
-            g = build_family(tsnake_starstar(n, p))
+            g = build_extended(tsnake_starstar(n, p))
             assert counts(g) == (1 + n + (n + 2) * p, (2 * p + 1) * n + 2 * p)
 
 
 def test_ouroboros_counts():
     for n in range(3, 6):
         for p in range(1, 4):
-            g = build_family(ouroboros(n, p))
+            g = build_extended(ouroboros(n, p))
             assert counts(g) == ((p + 1) * n, (2 * p + 1) * n)
 
 
 def test_bristled_tsnake_counts():
     # formula values, e.g. (n,p,q)=(3,3,3) gives 52 vertices and 60 edges
     for (n, p, q) in [(1, 1, 1), (2, 2, 1), (3, 3, 3)]:
-        g = build_family(bristled(q, tsnake(n, p)))
+        g = build_extended(bristled(q, tsnake(n, p)))
         v = (1 + q) * (1 + n + n * p)
         e = (2 * p + 1) * n + (1 + n + n * p) * q
         assert counts(g) == (v, e)
-    assert counts(build_family(bristled(3, tsnake(3, 3)))) == (52, 60)
+    assert counts(build_extended(bristled(3, tsnake(3, 3)))) == (52, 60)
 
 
 def test_bristled_ouroboros_counts():
     # formula values; (n,p,q)=(4,2,3) gives 48 vertices and 56 edges
     for (n, p, q) in [(3, 1, 1), (4, 2, 3)]:
-        g = build_family(bristled(q, ouroboros(n, p)))
+        g = build_extended(bristled(q, ouroboros(n, p)))
         assert counts(g) == ((q + 1) * (p + 1) * n, n * (q * (p + 1) + 2 * p + 1))
-    assert counts(build_family(bristled(3, ouroboros(4, 2)))) == (48, 56)
+    assert counts(build_extended(bristled(3, ouroboros(4, 2)))) == (48, 56)
 
 
 def test_star_and_bristled_star():
-    g = build_family(star(4))
+    g = build_extended(star(4))
     assert counts(g) == (5, 4)
-    b = build_family(bristled_star(4, 2))
+    b = build_extended(bristled_star(4, 2))
     assert counts(b) == (15, 14)
-    assert iso(b, build_family(bristled(2, star(4))))
+    assert iso(b, build_extended(bristled(2, star(4))))
 
 
 def test_path_cycle_counts():
-    assert counts(build_family(path(4))) == (4, 3)
-    assert counts(build_family(cycle(5))) == (5, 5)
+    assert counts(build_extended(path(4))) == (4, 3)
+    assert counts(build_extended(cycle(5))) == (5, 5)
 
 
 def nx_graph(nx, g):
@@ -96,27 +96,27 @@ def test_ouroboros_is_fused_tsnake():
     from edgeideals.graphs import path_vertex
     for n in range(3, 6):
         for p in range(1, 4):
-            t = build_family(tsnake(n, p))
+            t = build_extended(tsnake(n, p))
             a = find_vertex(t, path_vertex(1))
             b = find_vertex(t, path_vertex(n + 1))
             fused = nx.contracted_nodes(nx_graph(nx, t), a, b, self_loops=False)
             assert nx.is_isomorphic(
-                fused, nx_graph(nx, build_family(ouroboros(n, p))))
+                fused, nx_graph(nx, build_extended(ouroboros(n, p))))
 
 
 def test_tsnake_star_pendants_sit_at_far_end():
     from edgeideals.families import find_vertex
     from edgeideals.graphs import path_vertex
-    g = build_family(tsnake_star(2, 2))
+    g = build_extended(tsnake_star(2, 2))
     end = find_vertex(g, path_vertex(3))
     assert g.degree(end) == 1 + 2 + 2  # one spine edge + p apexes + p pendants
 
 
 def test_build_extended_star_degenerations():
-    assert iso(build_extended(tsnake_star(0, 3)), build_family(star(3)))
-    assert iso(build_extended(tsnake_starstar(0, 2)), build_family(star(4)))
+    assert iso(build_extended(tsnake_star(0, 3)), build_extended(star(3)))
+    assert iso(build_extended(tsnake_starstar(0, 2)), build_extended(star(4)))
     assert iso(build_extended(bristled(1, tsnake_starstar(0, 1))),
-               build_family(bristled_star(2, 1)))
+               build_extended(bristled_star(2, 1)))
 
 
 @pytest.mark.parametrize("family", [tsnake_star, tsnake_starstar])
@@ -181,13 +181,11 @@ def test_expected_counts_refuses_exactly_what_build_extended_refuses():
 
 def test_build_family_rejects_degenerations():
     with pytest.raises(InvalidParameterError):
-        build_family(tsnake_star(0, 3))
+        build_extended(tsnake(0, 1))
     with pytest.raises(InvalidParameterError):
-        build_family(tsnake(0, 1))
+        build_extended(ouroboros(2, 1))
     with pytest.raises(InvalidParameterError):
-        build_family(ouroboros(2, 1))
-    with pytest.raises(InvalidParameterError):
-        build_family(bristled(0, tsnake(1, 1)))
+        build_extended(bristled(0, tsnake(1, 1)))
 
 
 def test_parse_round_trip():
@@ -229,7 +227,7 @@ def test_parse_rejects_bad_arguments():
 def test_expected_counts_match_built_bristled_star_variants():
     for spec in [bristled(2, tsnake_star(2, 1)), bristled(1, tsnake_starstar(1, 2)),
                  bristled(2, ouroboros(3, 1))]:
-        assert counts(build_family(spec)) == expected_counts(spec)
+        assert counts(build_extended(spec)) == expected_counts(spec)
 
 
 # `gen --format json` output of nested bristlings, taken before bristling

@@ -6,13 +6,13 @@ import random
 
 import pytest
 
-from edgeideals import (LabeledGraph, VertexLabel, build_extended,
-                        build_family, bristled, edge_ideal, is_isomorphic,
-                        parse_family, to_dot)
+from edgeideals import (LabeledGraph, VertexLabel, build_extended, bristled,
+                        edge_ideal, is_isomorphic, parse_family, to_dot)
 from edgeideals import decompositions
 from edgeideals.families import cycle, path
 from edgeideals.graphs import (anonymous, apex, component_masks,
-                               induced_adjacency, path_bristle, path_vertex)
+                               induced_adjacency, live_vertices, path_bristle,
+                               path_vertex)
 from edgeideals.ideals import MonomialIdeal, graph_parts, mask_of, vars_of
 
 
@@ -199,14 +199,14 @@ def test_bristle_equals_corona_with_null():
 
 
 def test_bristle_pendant_degrees():
-    g = build_family(bristled(2, path(3)))
+    g = build_extended(bristled(2, path(3)))
     ones = sum(1 for v in range(g.n_vertices) if g.degree(v) == 1)
     assert ones == 6
     assert g.n_vertices == 9
 
 
 def test_bristle_twice_keeps_indices_distinct():
-    g = build_family(bristled(1, bristled(1, path(2))))
+    g = build_extended(bristled(1, bristled(1, path(2))))
     assert g.n_vertices == 8
     assert len({lab.name for lab in g.labels}) == 8
 
@@ -215,9 +215,9 @@ def test_fuse_path_ends_makes_cycle():
     # the cycle family is the path family with its two ends identified
     nx = pytest.importorskip("networkx")
     for n in (4, 5, 6):
-        fused = nx.contracted_nodes(nx_graph(nx, build_family(path(n))),
+        fused = nx.contracted_nodes(nx_graph(nx, build_extended(path(n))),
                                     0, n - 1, self_loops=False)
-        assert nx.is_isomorphic(fused, nx_graph(nx, build_family(cycle(n - 1))))
+        assert nx.is_isomorphic(fused, nx_graph(nx, build_extended(cycle(n - 1))))
 
 
 def test_strip_isolated():
@@ -260,7 +260,7 @@ def test_components_match_a_label_level_search():
     graphs = [random_graph(rng, max_v=12) for _ in range(300)]
     graphs += [build_extended(parse_family(t)) for t in
                ("brs(q=2,ouroboros(n=4,p=2))", "tsnake_star(n=3,p=2)")]
-    graphs.append(disjoint_union(build_family(bristled(1, cycle(5))),
+    graphs.append(disjoint_union(build_extended(bristled(1, cycle(5))),
                                  LabeledGraph.from_edge_list(2, [])))
     for g in graphs:
         assert component_masks(g.adjacency) == \
@@ -344,6 +344,22 @@ def test_induced_adjacency_matches_the_dict_renumbering():
     assert induced_adjacency((), 0) == ()
 
 
+def test_live_vertices_match_the_neighbour_filter():
+    # the reference is the filter each engine used to spell out for itself
+    rng = random.Random(53)
+    dropped = 0
+    for _ in range(400):
+        g = random_graph(rng, max_v=14)
+        n, adj = g.n_vertices, g.adjacency
+        full = (1 << n) - 1
+        for m in (0, full, rng.getrandbits(n), rng.getrandbits(n)):
+            got = live_vertices(adj, m)
+            assert got == mask_of(v for v in vars_of(m) if adj[v] & m), (g.edges, m)
+            dropped += got != m
+    assert dropped > 100
+    assert live_vertices((), 0) == 0
+
+
 def test_graph_parts_matches_the_vars_of_split():
     rng = random.Random(47)
     refused = 0
@@ -399,7 +415,7 @@ def test_isomorphic_random_permutations():
 
 
 def test_to_dot_mentions_counts_and_labels():
-    g = build_family(bristled(1, path(2)))
+    g = build_extended(bristled(1, path(2)))
     dot = to_dot(g)
     assert "// vertices: 4" in dot
     assert "// edges: 3" in dot
