@@ -24,8 +24,8 @@ from .graphs import LabeledGraph, VertexLabel, is_isomorphic, to_dot
 from .ideals import (MonomialIdeal, add_variable, colon_by, edge_ideal,
                      mask_of, vars_of)
 from .recursion import RegInterval, regularity_by_recursion
-from .sdepth import (FacePoset, IntervalPartition, face_poset, sdepth_bounds,
-                     stanley_depth, validate_partition)
+from .sdepth import (FacePoset, IntervalPartition, face_poset, stanley_depth,
+                     validate_partition)
 from .taylor import betti_table_taylor
 from .verify import CLAIMS, RunConfig, VerificationReport, run_claims
 
@@ -45,7 +45,7 @@ __all__ = [
     "colon_by", "cycle", "edge_ideal", "expected_counts", "face_poset",
     "invariants", "is_isomorphic", "mask_of", "ouroboros", "parse_family",
     "path", "regularity_by_recursion", "replay_catalogue", "replay_family",
-    "rules_for", "run_claims", "sdepth_bounds", "star", "stanley_depth",
+    "rules_for", "run_claims", "star", "stanley_depth",
     "to_dot", "tsnake", "tsnake_star", "tsnake_starstar",
     "validate_partition", "vars_of", "verify_decomposition",
 ]

@@ -65,6 +65,18 @@ def _parse_range(text: str) -> list[int]:
     return values
 
 
+def _cap(text: str) -> int:
+    """A cap flag's value: 0 or more, refused with the flag's name."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {value}")
+    return value
+
+
 def _build_from_arg(spec_text: str):
     spec = parse_family(spec_text)
     return spec, build_extended(spec)
@@ -201,9 +213,9 @@ def cmd_verify(args) -> int:
 _FLAGS = {
     "--field": dict(type=int, default=2,
                     help="prime field characteristic (default 2)"),
-    "--hochster-cap": dict(type=int, default=DEFAULT_HOCHSTER_CAP,
+    "--hochster-cap": dict(type=_cap, default=DEFAULT_HOCHSTER_CAP,
                            help="max ambient variables for exact homology"),
-    "--sdepth-cap": dict(type=int, default=DEFAULT_EXACT_CAP,
+    "--sdepth-cap": dict(type=_cap, default=DEFAULT_EXACT_CAP,
                          help="max live variables for exact Stanley depth"),
 }
 

@@ -7,13 +7,17 @@ and ouroboros(n,p) closes the spine into a cycle.  brs(q, g) attaches q
 pendant bristles to every vertex of g.
 
 This module is the one place that assembles a family graph, bristling
-included: the builders below grow plain label and edge lists, and
-build_extended wraps the result in a single LabeledGraph.
+included: one snake builder grows plain label and edge lists for every
+kind, and build_extended wraps the result in a single LabeledGraph.
+Each kind but brs is one row of _KINDS: the least value of each
+parameter, its builder and its closed-form counts.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import FamilySpecParseError, InvalidParameterError
 from .graphs import LabeledGraph, VertexLabel, anonymous, apex, path_vertex
@@ -74,105 +78,92 @@ def bristled_star(u: int, q: int) -> FamilySpec:
     return bristled(q, star(u))
 
 
-# scalar parameters accepted by each kind, in positional order
-_PARAMS = {
-    "path": ("n",),
-    "cycle": ("n",),
-    "star": ("u",),
-    "bstar": ("u", "q"),
-    "tsnake": ("n", "p"),
-    "tsnake_star": ("n", "p"),
-    "tsnake_starstar": ("n", "p"),
-    "ouroboros": ("n", "p"),
-    "brs": ("q",),
-}
-
-
-def validate_spec(spec: FamilySpec) -> None:
-    """Raise InvalidParameterError unless spec is buildable."""
-    kind = spec.kind
-    if kind in ("path", "cycle"):
-        low = 1 if kind == "path" else 3
-        if spec.n is None or spec.n < low:
-            raise InvalidParameterError(f"{kind} needs n >= {low}")
-    elif kind == "star":
-        if spec.u is None or spec.u < 1:
-            raise InvalidParameterError("star needs u >= 1")
-    elif kind in ("tsnake", "tsnake_star", "tsnake_starstar"):
-        if spec.n is None or spec.n < 1:
-            raise InvalidParameterError(f"{kind} needs n >= 1")
-        if spec.p is None or spec.p < 1:
-            raise InvalidParameterError(f"{kind} needs p >= 1")
-    elif kind == "ouroboros":
-        # n <= 2 would force multi-edges or loops when the spine closes up
-        if spec.n is None or spec.n < 3:
-            raise InvalidParameterError("ouroboros needs n >= 3")
-        if spec.p is None or spec.p < 1:
-            raise InvalidParameterError("ouroboros needs p >= 1")
-    elif kind == "brs":
-        if spec.q is None or spec.q < 1:
-            raise InvalidParameterError("brs needs q >= 1")
-        if spec.inner is None:
-            raise InvalidParameterError("brs needs an inner family")
-        validate_spec(spec.inner)
-    else:
-        raise InvalidParameterError(f"unknown family kind {kind!r}")
-
-
 # A family graph is assembled as (labels, edges) lists, label pairs as
 # edges, and wrapped in one LabeledGraph at the end.
 Parts = tuple[list[VertexLabel], list[tuple[VertexLabel, VertexLabel]]]
 
 
-def _path_graph(n: int) -> Parts:
-    labels = [path_vertex(i) for i in range(1, n + 1)]
-    return labels, [(labels[i], labels[i + 1]) for i in range(n - 1)]
-
-
-def _cycle_graph(n: int) -> Parts:
-    labels = [path_vertex(i) for i in range(1, n + 1)]
-    return labels, [(labels[i], labels[(i + 1) % n]) for i in range(n)]
-
-
-def _star_graph(u: int) -> Parts:
-    """Star with center x1 and leaves y11..y1u, matching tsnake_star at n=0."""
-    center = path_vertex(1)
-    leaves = [apex(1, k) for k in range(1, u + 1)]
-    return [center] + leaves, [(center, leaf) for leaf in leaves]
-
-
-def _tsnake_graph(n: int, p: int, close: bool = False,
-                  end_star: bool = False, start_star: bool = False) -> Parts:
-    """Shared builder for the snake variants.
+def _tsnake_graph(n: int, p: int, close: bool = False, stars: int = 0
+                  ) -> Parts:
+    """The one builder of every kind: a spine x_1..x_{n+1} with p
+    triangle apexes y_j1..y_jp over each spine edge x_j x_{j+1}.
 
     close=True identifies the spine ends into a cycle of length n with
-    apexes over every cycle edge (the ouroboros).  end_star/start_star
-    add p pendant apexes at x_{n+1} and x_1 respectively.
+    apexes over every cycle edge (the ouroboros).  stars=1 adds p
+    pendant apexes at x_{n+1}, and stars=2 adds p more at x_1.  With
+    p = 0 the spine alone is a path or, closed, a cycle; the star on u
+    leaves is the spine x_1 with stars=1.
     """
-    spine_len = n if close else n + 1
-    spine = [path_vertex(i) for i in range(1, spine_len + 1)]
+    spine = [path_vertex(i) for i in range(1, n + (not close) + 1)]
     labels = list(spine)
     edges = []
     for j in range(1, n + 1):
-        a = spine[j - 1]
-        b = spine[j % spine_len] if close else spine[j]
+        a, b = spine[j - 1], spine[j % len(spine)]
         edges.append((a, b))
         for k in range(1, p + 1):
             y = apex(j, k)
             labels.append(y)
             edges.append((a, y))
             edges.append((b, y))
-    if end_star:
+    for j, hub in [(n + 1, spine[-1]), (n + 2, spine[0])][:stars]:
         for k in range(1, p + 1):
-            y = apex(n + 1, k)
+            y = apex(j, k)
             labels.append(y)
-            edges.append((spine[-1], y))
-    if start_star:
-        for k in range(1, p + 1):
-            y = apex(n + 2, k)
-            labels.append(y)
-            edges.append((spine[0], y))
+            edges.append((hub, y))
     return labels, edges
+
+
+# Each kind but brs: the least value of each parameter, in positional
+# order, its builder, which takes the parameters in that order, and its
+# closed-form (vertices, edges).  An ouroboros needs n >= 3: a shorter
+# spine would close up into multi-edges or loops.
+_Kind = namedtuple("_Kind", "least build counts")
+_KINDS = {
+    "path": _Kind({"n": 1}, lambda n: _tsnake_graph(n - 1, 0),
+                  lambda n: (n, n - 1)),
+    "cycle": _Kind({"n": 3}, lambda n: _tsnake_graph(n, 0, close=True),
+                   lambda n: (n, n)),
+    "star": _Kind({"u": 1}, lambda u: _tsnake_graph(0, u, stars=1),
+                  lambda u: (u + 1, u)),
+    "tsnake": _Kind({"n": 1, "p": 1}, _tsnake_graph,
+                    lambda n, p: (1 + n + n * p, (2 * p + 1) * n)),
+    "tsnake_star": _Kind(
+        {"n": 1, "p": 1}, partial(_tsnake_graph, stars=1),
+        lambda n, p: (1 + n + (n + 1) * p, (2 * p + 1) * n + p)),
+    "tsnake_starstar": _Kind(
+        {"n": 1, "p": 1}, partial(_tsnake_graph, stars=2),
+        lambda n, p: (1 + n + (n + 2) * p, (2 * p + 1) * n + 2 * p)),
+    "ouroboros": _Kind({"n": 3, "p": 1}, partial(_tsnake_graph, close=True),
+                       lambda n, p: ((p + 1) * n, (2 * p + 1) * n)),
+}
+
+# scalar parameters accepted by each name of the grammar, in positional
+# order; bstar(u,q) is read as brs(q,star(u))
+_PARAMS = {kind: tuple(row.least) for kind, row in _KINDS.items()}
+_PARAMS.update(bstar=("u", "q"), brs=("q",))
+
+
+def _values(spec: FamilySpec) -> list[int]:
+    """The parameters of a kind other than brs, in positional order."""
+    return [getattr(spec, name) for name in _KINDS[spec.kind].least]
+
+
+def validate_spec(spec: FamilySpec) -> None:
+    """Raise InvalidParameterError unless spec is buildable."""
+    kind = spec.kind
+    if kind == "brs":
+        if spec.q is None or spec.q < 1:
+            raise InvalidParameterError("brs needs q >= 1")
+        if spec.inner is None:
+            raise InvalidParameterError("brs needs an inner family")
+        validate_spec(spec.inner)
+    elif kind not in _KINDS:
+        raise InvalidParameterError(f"unknown family kind {kind!r}")
+    else:
+        for name, least in _KINDS[kind].least.items():
+            value = getattr(spec, name)
+            if value is None or value < least:
+                raise InvalidParameterError(f"{kind} needs {name} >= {least}")
 
 
 _LEAF_ROLE = {"path": "path_bristle", "apex": "apex_bristle"}
@@ -213,25 +204,9 @@ def _bristle(parts: Parts, q: int) -> Parts:
 
 def _build(spec: FamilySpec) -> Parts:
     """Labels and edges of a spec whose indices need no resolving."""
-    kind = spec.kind
-    if kind == "path":
-        return _path_graph(spec.n)
-    if kind == "cycle":
-        return _cycle_graph(spec.n)
-    if kind == "star":
-        return _star_graph(spec.u)
-    if kind == "brs":
+    if spec.kind == "brs":
         return _bristle(_build(spec.inner), spec.q)
-    n, p = spec.n, spec.p
-    if kind == "tsnake":
-        return _tsnake_graph(n, p)
-    if kind == "tsnake_star":
-        return _tsnake_graph(n, p, end_star=True)
-    if kind == "tsnake_starstar":
-        return _tsnake_graph(n, p, end_star=True, start_star=True)
-    if kind == "ouroboros":
-        return _tsnake_graph(n, p, close=True)
-    raise InvalidParameterError(f"unknown family kind {kind!r}")
+    return _KINDS[spec.kind].build(*_values(spec))
 
 
 def resolve(spec: FamilySpec) -> tuple[list[FamilySpec], int]:
@@ -285,24 +260,10 @@ def expected_counts(spec: FamilySpec) -> tuple[int, int]:
     """Closed-form (vertices, edges) of build_extended(spec); refuses
     with InvalidParameterError, and the same message, where it does."""
     spec = _resolved(spec)
-    kind = spec.kind
-    if kind == "path":
-        return spec.n, spec.n - 1
-    if kind == "cycle":
-        return spec.n, spec.n
-    if kind == "star":
-        return spec.u + 1, spec.u
-    if kind == "brs":
+    if spec.kind == "brs":
         v, e = expected_counts(spec.inner)
         return v * (1 + spec.q), e + v * spec.q
-    n, p = spec.n, spec.p
-    if kind == "tsnake":
-        return 1 + n + n * p, (2 * p + 1) * n
-    if kind == "tsnake_star":
-        return 1 + n + (n + 1) * p, (2 * p + 1) * n + p
-    if kind == "tsnake_starstar":
-        return 1 + n + (n + 2) * p, (2 * p + 1) * n + 2 * p
-    return (p + 1) * n, (2 * p + 1) * n  # ouroboros
+    return _KINDS[spec.kind].counts(*_values(spec))
 
 
 # ---------------------------------------------------------------------------

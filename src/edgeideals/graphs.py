@@ -322,9 +322,9 @@ def is_isomorphic(g: Sequence[int], h: Sequence[int]) -> bool:
 # output
 
 
-def to_dot(g: LabeledGraph, name: str = "family") -> str:
+def to_dot(g: LabeledGraph) -> str:
     """DOT export, one line per edge, display names as node labels."""
-    lines = [f"graph {name} {{"]
+    lines = ["graph family {"]
     lines.append(f"  // vertices: {g.n_vertices}")
     lines.append(f"  // edges: {g.n_edges}")
     for v in range(g.n_vertices):

@@ -315,7 +315,7 @@ def _colon_bound(reduced: MonomialIdeal, upper: int,
 
     sdepth(S/I) <= sdepth(S/(I : x_v)) (Rauf), and the colon's value is
     value_of(its compacted ideal) plus the variables it frees, v among
-    them.  value_of may return an upper bound instead of the exact value.
+    them.
     """
     for v in range(reduced.n_vars):
         quotient, free = _colon(reduced, v)
@@ -449,39 +449,3 @@ def _greedy_partition(faces: tuple[int, ...]) -> list[tuple[int, int]]:
         out.append((sigma, top))
     return out
 
-
-def sdepth_bounds(ideal: MonomialIdeal, exact_cap: int = DEFAULT_EXACT_CAP,
-                  poset_cap: int = DEFAULT_POSET_CAP) -> tuple[int, int]:
-    """(lower, upper) bounds on the Stanley depth of S/I.
-
-    Within the exact cap both bounds are the exact value.  Beyond it the
-    lower bound comes from a greedy interval partition and the upper
-    bound from the colon bound of the exact search: sdepth can only grow
-    along (I : x_v), so each colon gives an upper bound, exact when the
-    colon lands back inside the exact cap and its largest face size
-    otherwise.  Past poset_cap live variables the face poset raises
-    CapExceededError; bounds that cross raise RuntimeError naming both.
-    """
-    if ideal.is_unit:
-        raise ValueError("S/I is the zero module")
-    reduced, _, free_count = _reduce(ideal)
-    if reduced.n_vars <= exact_cap:
-        value, _ = stanley_depth(ideal, exact_cap)
-        return value, value
-    faces = face_poset(reduced, cap=poset_cap).faces
-    greedy = _greedy_partition(faces)
-    lower = min(t.bit_count() for _, t in greedy) + free_count
-    solver = _Exact()
-
-    def colon_upper(quotient: MonomialIdeal) -> int:
-        if quotient.n_vars <= exact_cap:
-            return solver.value(quotient)
-        return face_poset(quotient, cap=poset_cap).faces[-1].bit_count()
-
-    upper = free_count + _colon_bound(reduced, faces[-1].bit_count(),
-                                      colon_upper)
-    if upper < lower:
-        raise RuntimeError(
-            f"sdepth bounds crossed: greedy lower bound {lower} is above "
-            f"colon upper bound {upper}")
-    return lower, upper

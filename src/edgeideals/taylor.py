@@ -20,16 +20,16 @@ from .betti import BettiTable
 DEFAULT_MAX_GENS = 12
 
 
-def betti_table_taylor(ideal: MonomialIdeal, characteristic: int = 2,
-                       max_gens: int = DEFAULT_MAX_GENS) -> BettiTable:
+def betti_table_taylor(ideal: MonomialIdeal, characteristic: int = 2
+                       ) -> BettiTable:
     check_prime(characteristic)
     if ideal.is_unit:
         raise ValueError("S/I is the zero module; its Betti table is empty")
     gens = sorted(ideal.gens, key=lambda g: (g.bit_count(), g))
     r = len(gens)
-    if r > max_gens:
+    if r > DEFAULT_MAX_GENS:
         raise TooManyGeneratorsError(
-            f"{r} generators exceeds the Taylor cap of {max_gens}")
+            f"{r} generators exceeds the Taylor cap of {DEFAULT_MAX_GENS}")
     # lcm of every generator subset, built one lowest bit at a time
     lcm = [0] * (1 << r)
     for a in range(1, 1 << r):

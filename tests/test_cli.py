@@ -208,6 +208,32 @@ def test_degenerate_refusals_keep_their_message(capsys, spec, err):
         assert run(capsys, command, spec) == (2, "", err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["inv", "cycle(3)", "--sdepth-cap", "-1"],
+    ["inv", "cycle(3)", "--hochster-cap", "-1"],
+    ["sdepth", "cycle(3)", "--sdepth-cap", "-1"],
+    ["verify", "all", "--hochster-cap", "-1"],
+    ["verify", "star", "--sdepth-cap", "-2"],
+])
+def test_a_negative_cap_exits_two_naming_its_flag(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert (f"argument {argv[-2]}: expected a non-negative integer, "
+            f"got {argv[-1]}") in out.err
+
+
+def test_a_zero_cap_stays_valid(capsys):
+    # the scan ops pass --sdepth-cap 0 to leave the search out
+    code, out, _ = run(capsys, "inv", "cycle(3)", "--sdepth-cap", "0")
+    assert code == 0 and json.loads(out)["sdepth"] is None
+    # a Hochster cap of 0 parses, and the engine then refuses cycle(3)
+    code, _, err = run(capsys, "inv", "cycle(3)", "--hochster-cap", "0")
+    assert code == 2 and "hint: raise --hochster-cap" in err
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "star", "--out", str(target))

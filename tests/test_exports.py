@@ -1,6 +1,9 @@
-"""The package exports, and the names and command lines the benchmark uses."""
+"""The package exports, the names the README offers, and the names and
+command lines the benchmark uses."""
 
+import importlib
 import json
+import pkgutil
 import re
 from collections import Counter
 from pathlib import Path
@@ -8,13 +11,29 @@ from pathlib import Path
 import edgeideals
 from edgeideals.cli import build_parser
 
-BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "perfbench"
 PIN = BENCH / "pin.py"
 
 
 def test_every_exported_name_resolves_once():
     assert [n for n, c in Counter(edgeideals.__all__).items() if c > 1] == []
     assert [n for n in edgeideals.__all__ if not hasattr(edgeideals, n)] == []
+
+
+def test_readme_entry_points_resolve():
+    # every plain name in backticks in the "Key entry points" paragraph
+    # must still exist in the package or one of its modules
+    text = (ROOT / "README.md").read_text()
+    start = text.index("Key entry points")
+    paragraph = text[start:text.index("\n\n", start)]
+    names = {name for name in re.findall(r"`([^`]+)`", paragraph)
+             if name.isidentifier()}
+    modules = [edgeideals] + [importlib.import_module(f"edgeideals.{m.name}")
+                              for m in pkgutil.iter_modules(edgeideals.__path__)]
+    assert len(names) > 5
+    assert sorted(name for name in names
+                  if not any(hasattr(m, name) for m in modules)) == []
 
 
 def test_pinning_script_uses_only_exported_names():

@@ -5,14 +5,14 @@ import pytest
 import hashlib
 import json
 
-from edgeideals import (LabeledGraph, build_extended, bristled,
+from edgeideals import (FamilySpec, LabeledGraph, build_extended, bristled,
                         bristled_star, expected_counts, is_isomorphic,
                         ouroboros, parse_family, star, tsnake, tsnake_star,
                         tsnake_starstar)
 from edgeideals import graphs
 from edgeideals.cli import main
 from edgeideals.errors import FamilySpecParseError, InvalidParameterError
-from edgeideals.families import cycle, path, resolve
+from edgeideals.families import cycle, path, resolve, validate_spec
 
 
 def counts(g):
@@ -186,6 +186,59 @@ def test_build_family_rejects_degenerations():
         build_extended(ouroboros(2, 1))
     with pytest.raises(InvalidParameterError):
         build_extended(bristled(0, tsnake(1, 1)))
+
+
+# Every refusal of a library-built spec, with its message: each kind at
+# one below the least value of each parameter and at None, the order of
+# the checks when two parameters are bad, an unknown kind, and brs.
+REFUSALS = [
+    (FamilySpec("path", n=0), "path needs n >= 1"),
+    (FamilySpec("path"), "path needs n >= 1"),
+    (FamilySpec("cycle", n=2), "cycle needs n >= 3"),
+    (FamilySpec("cycle"), "cycle needs n >= 3"),
+    (FamilySpec("star", u=0), "star needs u >= 1"),
+    (FamilySpec("star"), "star needs u >= 1"),
+    (FamilySpec("tsnake", n=0, p=1), "tsnake needs n >= 1"),
+    (FamilySpec("tsnake", p=1), "tsnake needs n >= 1"),
+    (FamilySpec("tsnake", n=1, p=0), "tsnake needs p >= 1"),
+    (FamilySpec("tsnake", n=1), "tsnake needs p >= 1"),
+    (FamilySpec("tsnake", n=0, p=0), "tsnake needs n >= 1"),
+    (FamilySpec("tsnake_star", n=0, p=1), "tsnake_star needs n >= 1"),
+    (FamilySpec("tsnake_star", p=1), "tsnake_star needs n >= 1"),
+    (FamilySpec("tsnake_star", n=1, p=0), "tsnake_star needs p >= 1"),
+    (FamilySpec("tsnake_star", n=1), "tsnake_star needs p >= 1"),
+    (FamilySpec("tsnake_starstar", n=0, p=1), "tsnake_starstar needs n >= 1"),
+    (FamilySpec("tsnake_starstar", p=1), "tsnake_starstar needs n >= 1"),
+    (FamilySpec("tsnake_starstar", n=1, p=0), "tsnake_starstar needs p >= 1"),
+    (FamilySpec("tsnake_starstar", n=1), "tsnake_starstar needs p >= 1"),
+    (FamilySpec("ouroboros", n=2, p=1), "ouroboros needs n >= 3"),
+    (FamilySpec("ouroboros", p=1), "ouroboros needs n >= 3"),
+    (FamilySpec("ouroboros", n=3, p=0), "ouroboros needs p >= 1"),
+    (FamilySpec("ouroboros", n=3), "ouroboros needs p >= 1"),
+    (FamilySpec("ouroboros", n=2, p=0), "ouroboros needs n >= 3"),
+    (FamilySpec("foo"), "unknown family kind 'foo'"),
+    (FamilySpec("foo", n=1, p=1), "unknown family kind 'foo'"),
+    (FamilySpec("brs", q=0, inner=path(1)), "brs needs q >= 1"),
+    (FamilySpec("brs", inner=path(1)), "brs needs q >= 1"),
+    (FamilySpec("brs", q=0), "brs needs q >= 1"),
+    (FamilySpec("brs", q=1), "brs needs an inner family"),
+    (bristled(2, FamilySpec("cycle", n=2)), "cycle needs n >= 3"),
+    (bristled(1, bristled(1, FamilySpec("foo"))), "unknown family kind 'foo'"),
+]
+
+
+@pytest.mark.parametrize("spec, message", REFUSALS,
+                         ids=[repr(spec) for spec, _ in REFUSALS])
+def test_every_family_refusal_keeps_its_message(spec, message):
+    with pytest.raises(InvalidParameterError) as refused:
+        validate_spec(spec)
+    assert str(refused.value) == message
+    if spec.kind.startswith("tsnake_star") and spec.n == 0:
+        return  # build_extended builds the star this spec stands for
+    for refuse in (build_extended, expected_counts):
+        with pytest.raises(InvalidParameterError) as refused:
+            refuse(spec)
+        assert str(refused.value) == message, refuse
 
 
 def test_parse_round_trip():

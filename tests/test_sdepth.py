@@ -11,8 +11,8 @@ import pytest
 
 from edgeideals import (LabeledGraph, MonomialIdeal, build_extended, colon_by,
                         edge_ideal, face_poset, invariants, mask_of,
-                        parse_family, sdepth_bounds, stanley_depth,
-                        validate_partition, vars_of)
+                        parse_family, stanley_depth, validate_partition,
+                        vars_of)
 from edgeideals import sdepth as sdepth_module
 from edgeideals.cli import main
 from edgeideals.errors import CapExceededError
@@ -97,18 +97,6 @@ def test_sdepth_at_least_depth_on_small_corpus():
         edges = rng.sample(possible, rng.randint(1, len(possible)))
         ideal = edge_ideal(LabeledGraph.from_edge_list(nv, edges))
         assert stanley_depth(ideal)[0] >= invariants(ideal).depth
-
-
-def test_bounds_enclose_exact_value():
-    rng = random.Random(99)
-    for _ in range(12):
-        nv = rng.randint(2, 6)
-        possible = [(i, j) for i in range(nv) for j in range(i + 1, nv)]
-        edges = rng.sample(possible, rng.randint(1, len(possible)))
-        ideal = edge_ideal(LabeledGraph.from_edge_list(nv, edges))
-        lo, hi = sdepth_bounds(ideal)
-        value = stanley_depth(ideal)[0]
-        assert lo <= value <= hi
 
 
 def test_exact_cap_raises():
@@ -300,9 +288,6 @@ def test_cycles_match_the_closed_form(n):
 def test_snake_cells_past_the_old_reach(text):
     ideal = family_ideal(text)
     assert checked(ideal) == 2 == invariants(ideal).depth
-    for cap in (0, ideal.n_vars - 1):
-        lo, hi = sdepth_bounds(ideal, exact_cap=cap)
-        assert lo <= 2 <= hi
 
 
 @pytest.mark.parametrize("text", WORKLOAD_CELLS)
@@ -354,25 +339,6 @@ def test_node_budget_fails_loudly(monkeypatch, capsys):
     rows = run_cell(claim, claim.default_cells[-1], RunConfig())
     assert [r.status for r in rows if r.invariant == "sdepth"] == ["skipped"]
     assert all(r.status == "pass" for r in rows if r.invariant != "sdepth")
-
-
-def test_bounds_refuse_past_the_poset_cap():
-    ideal = family_ideal("path(15)")
-    with pytest.raises(CapExceededError, match="capped at 14 variables, got 15"):
-        sdepth_bounds(ideal, exact_cap=10)
-    lo, hi = sdepth_bounds(ideal, exact_cap=10, poset_cap=15)
-    assert lo <= 5 <= hi  # sdepth of a path on n vertices is ceil(n/3)
-
-
-def test_bounds_that_cross_fail_loudly(monkeypatch):
-    # an upper bound below the greedy lower bound is an engine fault, not
-    # a value to clamp
-    ideal = family_ideal("tsnake(n=3,p=2)")
-    monkeypatch.setattr(sdepth_module, "_colon_bound",
-                        lambda reduced, upper, value_of: 0)
-    with pytest.raises(RuntimeError,
-                       match="lower bound 2 is above colon upper bound 0"):
-        sdepth_bounds(ideal, exact_cap=0)
 
 
 # the cells whose search is pinned: the benchmark's sdepth cells at its
