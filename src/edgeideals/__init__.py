@@ -2,13 +2,13 @@
 
 Build the graph families (snakes, cycle snakes, stars, bristlings),
 take edge ideals, and compute regularity, projective dimension, depth,
-and Stanley depth of the quotients from first principles.  Closed-form
-predictions and the induction decompositions behind them are catalogued
-and machine-verified on parameter grids.
+and Stanley depth of the quotients from first principles.  The paper's
+closed forms are the rows of verify.CLAIMS, one per claim; they and the
+induction decompositions behind them are machine-verified on parameter
+grids.
 """
 
 from .betti import BettiTable, InvariantBundle, betti_table, invariants
-from .catalogue import ClosedForm, closed_form
 from .decompositions import (DecompositionReport, DecompositionRule,
                              replay_catalogue, replay_family, rules_for,
                              verify_decomposition)
@@ -27,7 +27,8 @@ from .recursion import RegInterval, regularity_by_recursion
 from .sdepth import (FacePoset, IntervalPartition, face_poset, stanley_depth,
                      validate_partition)
 from .taylor import betti_table_taylor
-from .verify import CLAIMS, RunConfig, VerificationReport, run_claims
+from .verify import (CLAIMS, ClosedForm, RunConfig, VerificationReport,
+                     closed_form, run_claims)
 
 __version__ = "0.1.0"
 

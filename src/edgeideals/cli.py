@@ -18,8 +18,7 @@ from collections.abc import Iterable
 
 from .betti import DEFAULT_HOCHSTER_CAP, invariants
 from .decompositions import replay_family
-from .errors import (CapExceededError, EdgeIdealsError, FamilySpecParseError,
-                     SizeLimitError)
+from .errors import CapExceededError, EdgeIdealsError, SizeLimitError
 from .families import build_extended, parse_family
 from .graphs import to_dot
 from .ideals import edge_ideal
@@ -280,9 +279,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FamilySpecParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SizeLimitError as exc:
         print(f"error: {exc}\nhint: {_LIMIT_HINTS[exc.limit]}", file=sys.stderr)
         return 2

@@ -3,9 +3,12 @@
 Every catalogued rule says: take the edge ideal of a family member,
 colon out (or add) a pivot monomial, strip killed and free variables,
 and the leftover graph splits into components isomorphic to smaller
-catalogue members.  Each row of _RULES carries its own outcome, the
-expected factors and the expected number of freed variables, and names
-its pivot by a key of _PIVOTS; verify_decomposition replays one rule
+family members.  Each row of _RULES is filed under a family key of
+families.family_key, the key of that family's claim row in
+verify.CLAIMS; it carries its own outcome, the expected factors and the
+expected number of freed variables, and names its pivot by a key of
+_PIVOTS.  A rule reads the parent's (n, p, q) through
+families.spec_params.  verify_decomposition replays one rule
 mechanically and reports per-factor isomorphism results.
 
 Factor indices can drop to 0 or below; families.resolve turns those
@@ -19,9 +22,9 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .errors import RuleInapplicableError
-from .families import (FamilySpec, build_extended, bristled, find_vertex,
-                       resolve, star, tsnake_star, tsnake_starstar,
-                       validate_spec)
+from .families import (FamilySpec, build_extended, bristled, family_key,
+                       find_vertex, resolve, spec_params, star, tsnake_star,
+                       tsnake_starstar, validate_spec)
 from .graphs import (LabeledGraph, apex, component_masks, induced_adjacency,
                      is_isomorphic, live_vertices, mask_of, path_bristle,
                      path_vertex)
@@ -119,23 +122,18 @@ _PIVOTS = {
 RULES_BY_ID = {r.rule_id: r for r in _RULES}
 
 
-def family_key(spec: FamilySpec) -> str:
-    if spec.kind == "brs":
-        return f"brs-{spec.inner.kind}"
-    return spec.kind
-
-
 def rules_for(spec: FamilySpec) -> list[DecompositionRule]:
+    """The rules filed under spec's family key whose least n spec meets;
+    [] when spec lacks an n."""
     key = family_key(spec)
-    n = spec.n if spec.inner is None else spec.inner.n
-    return [r for r in _RULES if r.family == key and n is not None and n >= r.min_n]
+    rules = [r for r in _RULES if r.family == key]
+    n = spec_params(spec)[0] if rules else None
+    return [r for r in rules if n is not None and n >= r.min_n]
 
 
 def _params(spec: FamilySpec) -> tuple[int, int, int | None]:
     """(n, p, q) of a snake-family spec; q is None when unbristled."""
-    if spec.kind == "brs":
-        return spec.inner.n, spec.inner.p, spec.q
-    return spec.n, spec.p, None
+    return (*spec_params(spec), None)[:3]
 
 
 def pivot_mask(rule: DecompositionRule, spec: FamilySpec,

@@ -10,7 +10,9 @@ This module is the one place that assembles a family graph, bristling
 included: one snake builder grows plain label and edge lists for every
 kind, and build_extended wraps the result in a single LabeledGraph.
 Each kind but brs is one row of _KINDS: the least value of each
-parameter, its builder and its closed-form counts.
+parameter, its builder and its closed-form counts.  It is also the one
+reader of a spec's shape: family_key, spec_params and spec_of map a
+spec to its family key and parameter values and back.
 """
 
 from __future__ import annotations
@@ -143,9 +145,35 @@ _PARAMS = {kind: tuple(row.least) for kind, row in _KINDS.items()}
 _PARAMS.update(bstar=("u", "q"), brs=("q",))
 
 
-def _values(spec: FamilySpec) -> list[int]:
-    """The parameters of a kind other than brs, in positional order."""
-    return [getattr(spec, name) for name in _KINDS[spec.kind].least]
+def family_key(spec: FamilySpec) -> str:
+    """The kind of spec, or "brs-" and the inner kind when it is bristled:
+    the key that claim rows and decomposition rules are filed under."""
+    if spec.kind == "brs":
+        return f"brs-{spec.inner.kind}"
+    return spec.kind
+
+
+def family_params(key: str) -> tuple[str, ...]:
+    """The parameter names of a family key: the kind's in positional
+    order, then q when the key is bristled."""
+    kind = key.removeprefix("brs-")
+    return tuple(_KINDS[kind].least) + (("q",) if kind != key else ())
+
+
+def spec_params(spec: FamilySpec) -> tuple[int | None, ...]:
+    """The values of family_params(family_key(spec)) in spec, None
+    where spec lacks one."""
+    if spec.kind == "brs":
+        return spec_params(spec.inner) + (spec.q,)
+    return tuple(getattr(spec, name) for name in _KINDS[spec.kind].least)
+
+
+def spec_of(key: str, params: dict[str, int]) -> FamilySpec:
+    """The spec of a family key with the given parameter values; the
+    inverse of spec_params."""
+    kind = key.removeprefix("brs-")
+    spec = FamilySpec(kind, **{name: params[name] for name in _KINDS[kind].least})
+    return bristled(params["q"], spec) if kind != key else spec
 
 
 def validate_spec(spec: FamilySpec) -> None:
@@ -206,7 +234,7 @@ def _build(spec: FamilySpec) -> Parts:
     """Labels and edges of a spec whose indices need no resolving."""
     if spec.kind == "brs":
         return _bristle(_build(spec.inner), spec.q)
-    return _KINDS[spec.kind].build(*_values(spec))
+    return _KINDS[spec.kind].build(*spec_params(spec))
 
 
 def resolve(spec: FamilySpec) -> tuple[list[FamilySpec], int]:
@@ -263,7 +291,7 @@ def expected_counts(spec: FamilySpec) -> tuple[int, int]:
     if spec.kind == "brs":
         v, e = expected_counts(spec.inner)
         return v * (1 + spec.q), e + v * spec.q
-    return _KINDS[spec.kind].counts(*_values(spec))
+    return _KINDS[spec.kind].counts(*spec_params(spec))
 
 
 # ---------------------------------------------------------------------------

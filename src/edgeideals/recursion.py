@@ -15,8 +15,8 @@ graph (0) and a single edge (1).
 A tie does not have to be the last word: any variable is a valid pivot,
 so on a tie we retry the remaining pivots and intersect the resulting
 ranges, returning a point whenever one pivot is decisive.  The result
-type is an interval either way; callers assert is_point where the
-catalogue predicts an exact value.
+type is an interval either way; callers assert is_point where a
+claim row of verify.CLAIMS predicts an exact value.
 """
 
 from __future__ import annotations

@@ -1,11 +1,19 @@
-"""Grid verification of the catalogued formulas against computed values.
+"""The paper's claims, and their verification on parameter grids.
 
-A claim pairs a family with the invariants its formula predicts.  For
-every grid cell the runner builds the edge ideal, computes invariants
-from homology, re-derives regularity through the colon/add recursion,
-runs the exact Stanley depth search when the instance is small enough,
-replays the decomposition rules, and compares everything against the
-catalogue.  Each comparison becomes one report row with a status:
+Each row of CLAIMS is the one record of a claim: its family key, its
+closed forms for depth, Stanley depth, regularity and projective
+dimension as functions of the family's parameters, the range they are
+stated for and the default grid.  closed_form evaluates them for one
+spec.  A prediction is "stated" when the parameters sit inside the
+stated range; outside it the same forms can still be evaluated on
+request and are then flagged observational.
+
+For every grid cell the runner builds the edge ideal, computes
+invariants from homology, re-derives regularity through the colon/add
+recursion, runs the exact Stanley depth search when the instance is
+small enough, replays the decomposition rules, and compares everything
+against the closed forms.  Each comparison becomes one report row with
+a status:
 
   pass / fail      the cell is inside the formula's stated range
   observational    outside the stated range; never affects the exit code
@@ -20,14 +28,16 @@ from __future__ import annotations
 import itertools
 import json
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .betti import DEFAULT_HOCHSTER_CAP, invariants
-from .catalogue import closed_form
 from .decompositions import replay_family
-from .errors import CapExceededError, EdgeIdealsError, TooManyVariablesError
-from .families import (FamilySpec, build_extended, bristled, expected_counts,
-                       ouroboros, star, tsnake, tsnake_star, tsnake_starstar)
+from .errors import (CapExceededError, EdgeIdealsError, InvalidParameterError,
+                     OutOfStatedRangeError, TooManyVariablesError)
+from .families import (FamilySpec, build_extended, expected_counts, family_key,
+                       family_params, resolve, spec_of, spec_params,
+                       validate_spec)
 from .ideals import edge_ideal
 from .recursion import regularity_by_recursion
 from .sdepth import DEFAULT_EXACT_CAP, stanley_depth
@@ -44,6 +54,12 @@ class RunConfig:
     include_durations: bool = False
     decompositions: bool = True
 
+    def __post_init__(self):
+        for name in ("hochster_cap", "sdepth_cap"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be 0 or more, "
+                                 f"got {getattr(self, name)}")
+
     def as_dict(self) -> dict:
         return {
             "characteristic": self.characteristic,
@@ -56,71 +72,118 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class Claim:
+    """Closed forms for one family.  forms takes the family's parameters
+    in the order of param_names.  The forms are stated for every spec
+    the family builds, unless least names a higher least value for some
+    parameters; formula then names the forms in a refusal."""
+
     claim_id: str
-    param_names: tuple[str, ...]
-    builder: object  # params dict -> FamilySpec
+    family: str  # a family key: "star", "brs-tsnake", ...
+    forms: Callable[..., dict[str, int]] = field(repr=False)
     default_cells: tuple[tuple[int, ...], ...]
-    description: str
+    least: tuple[tuple[str, int], ...] = ()
+    formula: str = ""
+
+    @property
+    def param_names(self) -> tuple[str, ...]:
+        return family_params(self.family)
+
+    def builder(self, params: dict[str, int]) -> FamilySpec:
+        return spec_of(self.family, params)
 
 
 def _snake_cells(family, ns, ps, var_cap):
-    """The (n, p) cells whose graph family(n, p) has at most var_cap vertices."""
+    """The (n, p) cells whose graph has at most var_cap vertices."""
     return tuple((n, p) for n in ns for p in ps
-                 if expected_counts(family(n, p))[0] <= var_cap)
+                 if expected_counts(spec_of(family, {"n": n, "p": p}))[0]
+                 <= var_cap)
 
 
-CLAIMS: dict[str, Claim] = {}
+def _bundle(depth: int, reg: int, pdim: int) -> dict[str, int]:
+    """The four forms of a family whose Stanley depth equals its depth."""
+    return {"depth": depth, "sdepth": depth, "reg": reg, "pdim": pdim}
 
 
-def _register(claim: Claim) -> None:
-    CLAIMS[claim.claim_id] = claim
+def _snake_reg(n, p):
+    return {"reg": (n + 2) // 2}
 
 
-_register(Claim(
-    "star", ("u",), lambda d: star(d["u"]),
-    tuple((u,) for u in range(1, 7)),
-    "star quotients: depth = sdepth = reg = 1, pdim = u"))
-_register(Claim(
-    "bstar", ("u", "q"), lambda d: bristled(d["q"], star(d["u"])),
-    ((1, 1), (2, 1), (1, 2)),
-    "bristled stars: depth = sdepth = u+q, reg = u, pdim = uq+1"))
-_register(Claim(
-    "tsnake-reg", ("n", "p"), lambda d: tsnake(d["n"], d["p"]),
-    _snake_cells(tsnake, range(1, 5), range(1, 4), 13),
-    "snake quotients: reg = ceil((n+1)/2)"))
-_register(Claim(
-    "tsnake-star-reg", ("n", "p"), lambda d: tsnake_star(d["n"], d["p"]),
-    _snake_cells(tsnake_star, range(1, 5), range(1, 3), 14),
-    "end-starred snake quotients: reg = ceil((n+1)/2)"))
-_register(Claim(
-    "tsnake-starstar-reg", ("n", "p"),
-    lambda d: tsnake_starstar(d["n"], d["p"]),
-    _snake_cells(tsnake_starstar, range(1, 4), range(1, 3), 12),
-    "doubly starred snake quotients: reg = ceil((n+1)/2)"))
-_register(Claim(
-    "ouroboros-reg", ("n", "p"), lambda d: ouroboros(d["n"], d["p"]),
-    ((3, 1), (3, 2), (3, 3), (4, 1), (4, 2)),
-    "cycle-snake quotients: reg = ceil((n-1)/2), claimed for n,p >= 3"))
-_register(Claim(
-    "brs-tsnake", ("n", "p", "q"),
-    lambda d: bristled(d["q"], tsnake(d["n"], d["p"])),
-    ((1, 1, 1), (1, 2, 1), (2, 1, 1), (1, 1, 2)),
-    "bristled snakes: depth = sdepth = (p+q)n+q, reg = np, pdim = (1+pq)n+1"))
-_register(Claim(
-    "brs-tsnake-star", ("n", "p", "q"),
-    lambda d: bristled(d["q"], tsnake_star(d["n"], d["p"])),
-    ((1, 1, 1), (2, 1, 1)),
-    "bristled end-starred snakes: depth = sdepth = (p+q)(n+1)"))
-_register(Claim(
-    "brs-tsnake-starstar", ("n", "p", "q"),
-    lambda d: bristled(d["q"], tsnake_starstar(d["n"], d["p"])),
-    ((0, 1, 1), (1, 1, 1)),
-    "bristled doubly starred snakes: depth = sdepth = (p+q)(n+1)+p"))
-_register(Claim(
-    "brs-ouroboros", ("n", "p", "q"),
-    lambda d: bristled(d["q"], ouroboros(d["n"], d["p"])),
-    ((3, 1, 1),),
-    "bristled cycle-snakes: depth = sdepth = n(p+q), claimed for n >= 3"))
+CLAIMS: dict[str, Claim] = {c.claim_id: c for c in [
+    Claim("star", "star", lambda u: _bundle(1, 1, u),
+          tuple((u,) for u in range(1, 7))),
+    Claim("bstar", "brs-star", lambda u, q: _bundle(u + q, u, u * q + 1),
+          ((1, 1), (2, 1), (1, 2))),
+    Claim("tsnake-reg", "tsnake", _snake_reg,
+          _snake_cells("tsnake", range(1, 5), range(1, 4), 13)),
+    Claim("tsnake-star-reg", "tsnake_star", _snake_reg,
+          _snake_cells("tsnake_star", range(1, 5), range(1, 3), 14)),
+    Claim("tsnake-starstar-reg", "tsnake_starstar", _snake_reg,
+          _snake_cells("tsnake_starstar", range(1, 4), range(1, 3), 12)),
+    Claim("ouroboros-reg", "ouroboros", lambda n, p: {"reg": n // 2},
+          ((3, 1), (3, 2), (3, 3), (4, 1), (4, 2)),
+          least=(("n", 3), ("p", 3)),
+          formula="cycle-snake regularity formula"),
+    Claim("brs-tsnake", "brs-tsnake",
+          lambda n, p, q: _bundle((p + q) * n + q, n * p, (1 + p * q) * n + 1),
+          ((1, 1, 1), (1, 2, 1), (2, 1, 1), (1, 1, 2))),
+    Claim("brs-tsnake-star", "brs-tsnake_star",
+          lambda n, p, q: _bundle((p + q) * (n + 1), (n + 1) * p,
+                                  (1 + p * q) * (n + 1)),
+          ((1, 1, 1), (2, 1, 1))),
+    Claim("brs-tsnake-starstar", "brs-tsnake_starstar",
+          lambda n, p, q: _bundle((p + q) * (n + 1) + p, (n + 2) * p,
+                                  (1 + p * q) * (n + 1) + p * q),
+          ((0, 1, 1), (1, 1, 1))),
+    Claim("brs-ouroboros", "brs-ouroboros",
+          lambda n, p, q: _bundle(n * (p + q), n * p, (1 + p * q) * n),
+          ((3, 1, 1),)),
+]}
+
+_CLAIM_OF_FAMILY = {c.family: c for c in CLAIMS.values()}
+
+
+@dataclass(frozen=True)
+class ClosedForm:
+    spec: FamilySpec
+    stated: bool
+    values: dict[str, int]  # keys among depth, sdepth, reg, pdim
+
+
+def closed_form(spec: FamilySpec, allow_observational: bool = False) -> ClosedForm:
+    """The claimed invariant values of a family instance.
+
+    A starred snake at a degenerate index n <= 0 stands for stars,
+    bristled stars, loose polynomial variables or nothing at all
+    (families.resolve); its values are the sums of those parts' values.
+    Raises OutOfStatedRangeError when the parameters fall outside the
+    range the forms are stated for, unless allow_observational is set,
+    in which case the forms are evaluated anyway and the result is
+    marked stated=False.
+    """
+    parts, loose = resolve(spec)
+    if parts != [spec]:
+        # the quotient is the tensor product of the parts' quotients and
+        # a polynomial ring in the loose variables; every invariant adds
+        # up across the factors, and "nothing" leaves the field: all 0
+        values = {"depth": loose, "sdepth": loose, "reg": 0, "pdim": 0}
+        for part in parts:
+            for key, value in closed_form(part).values.items():
+                values[key] += value
+        return ClosedForm(spec, True, values)
+    validate_spec(spec)
+    claim = _CLAIM_OF_FAMILY.get(family_key(spec))
+    if claim is None:
+        raise InvalidParameterError(f"no catalogued formulas for {spec}")
+    params = spec_params(spec)
+    got = dict(zip(claim.param_names, params))
+    stated = all(got[name] >= least for name, least in claim.least)
+    if not stated and not allow_observational:
+        raise OutOfStatedRangeError(
+            f"{claim.formula} is only claimed for "
+            + " and ".join(f"{name} >= {least}" for name, least in claim.least)
+            + ", got " + ", ".join(f"{name}={got[name]}"
+                                   for name, _ in claim.least))
+    return ClosedForm(spec, stated, claim.forms(*params))
 
 
 @dataclass(frozen=True)

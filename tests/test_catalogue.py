@@ -1,6 +1,7 @@
 """Closed-form invariant predictions for the graph families."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -110,10 +111,17 @@ def test_closed_form_refuses_what_the_builder_refuses(spec):
         closed_form(spec)
 
 
-def test_unknown_family_rejected():
-    from edgeideals.families import path
-    with pytest.raises(InvalidParameterError):
-        closed_form(path(4))
+@pytest.mark.parametrize("text", [
+    "path(n=4)", "brs(q=1,brs(q=1,tsnake(n=1,p=1)))", "brs(q=1,path(n=3))",
+    "cycle(n=5)",
+])
+def test_unknown_family_rejected(text):
+    # a family with no claim row has no closed forms, observational or not
+    spec = parse_family(text)
+    for observational in (False, True):
+        with pytest.raises(InvalidParameterError,
+                           match=re.escape(f"no catalogued formulas for {spec}")):
+            closed_form(spec, allow_observational=observational)
 
 
 def test_depth_pdim_sum_to_vertex_count_symbolically():

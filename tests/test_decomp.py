@@ -14,8 +14,9 @@ from edgeideals import (FamilySpec, LabeledGraph, build_extended, bristled,
 from edgeideals import decompositions
 from edgeideals.cli import main
 from edgeideals.decompositions import (RULES_BY_ID, expected_outcome,
-                                       family_key, pivot_mask)
-from edgeideals.families import cycle
+                                       pivot_mask)
+from edgeideals.errors import InvalidParameterError
+from edgeideals.families import cycle, family_key
 
 PINNED = json.loads((Path(__file__).parent / "pinned_outcomes.json").read_text())
 
@@ -44,6 +45,16 @@ def test_rules_for_respects_minimum_n():
     assert len(rules_for(ouroboros(3, 1))) == 2
     assert len(rules_for(tsnake(1, 1))) == 2  # snake rules start at n=1
     assert len(rules_for(bristled(1, ouroboros(3, 1)))) == 3
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec("tsnake", p=1), bristled(1, FamilySpec("tsnake", p=1)),
+], ids=str)
+def test_rules_for_a_spec_without_n_is_empty(spec):
+    # no n, so no rule's least n is met; the replay refuses it at the build
+    assert rules_for(spec) == []
+    with pytest.raises(InvalidParameterError, match=r"^tsnake needs n >= 1$"):
+        replay_family(spec)
 
 
 def test_family_key_distinguishes_bristled():

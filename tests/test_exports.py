@@ -36,6 +36,22 @@ def test_readme_entry_points_resolve():
                   if not any(hasattr(m, name) for m in modules)) == []
 
 
+def test_only_families_reads_the_shape_of_a_spec():
+    # a FamilySpec's kind and inner spec are read in families.py alone;
+    # the rest of the package goes through family_key and spec_params
+    reads = []
+    paths = sorted((ROOT / "src" / "edgeideals").glob("*.py"))
+    assert len(paths) > 10
+    for path in paths:
+        if path.name == "families.py":
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            reads += [f"{path.name}:{lineno}: {m.group()}"
+                      for m in re.finditer(r"[\w)\]]+\.(kind|inner)\b", line)
+                      if m.group() != "rule.kind"]
+    assert reads == []
+
+
 def test_pinning_script_uses_only_exported_names():
     # perfbench/pin.py reaches the package as `ei.<name>`, so deleting one
     # of those names would break the benchmark's answer checks

@@ -8,6 +8,8 @@ import pytest
 from edgeideals import (CLAIMS, RunConfig, build_extended, edge_ideal,
                         replay_family, run_claims)
 from edgeideals import decompositions, verify
+from edgeideals.decompositions import RULES_BY_ID
+from edgeideals.families import family_key, spec_params
 
 
 def test_claim_registry_names():
@@ -160,3 +162,24 @@ def test_replay_family_takes_graph_and_ideal_together():
     with pytest.raises(ValueError):
         replay_family(spec, graph)
     assert replay_family(spec, graph, edge_ideal(graph)) == replay_family(spec)
+
+
+def test_every_rule_family_has_a_claim_row():
+    claimed = {claim.family for claim in CLAIMS.values()}
+    assert sorted({r.family for r in RULES_BY_ID.values()} - claimed) == []
+
+
+def test_claim_rows_build_their_own_family_and_round_trip():
+    for claim in CLAIMS.values():
+        for cell in claim.default_cells:
+            spec = claim.builder(dict(zip(claim.param_names, cell)))
+            assert family_key(spec) == claim.family, (claim.claim_id, cell)
+            assert spec_params(spec) == cell, (claim.claim_id, cell)
+
+
+@pytest.mark.parametrize("cap", ["hochster_cap", "sdepth_cap"])
+def test_run_config_refuses_a_negative_cap(cap):
+    # a negative cap would skip every row it guards and still report ok
+    with pytest.raises(ValueError, match=cap):
+        RunConfig(**{cap: -1})
+    assert getattr(RunConfig(**{cap: 0}), cap) == 0
