@@ -6,47 +6,55 @@ and Stanley depth of the quotients from first principles.  The paper's
 closed forms are the rows of verify.CLAIMS, one per claim; they and the
 induction decompositions behind them are machine-verified on parameter
 grids.
+
+Importing the package loads none of its modules: each exported name is
+looked up in its home module on first use (PEP 562), so a CLI call
+loads only the engines its subcommand runs.
 """
 
-from .betti import BettiTable, InvariantBundle, betti_table, invariants
-from .decompositions import (DecompositionReport, DecompositionRule,
-                             replay_catalogue, replay_family, rules_for,
-                             verify_decomposition)
-from .errors import (CapExceededError, EdgeIdealsError, FamilySpecParseError,
-                     InvalidParameterError, MembershipError,
-                     NonPrimeCharacteristicError, OutOfStatedRangeError,
-                     RecursionCapError, RuleInapplicableError,
-                     TooManyGeneratorsError, TooManyVariablesError)
-from .families import (FamilySpec, build_extended, bristled, bristled_star,
-                       cycle, expected_counts, ouroboros, parse_family, path,
-                       star, tsnake, tsnake_star, tsnake_starstar)
-from .graphs import LabeledGraph, VertexLabel, is_isomorphic, to_dot
-from .ideals import (MonomialIdeal, add_variable, colon_by, edge_ideal,
-                     mask_of, vars_of)
-from .recursion import RegInterval, regularity_by_recursion
-from .sdepth import (FacePoset, IntervalPartition, face_poset, stanley_depth,
-                     validate_partition)
-from .taylor import betti_table_taylor
-from .verify import (CLAIMS, ClosedForm, RunConfig, VerificationReport,
-                     closed_form, run_claims)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BettiTable", "CLAIMS", "CapExceededError", "ClosedForm",
-    "DecompositionReport", "DecompositionRule", "EdgeIdealsError",
-    "FacePoset", "FamilySpec", "FamilySpecParseError", "IntervalPartition",
-    "InvalidParameterError", "InvariantBundle", "LabeledGraph",
-    "MembershipError", "MonomialIdeal", "NonPrimeCharacteristicError",
-    "OutOfStatedRangeError", "RegInterval", "RecursionCapError",
-    "RuleInapplicableError", "RunConfig", "TooManyGeneratorsError",
-    "TooManyVariablesError", "VerificationReport", "VertexLabel",
-    "add_variable", "betti_table", "betti_table_taylor", "bristled",
-    "bristled_star", "build_extended", "closed_form",
-    "colon_by", "cycle", "edge_ideal", "expected_counts", "face_poset",
-    "invariants", "is_isomorphic", "mask_of", "ouroboros", "parse_family",
-    "path", "regularity_by_recursion", "replay_catalogue", "replay_family",
-    "rules_for", "run_claims", "star", "stanley_depth",
-    "to_dot", "tsnake", "tsnake_star", "tsnake_starstar",
-    "validate_partition", "vars_of", "verify_decomposition",
-]
+# each exported name and the module that defines it, in __all__ order
+_HOME = {
+    "BettiTable": "betti", "CLAIMS": "verify", "CapExceededError": "errors",
+    "ClosedForm": "verify", "DecompositionReport": "decompositions",
+    "DecompositionRule": "decompositions", "EdgeIdealsError": "errors",
+    "FacePoset": "sdepth", "FamilySpec": "families",
+    "FamilySpecParseError": "errors", "IntervalPartition": "sdepth",
+    "InvalidParameterError": "errors", "InvariantBundle": "betti",
+    "LabeledGraph": "graphs", "MembershipError": "errors",
+    "MonomialIdeal": "ideals", "NonPrimeCharacteristicError": "errors",
+    "OutOfStatedRangeError": "errors", "RegInterval": "recursion",
+    "RecursionCapError": "errors", "RuleInapplicableError": "errors",
+    "RunConfig": "verify", "TooManyGeneratorsError": "errors",
+    "TooManyVariablesError": "errors", "VerificationReport": "verify",
+    "VertexLabel": "graphs", "add_variable": "ideals",
+    "betti_table": "betti", "betti_table_taylor": "taylor",
+    "bristled": "families", "bristled_star": "families",
+    "build_extended": "families", "closed_form": "verify",
+    "colon_by": "ideals", "cycle": "families", "edge_ideal": "ideals",
+    "expected_counts": "families", "face_poset": "sdepth",
+    "invariants": "betti", "is_isomorphic": "graphs", "mask_of": "ideals",
+    "ouroboros": "families", "parse_family": "families", "path": "families",
+    "regularity_by_recursion": "recursion",
+    "replay_catalogue": "decompositions", "replay_family": "decompositions",
+    "rules_for": "decompositions", "run_claims": "verify",
+    "star": "families", "stanley_depth": "sdepth", "to_dot": "graphs",
+    "tsnake": "families", "tsnake_star": "families",
+    "tsnake_starstar": "families", "validate_partition": "sdepth",
+    "vars_of": "ideals", "verify_decomposition": "decompositions",
+}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -38,12 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import TooManyVariablesError
+from .errors import DEFAULT_HOCHSTER_CAP, TooManyVariablesError
 from .gf import check_prime, gf2_rank, gfp_rank
 from .graphs import induced_adjacency, live_vertices
 from .ideals import MonomialIdeal, compact, faces_of, graph_parts, vars_of
-
-DEFAULT_HOCHSTER_CAP = 16
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default caps.
+
+The caps are the defaults of the two limits the CLI flags set; betti
+and sdepth export them under the same names.  They live here so the
+argument parser can read them without loading either engine.
+"""
 
 from __future__ import annotations
+
+# max ambient variables for exact homology (limit "hochster_cap")
+DEFAULT_HOCHSTER_CAP = 16
+# max live variables for the exact Stanley depth search (limit "sdepth_cap")
+DEFAULT_EXACT_CAP = 10
 
 
 class EdgeIdealsError(Exception):

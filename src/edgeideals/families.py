@@ -145,11 +145,18 @@ _PARAMS = {kind: tuple(row.least) for kind, row in _KINDS.items()}
 _PARAMS.update(bstar=("u", "q"), brs=("q",))
 
 
+def _inner(spec: FamilySpec) -> FamilySpec:
+    """The inner spec of a brs spec; InvalidParameterError if it has none."""
+    if spec.inner is None:
+        raise InvalidParameterError("brs needs an inner family")
+    return spec.inner
+
+
 def family_key(spec: FamilySpec) -> str:
     """The kind of spec, or "brs-" and the inner kind when it is bristled:
     the key that claim rows and decomposition rules are filed under."""
     if spec.kind == "brs":
-        return f"brs-{spec.inner.kind}"
+        return f"brs-{_inner(spec).kind}"
     return spec.kind
 
 
@@ -164,7 +171,7 @@ def spec_params(spec: FamilySpec) -> tuple[int | None, ...]:
     """The values of family_params(family_key(spec)) in spec, None
     where spec lacks one."""
     if spec.kind == "brs":
-        return spec_params(spec.inner) + (spec.q,)
+        return spec_params(_inner(spec)) + (spec.q,)
     return tuple(getattr(spec, name) for name in _KINDS[spec.kind].least)
 
 
@@ -182,9 +189,7 @@ def validate_spec(spec: FamilySpec) -> None:
     if kind == "brs":
         if spec.q is None or spec.q < 1:
             raise InvalidParameterError("brs needs q >= 1")
-        if spec.inner is None:
-            raise InvalidParameterError("brs needs an inner family")
-        validate_spec(spec.inner)
+        validate_spec(_inner(spec))
     elif kind not in _KINDS:
         raise InvalidParameterError(f"unknown family kind {kind!r}")
     else:
@@ -248,7 +253,7 @@ def resolve(spec: FamilySpec) -> tuple[list[FamilySpec], int]:
     itself.  Raises InvalidParameterError for p < 1 or q < 1 at any index.
     """
     if spec.kind == "brs":
-        parts, loose = resolve(spec.inner)
+        parts, loose = resolve(_inner(spec))
         if spec.q is None or spec.q < 1:
             raise InvalidParameterError("brs needs q >= 1")
         return [bristled(spec.q, s) for s in parts] + [star(spec.q)] * loose, 0

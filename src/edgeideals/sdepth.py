@@ -41,12 +41,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .errors import CapExceededError
+from .errors import DEFAULT_EXACT_CAP, CapExceededError
 from .graphs import is_isomorphic
 from .ideals import (MonomialIdeal, faces_of, graph_parts, mask_of, minimize,
                      vars_of)
 
-DEFAULT_EXACT_CAP = 10
 DEFAULT_POSET_CAP = 14
 SEARCH_NODE_BUDGET = 200_000
 

@@ -26,21 +26,22 @@ clock durations are only included on request for that reason.
 from __future__ import annotations
 
 import itertools
-import json
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .betti import DEFAULT_HOCHSTER_CAP, invariants
+from .betti import invariants
 from .decompositions import replay_family
-from .errors import (CapExceededError, EdgeIdealsError, InvalidParameterError,
+from .errors import (DEFAULT_EXACT_CAP, DEFAULT_HOCHSTER_CAP, CapExceededError,
+                     EdgeIdealsError, InvalidParameterError,
                      OutOfStatedRangeError, TooManyVariablesError)
 from .families import (FamilySpec, build_extended, expected_counts, family_key,
                        family_params, resolve, spec_of, spec_params,
                        validate_spec)
 from .ideals import edge_ideal
 from .recursion import regularity_by_recursion
-from .sdepth import DEFAULT_EXACT_CAP, stanley_depth
+from .render import csv_line, json_text
+from .sdepth import stanley_depth
 
 SCHEMA_VERSION = 2
 
@@ -203,20 +204,6 @@ class CheckRow:
             "computed": self.computed, "predicted": self.predicted,
             "status": self.status,
         }
-
-
-def csv_line(fields: list) -> str:
-    """One CSV row with every comma inside a field written as ';'.
-
-    Family specs and field-agree values contain commas, so this keeps
-    every row as wide as its header without quoting.
-    """
-    return ",".join(str(f).replace(",", ";") for f in fields)
-
-
-def json_text(doc) -> str:
-    """doc as JSON with sorted keys, indented by two, ending in a newline."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 @dataclass

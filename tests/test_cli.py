@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import edgeideals
-from edgeideals import closed_form, parse_family, sdepth
+from edgeideals import betti, closed_form, parse_family, sdepth
 from edgeideals.cli import build_parser, main
 
 SRC = str(Path(edgeideals.__file__).resolve().parent.parent)
@@ -400,6 +400,27 @@ def test_shared_parser_answers_like_a_fresh_process(capsys):
     assert "required" in capsys.readouterr().err
     valid = ("gen", "star(u=2)", "--format", "json")
     assert run(capsys, *valid) == fresh_process(*valid)
+
+
+def test_cap_flag_defaults_are_the_engines_defaults():
+    for argv in (["inv", "path(2)"], ["verify", "all"]):
+        args = build_parser().parse_args(argv)
+        assert args.hochster_cap == betti.DEFAULT_HOCHSTER_CAP
+        assert args.sdepth_cap == sdepth.DEFAULT_EXACT_CAP
+    # the caps are set in errors alone: moved there before anything reads
+    # them, they must move everywhere, so a literal copied into cli, betti
+    # or sdepth fails
+    probe = ("import edgeideals.errors as e; "
+             "e.DEFAULT_HOCHSTER_CAP, e.DEFAULT_EXACT_CAP = 97, 98; "
+             "from edgeideals import betti, sdepth; "
+             "from edgeideals.cli import build_parser; "
+             "args = build_parser().parse_args(['inv', 'path(2)']); "
+             "print(args.hochster_cap, args.sdepth_cap, "
+             "betti.DEFAULT_HOCHSTER_CAP, sdepth.DEFAULT_EXACT_CAP)")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, check=True)
+    assert done.stdout.split() == ["97", "98", "97", "98"]
 
 
 def test_runs_without_numpy():

@@ -1,12 +1,17 @@
-"""The package exports, the names the README offers, and the names and
-command lines the benchmark uses."""
+"""The package exports, the modules each entry point loads, the names the
+README offers, and the names and command lines the benchmark uses."""
 
 import importlib
 import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import edgeideals
 from edgeideals.cli import build_parser
@@ -19,6 +24,51 @@ PIN = BENCH / "pin.py"
 def test_every_exported_name_resolves_once():
     assert [n for n, c in Counter(edgeideals.__all__).items() if c > 1] == []
     assert [n for n in edgeideals.__all__ if not hasattr(edgeideals, n)] == []
+
+
+def test_lazy_namespace_matches_the_home_modules():
+    namespace = {}
+    exec("from edgeideals import *", namespace)
+    for name in edgeideals.__all__:
+        home = importlib.import_module(f"edgeideals.{edgeideals._HOME[name]}")
+        assert namespace[name] is getattr(home, name), name
+    assert set(edgeideals.__all__) <= set(dir(edgeideals))
+    with pytest.raises(AttributeError, match="edgeideals"):
+        edgeideals.no_such_name
+
+
+def _loaded_after(code):
+    """The edgeideals submodules a fresh interpreter holds after code."""
+    probe = ("import sys, io, contextlib\n" + code + "\n"
+             "print(' '.join(sorted(m.partition('.')[2] for m in sys.modules\n"
+             "                      if m.startswith('edgeideals.'))))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, check=True)
+    return set(done.stdout.split())
+
+
+def test_importing_the_package_or_the_cli_loads_no_engine():
+    assert _loaded_after("import edgeideals") == set()
+    assert _loaded_after("import edgeideals.cli") == {"cli", "errors"}
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["inv", "tsnake(n=2,p=1)"], {"verify", "decompositions", "recursion",
+                                  "taylor"}),
+    (["sdepth", "path(4)"], {"verify", "decompositions", "recursion",
+                             "taylor"}),
+    (["decomp", "brs(q=1,tsnake(n=2,p=1))"], {"betti", "sdepth", "gf",
+                                              "recursion", "taylor",
+                                              "verify"}),
+])
+def test_each_subcommand_loads_only_its_engines(argv, absent):
+    loaded = _loaded_after(
+        "import edgeideals.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert edgeideals.cli.main({argv!r}) == 0")
+    assert "families" in loaded  # the op ran
+    assert loaded & absent == set()
 
 
 def test_readme_entry_points_resolve():

@@ -6,9 +6,9 @@ import hashlib
 import json
 
 from edgeideals import (FamilySpec, LabeledGraph, build_extended, bristled,
-                        bristled_star, expected_counts, is_isomorphic,
-                        ouroboros, parse_family, star, tsnake, tsnake_star,
-                        tsnake_starstar)
+                        bristled_star, closed_form, expected_counts,
+                        is_isomorphic, ouroboros, parse_family, replay_family,
+                        rules_for, star, tsnake, tsnake_star, tsnake_starstar)
 from edgeideals import graphs
 from edgeideals.cli import main
 from edgeideals.errors import FamilySpecParseError, InvalidParameterError
@@ -239,6 +239,14 @@ def test_every_family_refusal_keeps_its_message(spec, message):
         with pytest.raises(InvalidParameterError) as refused:
             refuse(spec)
         assert str(refused.value) == message, refuse
+
+
+@pytest.mark.parametrize("entry", [build_extended, closed_form, rules_for,
+                                   replay_family])
+def test_brs_without_inner_is_refused_by_every_entry_point(entry):
+    with pytest.raises(InvalidParameterError) as refused:
+        entry(FamilySpec("brs", q=1))
+    assert str(refused.value) == "brs needs an inner family"
 
 
 def test_parse_round_trip():
