@@ -11,9 +11,9 @@ contain y gives the exact recursion
 
 the binomial counting the neighbours of u other than y that a subset
 may add.  Isolated vertices are free variables and are dropped first.
-Induced subgraphs with no simplicial vertex left go to the subset scan,
-whose private entry point _scan is also the oracle the split engine is
-tested against.
+Induced subgraphs with no simplicial vertex left go to the subset scan
+as their renumbered adjacency; its private entry point _scan is also the
+oracle the split engine is tested against.
 
 The scan: for a squarefree ideal I and a vertex subset W, the induced
 subcomplex of the Stanley-Reisner complex contributes its reduced
@@ -41,7 +41,7 @@ from math import comb
 from .errors import DEFAULT_HOCHSTER_CAP, TooManyVariablesError
 from .gf import check_prime, gf2_rank, gfp_rank
 from .graphs import induced_adjacency, live_vertices
-from .ideals import MonomialIdeal, compact, faces_of, graph_parts, vars_of
+from .ideals import MonomialIdeal, faces_of, graph_parts, vars_of
 
 
 # ---------------------------------------------------------------------------
@@ -151,18 +151,18 @@ def _graph_homology(verts: int, adj: tuple[int, ...], char: int, do_fold: bool,
 # the subset scan
 
 
-def _scan(ideal: MonomialIdeal, char: int,
+def _scan(killed: int, adj: tuple[int, ...], char: int,
           do_fold: bool) -> dict[tuple[int, int], int]:
     """Betti numbers of S/I from the homology of every induced complex.
 
-    do_fold=False skips the dominated-vertex folds, so the tests can
-    check the folds against the plain scan.
+    I is given as graph_parts gives it: killed is the mask of its
+    degree-1 generators and adj the graph of its degree-2 ones, one
+    entry per variable.  do_fold=False skips the dominated-vertex folds,
+    so the tests can check the folds against the plain scan.
     """
-    killed, adj, _free = graph_parts(ideal)
-    n = ideal.n_vars
     entries: dict[tuple[int, int], int] = {}
     core_memo: dict = {}
-    for w in range(1 << n):
+    for w in range(1 << len(adj)):
         w2 = w & ~killed
         j = w.bit_count()
         if w2 == 0:
@@ -220,7 +220,8 @@ def _split(ideal: MonomialIdeal, char: int) -> dict[tuple[int, int], int]:
             return cached
         y = _simplicial_vertex(verts, adj)
         if y is None:
-            out = _scan(compact(ideal, vars_of(verts)), char, True)
+            # the killed variables are left to the Koszul step below
+            out = _scan(0, induced_adjacency(adj, verts), char, True)
         else:
             out = dict(table(verts ^ (1 << y)))
             for u in vars_of(adj[y] & verts):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import MembershipError
-from .graphs import LabeledGraph, mask_of, vars_of
+from .graphs import LabeledGraph, mask_of, vars_of  # the last two re-exported
 
 
 def minimize(gens: Iterable[int]) -> tuple[int, ...]:
@@ -144,18 +144,6 @@ def add_variable(ideal: MonomialIdeal, v: int) -> MonomialIdeal:
     if not 0 <= v < ideal.n_vars:
         raise ValueError(f"variable {v} outside the ring")
     return MonomialIdeal.make(ideal.n_vars, ideal.gens + (1 << v,))
-
-
-def compact(ideal: MonomialIdeal, variables: Iterable[int]) -> MonomialIdeal:
-    """Restrict to the given variables and renumber them 0..k-1."""
-    varlist = sorted(variables)
-    pos = {v: i for i, v in enumerate(varlist)}
-    keep = mask_of(varlist)
-    gens = []
-    for g in ideal.gens:
-        if g & keep == g:
-            gens.append(mask_of(pos[v] for v in vars_of(g)))
-    return MonomialIdeal.make(len(varlist), gens)
 
 
 def graph_parts(ideal: MonomialIdeal) -> tuple[int, tuple[int, ...], int]:

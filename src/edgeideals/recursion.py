@@ -16,7 +16,8 @@ A tie does not have to be the last word: any variable is a valid pivot,
 so on a tie we retry the remaining pivots and intersect the resulting
 ranges, returning a point whenever one pivot is decisive.  The result
 type is an interval either way; callers assert is_point where a
-claim row of verify.CLAIMS predicts an exact value.
+claim row of verify.CLAIMS predicts an exact value.  Each call may take
+at most STEP_BUDGET steps and raises RecursionCapError past it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import RecursionCapError
 from .graphs import component_masks, induced_adjacency, live_vertices, vars_of
 from .ideals import MonomialIdeal, graph_parts
 
-DEFAULT_MAX_STEPS = 200_000
+STEP_BUDGET = 200_000  # recursion nodes per call
 
 
 @dataclass(frozen=True)
@@ -72,18 +73,17 @@ def _intersect(a: RegInterval, b: RegInterval) -> RegInterval:
 class _Engine:
     """The recursion on vertex masks of one graph, given by its adjacency."""
 
-    def __init__(self, adj: tuple[int, ...], max_steps: int):
+    def __init__(self, adj: tuple[int, ...]):
         self.adj = adj
         self.memo: dict[tuple[int, ...], RegInterval] = {}
         self.steps = 0
-        self.max_steps = max_steps
 
     def reg(self, verts: int) -> RegInterval:
         """reg of the edge ideal of the subgraph induced on verts."""
         self.steps += 1
-        if self.steps > self.max_steps:
+        if self.steps > STEP_BUDGET:
             raise RecursionCapError(
-                f"regularity recursion exceeded {self.max_steps} steps")
+                f"regularity recursion exceeded {STEP_BUDGET} steps")
         adj = self.adj
         total = _POINT_ZERO
         for comp in component_masks(adj, live_vertices(adj, verts)):
@@ -113,24 +113,11 @@ class _Engine:
         return result
 
 
-def regularity_by_recursion(ideal: MonomialIdeal,
-                            first_pivot: int | None = None,
-                            max_steps: int = DEFAULT_MAX_STEPS) -> RegInterval:
+def regularity_by_recursion(ideal: MonomialIdeal) -> RegInterval:
     """reg(S/I) for an edge-type ideal by the colon/add trichotomy.
 
     The unit ideal, or a generator of degree 3 or more, raises
-    ValueError.  first_pivot forces the variable used at the top level
-    (the family proofs always name one); deeper levels pick their own.
+    ValueError.
     """
     killed, adj, _free = graph_parts(ideal)
-    engine = _Engine(adj, max_steps)
-    verts = ((1 << ideal.n_vars) - 1) & ~killed
-    if first_pivot is None:
-        return engine.reg(verts)
-    if not 0 <= first_pivot < ideal.n_vars:
-        raise ValueError(f"first_pivot {first_pivot} outside the ring")
-    if killed >> first_pivot & 1:
-        raise ValueError("first_pivot already lies in the ideal")
-    colon = engine.reg(verts & ~(adj[first_pivot] | 1 << first_pivot))
-    add = engine.reg(verts & ~(1 << first_pivot))
-    return _combine(colon, add)
+    return _Engine(adj).reg(((1 << ideal.n_vars) - 1) & ~killed)

@@ -334,9 +334,24 @@ def run_claims(claim_ids: list[str], config: RunConfig,
     grid_override maps an axis name to its values.  A claim with one of
     those axes runs over the product of its axes, each overridden one
     replaced and the others taking the values of its default cells; a
-    claim with none of them keeps its default cells.
+    claim with none of them keeps its default cells.  An unknown claim
+    id, or an axis that none of the claims has, raises
+    InvalidParameterError.
     """
     override = grid_override or {}
+    unknown = [cid for cid in claim_ids if cid not in CLAIMS]
+    if unknown:
+        raise InvalidParameterError(f"unknown claim {unknown[0]!r}; "
+                                    f"known: {', '.join(sorted(CLAIMS))}")
+    params = list(dict.fromkeys(name for cid in claim_ids
+                                for name in CLAIMS[cid].param_names))
+    lacking = [name for name in override if name not in params]
+    if lacking:
+        one = len(claim_ids) == 1
+        raise InvalidParameterError(
+            f"claim{'' if one else 's'} {', '.join(map(repr, claim_ids))} "
+            f"{'has' if one else 'have'} no parameter {', '.join(lacking)}; "
+            f"{'its' if one else 'their'} parameters are {', '.join(params)}")
     report = VerificationReport(config)
     for cid in claim_ids:
         claim = CLAIMS[cid]

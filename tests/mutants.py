@@ -1,0 +1,139 @@
+"""Mutation checks of the test suite.
+
+MUTANTS registers small deliberate faults in src/edgeideals.  Each entry
+gives the file, the exact text to replace and its replacement, the tests
+expected to catch the fault, and the change the fault would undo.  Run
+
+    python tests/mutants.py
+
+It copies src/ to a temporary directory, applies one mutant at a time
+there and runs that mutant's tests against the copy: a mutant is killed
+when one of them fails, and has survived when they all pass.  A no-op
+mutant (old text = new text) runs first over every registered test and
+must survive; that shows the tests pass on the unchanged copy, so each
+kill is the mutant's doing.  The exit status is 0 when the no-op
+survives and every registered mutant is killed.
+
+The run is opt-in, since it reruns tests once per mutant; tier-1 runs
+only tests/test_mutants.py, which checks that each old text still
+occurs exactly once in its file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    file: str  # under src/edgeideals
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, from the repository root
+    source: str  # the change whose guard the mutant tests
+
+
+MUTANTS = {
+    "step-budget-reached": Mutant(
+        "recursion.py",
+        "if self.steps > STEP_BUDGET:",
+        "if self.steps >= STEP_BUDGET:",
+        ("tests/test_recursion.py::"
+         "test_step_cap_falls_where_the_ideal_recursion_stops",),
+        "recursion.STEP_BUDGET bounds each call in place of max_steps"),
+    "fallback-unrenumbered": Mutant(
+        "betti.py",
+        "_scan(0, induced_adjacency(adj, verts), char, True)",
+        "_scan(0, adj, char, True)",
+        ("tests/test_betti.py::"
+         "test_the_fallback_gets_the_renumbered_core_and_no_killed_variable",),
+        "the Betti split hands its scan the core's adjacency"),
+    "lacking-axis-accepted": Mutant(
+        "verify.py",
+        "lacking = [name for name in override if name not in params]",
+        "lacking = []",
+        ("tests/test_verify.py::test_run_claims_refuses_an_unknown_claim_or_axis",
+         "tests/test_cli.py::test_verify_refusals_print_their_exact_message"),
+        "run_claims checks the claims and axes it is asked for"),
+    "live-vertices-unmasked": Mutant(
+        "graphs.py",
+        "if adjacency[low.bit_length() - 1] & vertices:",
+        "if adjacency[low.bit_length() - 1]:",
+        ("tests/test_graphs.py::test_live_vertices_match_the_neighbour_filter",),
+        "one live-vertex rule for the Betti split, recursion and replay"),
+    "induced-adjacency-shifted": Mutant(
+        "graphs.py",
+        "m |= 1 << (comp & (low - 1)).bit_count()",
+        "m |= 1 << (comp & (low - 1)).bit_count() + 1",
+        ("tests/test_ideals.py::"
+         "test_induced_adjacency_is_the_graph_of_the_compacted_ideal",),
+        "graph_parts and induced_adjacency in the Betti engine"),
+    "cycle-from-two": Mutant(
+        "families.py",
+        '"cycle": _Kind({"n": 3},',
+        '"cycle": _Kind({"n": 2},',
+        ("tests/test_families.py::test_every_family_refusal_keeps_its_message",),
+        "one table row per family kind"),
+    "cap-below-minus-five": Mutant(
+        "cli.py",
+        "if value < 0:",
+        "if value < -5:",
+        ("tests/test_cli.py::test_a_negative_cap_exits_two_naming_its_flag",),
+        "the cap flags refuse a negative value"),
+}
+
+
+def run_tests(src: Path, tests) -> int:
+    """pytest's exit status for the given tests, run against src."""
+    paths = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths),
+               PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         *tests], cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL).returncode
+
+
+def check(mutant: Mutant, src: Path) -> str:
+    """Apply the mutant to the copy at src, run its tests and undo it."""
+    path = src / "edgeideals" / mutant.file
+    text = path.read_text()
+    if text.count(mutant.old) != 1:
+        return f"error: the old text occurs {text.count(mutant.old)} times"
+    path.write_text(text.replace(mutant.old, mutant.new))
+    try:
+        code = run_tests(src, mutant.tests)
+    finally:
+        path.write_text(text)
+    return {0: "survived", 1: "killed"}.get(code, f"error: pytest exit {code}")
+
+
+def main() -> int:
+    first = next(iter(MUTANTS.values()))
+    every_test = tuple(dict.fromkeys(t for m in MUTANTS.values() for t in m.tests))
+    noop = first._replace(new=first.old, tests=every_test)
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        control = check(noop, src)
+        print(f"{control:<9} no-op (control)")
+        results = {}
+        for name, mutant in MUTANTS.items():
+            results[name] = check(mutant, src)
+            print(f"{results[name]:<9} {name}: {mutant.source}")
+    survivors = [name for name, status in results.items() if status != "killed"]
+    print(f"{len(results) - len(survivors)} of {len(results)} mutants killed"
+          + (f"; not killed: {', '.join(survivors)}" if survivors else ""))
+    return 0 if control == "survived" and not survivors else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,17 @@
+"""Independent references that the engines are tested against."""
+
+from edgeideals import MonomialIdeal, mask_of, vars_of
+
+
+def compact(ideal, variables):
+    """Restrict to the given variables and renumber them 0..k-1.
+
+    The route the engines took before they stayed on vertex masks: the
+    generators inside the variables, renumbered and reminimized.
+    """
+    varlist = sorted(variables)
+    pos = {v: i for i, v in enumerate(varlist)}
+    keep = mask_of(varlist)
+    gens = [mask_of(pos[v] for v in vars_of(g))
+            for g in ideal.gens if g & keep == g]
+    return MonomialIdeal.make(len(varlist), gens)

@@ -9,7 +9,7 @@ from edgeideals import (BettiTable, LabeledGraph, MonomialIdeal, betti_table,
                         edge_ideal, invariants, parse_family,
                         regularity_by_recursion)
 from edgeideals import betti
-from edgeideals.ideals import faces_of
+from edgeideals.ideals import faces_of, graph_parts
 from edgeideals.errors import (NonPrimeCharacteristicError,
                                TooManyVariablesError)
 
@@ -222,7 +222,7 @@ def random_ideal_with_killed(rng, max_v=9, max_gens=12):
 
 def scan_table(ideal, char, fold):
     """The subset scan alone, over the whole ideal: the split engine's oracle."""
-    entries = betti._scan(ideal, char, fold)
+    entries = betti._scan(*graph_parts(ideal)[:2], char, fold)
     return BettiTable.from_dict(ideal.n_vars, char, entries).as_dict()
 
 
@@ -285,19 +285,43 @@ def test_degree_three_generator_goes_to_taylor(char):
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
 def test_cycles_have_no_simplicial_vertex_and_use_the_fallback(n, monkeypatch):
-    seen = []
-    scan = betti._scan
-
-    def counted(ideal, *args):
-        seen.append(ideal)
-        return scan(ideal, *args)
-
-    monkeypatch.setattr(betti, "_scan", counted)
+    seen = spy_on_the_scan(monkeypatch)
     for char in (2, 3):
         assert_all_engines_agree(cycle_ideal(n), char)
         seen.clear()
         betti_table(cycle_ideal(n), char)
-        assert seen == [cycle_ideal(n)]  # one fallback, on the whole cycle
+        # one fallback, on the whole cycle
+        assert seen == [graph_parts(cycle_ideal(n))[:2]]
+
+
+def spy_on_the_scan(monkeypatch):
+    """The (killed, adjacency) of every _scan call from here on."""
+    seen = []
+    scan = betti._scan
+
+    def counted(killed, adj, *args):
+        seen.append((killed, adj))
+        return scan(killed, adj, *args)
+
+    monkeypatch.setattr(betti, "_scan", counted)
+    return seen
+
+
+def test_the_fallback_gets_the_renumbered_core_and_no_killed_variable(monkeypatch):
+    # the 5-cycle 3-5-6-7-8 with the triangle 0-2-3 hanging off vertex 3
+    # and x1, x4 killed: the split peels the triangle, and its Koszul
+    # step owns the killed variables, so the scan sees the cycle alone,
+    # renumbered 0..4 in vertex order
+    edges = [(3, 5), (5, 6), (6, 7), (7, 8), (3, 8), (0, 2), (0, 3), (2, 3)]
+    ideal = MonomialIdeal.make(9, [1 << a | 1 << b for a, b in edges]
+                               + [1 << 1, 1 << 4])
+    seen = spy_on_the_scan(monkeypatch)
+    for char in (2, 3):
+        seen.clear()
+        betti_table(ideal, char)
+        assert seen == [(0, graph_parts(cycle_ideal(5))[1])]
+        seen.clear()
+        assert_all_engines_agree(ideal, char)
 
 
 def test_chordal_snake_never_reaches_the_scan(monkeypatch):

@@ -1,4 +1,4 @@
-"""Closed-form invariant predictions for the graph families."""
+"""The claim rows of verify.CLAIMS and their closed forms."""
 
 import json
 import re

@@ -143,6 +143,22 @@ def test_verify_refuses_a_grid_flag_its_claim_lacks(capsys):
     assert "no parameter u" in err and "its parameters are n, p" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["nonsense"],
+     "unknown claim 'nonsense'; known: brs-ouroboros, brs-tsnake, "
+     "brs-tsnake-star, brs-tsnake-starstar, bstar, ouroboros-reg, star, "
+     "tsnake-reg, tsnake-star-reg, tsnake-starstar-reg"),
+    (["tsnake-reg", "--u", "9"],
+     "claim 'tsnake-reg' has no parameter u; its parameters are n, p"),
+    (["star", "--n", "2", "--q", "1"],
+     "claim 'star' has no parameter n, q; its parameters are u"),
+    (["bstar", "--n", "1"],
+     "claim 'bstar' has no parameter n; its parameters are u, q"),
+], ids=["unknown-claim", "lacking-u", "lacking-n-q", "lacking-n"])
+def test_verify_refusals_print_their_exact_message(capsys, argv, message):
+    assert run(capsys, "verify", *argv) == (2, "", f"error: {message}\n")
+
+
 def test_verify_all_applies_an_axis_only_to_the_claims_that_have_it(capsys):
     def cells(*flags):
         code, out, _ = run(capsys, "verify", "all", *flags)

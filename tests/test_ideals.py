@@ -10,7 +10,9 @@ from edgeideals import (LabeledGraph, MonomialIdeal, add_variable, colon_by,
                         edge_ideal, invariants, mask_of, stanley_depth,
                         vars_of)
 from edgeideals.errors import MembershipError
-from edgeideals.ideals import compact, faces_of, graph_parts, minimize
+from edgeideals.graphs import induced_adjacency
+from edgeideals.ideals import faces_of, graph_parts, minimize
+from oracles import compact
 
 
 # small random squarefree ideals on up to 6 variables
@@ -155,10 +157,27 @@ def test_colon_members_multiply_back(gens, v):
 
 
 def test_compact_renumbers():
+    # the reference compaction the engine tests compare against
     ideal = MonomialIdeal.make(5, [0b10010, 0b01010])
     small = compact(ideal, [1, 3, 4])
     assert small.n_vars == 3
     assert set(small.gens) == {mask_of([0, 2]), mask_of([0, 1])}
+
+
+def test_induced_adjacency_is_the_graph_of_the_compacted_ideal():
+    # what the Betti split hands its scan fallback, against the ideal the
+    # compaction route rebuilt: same graph, numbered in the same order
+    rng = random.Random(21)
+    for _ in range(300):
+        n = rng.randint(1, 11)
+        gens = [1 << a | 1 << b for a in range(n) for b in range(a + 1, n)
+                if rng.random() < 0.35]
+        gens += [1 << v for v in range(n) if rng.random() < 0.15]
+        ideal = MonomialIdeal.make(n, gens)
+        killed, adj, _ = graph_parts(ideal)
+        verts = rng.getrandbits(n) & ~killed
+        assert graph_parts(compact(ideal, vars_of(verts)))[:2] == \
+            (0, induced_adjacency(adj, verts)), (ideal, verts)
 
 
 def test_graph_parts_classifies_generators():

@@ -11,8 +11,9 @@ from edgeideals import recursion
 from edgeideals.errors import RecursionCapError
 from edgeideals.families import find_vertex
 from edgeideals.graphs import path_vertex, vars_of
-from edgeideals.ideals import compact
+from edgeideals.ideals import graph_parts
 from edgeideals.recursion import _combine, _intersect
+from oracles import compact
 
 
 def cycle_ideal(n):
@@ -67,13 +68,27 @@ def test_five_cycle_is_a_genuine_tie():
     assert iv.lo <= 2 <= iv.hi
 
 
+def pivot_step(ideal, pivot):
+    """(interval, steps) of one colon/add step at pivot on recursion._Engine.
+
+    The family proofs name the pivot of their first step; the engine
+    picks every deeper one itself.
+    """
+    killed, adj, _free = graph_parts(ideal)
+    engine = recursion._Engine(adj)
+    verts = ((1 << ideal.n_vars) - 1) & ~killed
+    colon = engine.reg(verts & ~(adj[pivot] | 1 << pivot))
+    add = engine.reg(verts & ~(1 << pivot))
+    return _combine(colon, add), engine.steps
+
+
 def test_snake_cells_give_points_with_named_pivot():
     for n in range(1, 5):
         spec = parse_family(f"tsnake(n={n},p=1)")
         graph = build_extended(spec)
         ideal = edge_ideal(graph)
         pivot = find_vertex(graph, path_vertex(n))
-        iv = regularity_by_recursion(ideal, first_pivot=pivot)
+        iv, _ = pivot_step(ideal, pivot)
         assert iv.is_point
         assert iv.value == (n + 2) // 2
 
@@ -81,12 +96,6 @@ def test_snake_cells_give_points_with_named_pivot():
 def test_disjoint_pieces_add():
     g = LabeledGraph.from_edge_list(4, [(0, 1), (2, 3)])
     assert regularity_by_recursion(edge_ideal(g)) == RegInterval(2, 2)
-
-
-def test_first_pivot_in_ideal_rejected():
-    ideal = MonomialIdeal.make(3, [0b001, 0b110])
-    with pytest.raises(ValueError):
-        regularity_by_recursion(ideal, first_pivot=0)
 
 
 def test_cubic_generator_rejected():
@@ -100,10 +109,10 @@ def test_unit_ideal_rejected():
         regularity_by_recursion(MonomialIdeal.unit(3))
 
 
-def test_step_cap():
-    ideal = cycle_ideal(7)
-    with pytest.raises(RecursionCapError):
-        regularity_by_recursion(ideal, max_steps=2)
+def test_step_cap(monkeypatch):
+    monkeypatch.setattr(recursion, "STEP_BUDGET", 2)
+    with pytest.raises(RecursionCapError, match="exceeded 2 steps"):
+        regularity_by_recursion(cycle_ideal(7))
 
 
 def test_catalogue_cells_match_homology():
@@ -253,27 +262,23 @@ def test_vertex_mask_engine_matches_the_ideal_recursion(monkeypatch):
         pivots = [None] + [v for v in range(ideal.n_vars)
                            if not killed >> v & 1]
         for pivot in pivots:
-            want, want_steps = _reference(ideal, pivot)
-            got = regularity_by_recursion(ideal, first_pivot=pivot)
-            assert (got, engines[-1].steps) == (want, want_steps), \
-                (ideal, pivot)
+            if pivot is None:
+                got = regularity_by_recursion(ideal), engines[-1].steps
+            else:
+                got = pivot_step(ideal, pivot)
+            assert got == _reference(ideal, pivot), (ideal, pivot)
             cases += 1
-            ties += not got.is_point
+            ties += not got[0].is_point
     assert cases > 10000 and ties > 1000
 
 
-def test_step_cap_falls_where_the_ideal_recursion_stops():
+def test_step_cap_falls_where_the_ideal_recursion_stops(monkeypatch):
     rng = random.Random(9)
     for _ in range(40):
         ideal = _random_edge_type_ideal(rng)
         _, steps = _reference(ideal, None)
-        assert regularity_by_recursion(ideal, max_steps=steps) is not None
+        monkeypatch.setattr(recursion, "STEP_BUDGET", steps)
+        assert regularity_by_recursion(ideal) is not None
+        monkeypatch.setattr(recursion, "STEP_BUDGET", steps - 1)
         with pytest.raises(RecursionCapError):
-            regularity_by_recursion(ideal, max_steps=steps - 1)
-
-
-def test_first_pivot_outside_the_ring_rejected():
-    ideal = cycle_ideal(4)
-    for pivot in (-1, 4):
-        with pytest.raises(ValueError):
-            regularity_by_recursion(ideal, first_pivot=pivot)
+            regularity_by_recursion(ideal)

@@ -16,7 +16,7 @@ from edgeideals import (LabeledGraph, MonomialIdeal, build_extended, colon_by,
 from edgeideals import sdepth as sdepth_module
 from edgeideals.cli import main
 from edgeideals.errors import CapExceededError
-from edgeideals.ideals import compact
+from oracles import compact
 from edgeideals.sdepth import (IntervalPartition, _colon, _Exact, _reduce,
                                _Search)
 from edgeideals.verify import CLAIMS, RunConfig, run_cell

@@ -9,6 +9,7 @@ from edgeideals import (CLAIMS, RunConfig, build_extended, edge_ideal,
                         replay_family, run_claims)
 from edgeideals import decompositions, verify
 from edgeideals.decompositions import RULES_BY_ID
+from edgeideals.errors import InvalidParameterError
 from edgeideals.families import family_key, spec_params
 
 
@@ -59,6 +60,23 @@ def test_grid_override():
     cells = {row.params for row in report.rows}
     assert cells == {(("n", 1), ("p", 1)), (("n", 2), ("p", 1))}
     assert report.ok
+
+
+@pytest.mark.parametrize("claim_ids, override, message", [
+    (["nope"], None, "unknown claim 'nope'; known: brs-ouroboros, "),
+    (["star", "nope"], {"u": [1]}, "unknown claim 'nope'; known: "),
+    (["tsnake-reg"], {"u": [9]},
+     "claim 'tsnake-reg' has no parameter u; its parameters are n, p"),
+    (["bstar"], {"n": [1], "u": [1]},
+     "claim 'bstar' has no parameter n; its parameters are u, q"),
+    (["tsnake-reg", "ouroboros-reg"], {"q": [1]},
+     "claims 'tsnake-reg', 'ouroboros-reg' have no parameter q; "
+     "their parameters are n, p"),
+], ids=["unknown", "unknown-second", "lacking-u", "lacking-n", "lacking-q-in-all"])
+def test_run_claims_refuses_an_unknown_claim_or_axis(claim_ids, override, message):
+    with pytest.raises(InvalidParameterError) as exc:
+        run_claims(claim_ids, RunConfig(), override)
+    assert str(exc.value).startswith(message)
 
 
 def test_cross_field_rows():
