@@ -11,6 +11,12 @@ _PIVOTS.  A rule reads the parent's (n, p, q) through
 families.spec_params.  verify_decomposition replays one rule
 mechanically and reports per-factor isomorphism results.
 
+The replay stays on the parent graph's adjacency masks.  For an
+independent pivot set P, (I(G) : x_P) = I(G - N[P]) + (x_w : w in N(P)),
+and (I(G), x_v) = I(G - v) + (x_v): a colon kills N(P), an add kills
+its pivot, and the vertices left with no neighbour outside the killed
+ones are free.
+
 Factor indices can drop to 0 or below; families.resolve turns those
 degenerate members into stars, bristled stars, loose variables, or
 nothing at all.
@@ -21,15 +27,13 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .errors import RuleInapplicableError
+from .errors import MembershipError, RuleInapplicableError
 from .families import (FamilySpec, build_extended, bristled, family_key,
                        find_vertex, resolve, spec_params, star, tsnake_star,
                        tsnake_starstar, validate_spec)
 from .graphs import (LabeledGraph, apex, component_masks, induced_adjacency,
                      is_isomorphic, live_vertices, mask_of, path_bristle,
-                     path_vertex)
-from .ideals import (MonomialIdeal, add_variable, colon_by, edge_ideal,
-                     graph_parts, vars_of)
+                     path_vertex, vars_of)
 
 
 @dataclass(frozen=True)
@@ -183,56 +187,54 @@ class DecompositionReport:
         }
 
 
-def _component_graphs(adj: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Components with an edge of a graph, as local adjacency masks."""
-    live = live_vertices(adj, (1 << len(adj)) - 1)
-    return [induced_adjacency(adj, comp)
-            for comp in component_masks(adj, live)]
+def _quotient(adj: tuple[int, ...], pivot: int,
+              kind: str) -> tuple[list[tuple[int, ...]], int, int]:
+    """(components with an edge, killed count, free count) of the edge
+    ideal of adj after a colon by, or an add of, the pivot mask.
 
-
-class _Replay:
-    """What the rules of one spec share: its graph and edge ideal, and the
-    adjacency of every factor graph, each built once.  It lives for one
-    replay_family call, so every call starts cold."""
-
-    def __init__(self, spec: FamilySpec, graph: LabeledGraph | None = None,
-                 ideal: MonomialIdeal | None = None):
-        self.graph = build_extended(spec) if graph is None else graph
-        self.ideal = edge_ideal(self.graph) if ideal is None else ideal
-        self._built: dict[FamilySpec, tuple[int, ...]] = {}
-
-    def factor(self, fspec: FamilySpec) -> tuple[list[tuple[int, ...]], int]:
-        """Adjacency tuples and extra free variables of a factor spec."""
-        specs, extra = resolve(fspec)
-        for s in specs:
-            if s not in self._built:
-                self._built[s] = build_extended(s).adjacency
-        return [self._built[s] for s in specs], extra
+    The components come as local adjacency masks, lowest vertex first.
+    A colon pivot that is not independent lies in the ideal and raises
+    MembershipError, as ideals.colon_by does.
+    """
+    if kind == "colon":
+        killed = 0
+        for v in vars_of(pivot):
+            killed |= adj[v]
+        if killed & pivot:
+            raise MembershipError(
+                "colon pivot lies in the ideal; quotient is the unit ideal")
+    else:
+        killed = pivot
+    live = live_vertices(adj, ((1 << len(adj)) - 1) & ~killed)
+    components = [induced_adjacency(adj, comp)
+                  for comp in component_masks(adj, live)]
+    return (components, killed.bit_count(),
+            len(adj) - killed.bit_count() - live.bit_count())
 
 
 def verify_decomposition(rule: DecompositionRule, spec: FamilySpec, *,
-                         _replay: _Replay | None = None) -> DecompositionReport:
+                         _parent: tuple[LabeledGraph, dict] | None = None
+                         ) -> DecompositionReport:
     validate_spec(spec)
     if rule not in rules_for(spec):
         raise RuleInapplicableError(
             f"rule {rule.rule_id} does not apply to {spec}")
-    replay = _replay or _Replay(spec)
-    ideal = replay.ideal
-    pivot = pivot_mask(rule, spec, replay.graph)
-    if rule.kind == "colon":
-        result = colon_by(ideal, pivot)
-    else:
-        result = add_variable(ideal, vars_of(pivot)[0])
-    killed, adj, free = graph_parts(result)
-    components = _component_graphs(adj)
+    # the parent graph, and the adjacency of each factor spec built so far
+    graph, built = _parent or (build_extended(spec), {})
+    pivot = pivot_mask(rule, spec, graph)
+    components, killed, actual_free = _quotient(graph.adjacency, pivot,
+                                                rule.kind)
     factor_specs, rule_free = expected_outcome(rule, spec)
     expected_graphs: list[tuple[int, ...]] = []
     names: list[str] = []
     expected_free = rule_free
     for fs in factor_specs:
-        graphs, extra = replay.factor(fs)
-        expected_graphs.extend(graphs)
-        names.extend([str(fs)] * len(graphs))
+        specs, extra = resolve(fs)
+        for s in specs:
+            if s not in built:
+                built[s] = build_extended(s).adjacency
+        expected_graphs.extend(built[s] for s in specs)
+        names.extend([str(fs)] * len(specs))
         expected_free += extra
     assignment = _match_graphs(expected_graphs, components)
     reports = []
@@ -244,15 +246,13 @@ def verify_decomposition(rule: DecompositionRule, spec: FamilySpec, *,
             detail = "no unused component matches" if hit else "no component matches"
             reports.append(FactorReport(names[i], False, detail))
     count_ok = len(expected_graphs) == len(components)
-    actual_free = free.bit_count()
     free_ok = actual_free == expected_free
-    ambient = ideal.n_vars
     accounting = (sum(len(g) for g in expected_graphs)
-                  + expected_free + killed.bit_count() == ambient)
+                  + expected_free + killed == graph.n_vertices)
     ok = (assignment is not None) and count_ok and free_ok and accounting
     return DecompositionReport(
         rule.rule_id, spec, rule.pivot_desc, ok, tuple(reports),
-        expected_free, actual_free, killed.bit_count(), accounting)
+        expected_free, actual_free, killed, accounting)
 
 
 def _match_graphs(expected: list[tuple[int, ...]],
@@ -279,24 +279,20 @@ def _match_graphs(expected: list[tuple[int, ...]],
     return pick if go(0) else None
 
 
-def replay_family(spec: FamilySpec, graph: LabeledGraph | None = None,
-                  ideal: MonomialIdeal | None = None
+def replay_family(spec: FamilySpec, graph: LabeledGraph | None = None
                   ) -> list[DecompositionReport]:
     """Replay every catalogued rule of spec; [] when it has none.
 
-    graph and ideal come together or not at all: build_extended(spec)
-    and its edge ideal.  Without them the parent graph is built, even
-    when no rule applies, so an invalid spec raises.
+    graph is build_extended(spec), passed by a caller that already holds
+    it.  Without it the parent graph is built, even when no rule
+    applies, so an invalid spec raises.  Each factor spec is built once
+    per call, so every call starts cold.
     """
-    if (graph is None) != (ideal is None):
-        raise ValueError("pass graph and ideal together, or neither")
     rules = rules_for(spec)
     if graph is None:
         graph = build_extended(spec)
-    if not rules:
-        return []
-    replay = _Replay(spec, graph, ideal)
-    return [verify_decomposition(rule, spec, _replay=replay) for rule in rules]
+    parent = (graph, {})
+    return [verify_decomposition(rule, spec, _parent=parent) for rule in rules]
 
 
 def replay_catalogue(max_n: int = 4, max_p: int = 2,

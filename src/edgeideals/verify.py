@@ -276,32 +276,33 @@ def run_cell(claim: Claim, cell: tuple[int, ...],
         return [row("build", str(exc), None, "skipped")]
     ideal = edge_ideal(graph)
     prediction = closed_form(spec, allow_observational=True)
+
+    def compared(computed):
+        """One row per predicted invariant: skipped without a computed
+        value, observational outside the stated range, else pass or fail."""
+        rows = []
+        for name, want in sorted(prediction.values.items()):
+            got = computed.get(name)
+            if got is None:
+                status = "skipped"
+            elif not prediction.stated:
+                status = "observational"
+            else:
+                status = "pass" if got == want else "fail"
+            rows.append(row(name, got, want, status))
+        return rows
+
     try:
         inv = invariants(ideal, config.characteristic, max_vars=config.hochster_cap)
     except TooManyVariablesError:
-        return [row(name, None, want, "skipped")
-                for name, want in sorted(prediction.values.items())]
-    rows = []
-    computed = {"reg": inv.regularity, "pdim": inv.projective_dimension,
-                "depth": inv.depth}
-    sdepth_value = None
+        return compared({})
+    computed = inv.as_dict()
     if "sdepth" in prediction.values:
         try:
-            sdepth_value, _ = stanley_depth(ideal, config.sdepth_cap)
-            computed["sdepth"] = sdepth_value
+            computed["sdepth"] = stanley_depth(ideal, config.sdepth_cap)[0]
         except CapExceededError:
             pass
-    for name in sorted(prediction.values):
-        want = prediction.values[name]
-        if name == "sdepth" and sdepth_value is None:
-            rows.append(row(name, None, want, "skipped"))
-            continue
-        got = computed[name]
-        if prediction.stated:
-            status = "pass" if got == want else "fail"
-        else:
-            status = "observational"
-        rows.append(row(name, got, want, status))
+    rows = compared(computed)
     rec = regularity_by_recursion(ideal)
     rec_shown = rec.lo if rec.is_point else f"[{rec.lo},{rec.hi}]"
     rec_ok = rec.is_point and rec.value == inv.regularity
@@ -319,7 +320,7 @@ def run_cell(claim: Claim, cell: tuple[int, ...],
                         f"pdim={inv.projective_dimension}",
                         "pass" if same else "fail"))
     if config.decompositions:
-        for report in replay_family(spec, graph, ideal):
+        for report in replay_family(spec, graph):
             rows.append(row(f"decomp:{report.rule_id}",
                             "ok" if report.ok else "mismatch", "ok",
                             "pass" if report.ok else "fail"))
@@ -329,7 +330,7 @@ def run_cell(claim: Claim, cell: tuple[int, ...],
 def run_claims(claim_ids: list[str], config: RunConfig,
                grid_override: dict[str, list[int]] | None = None
                ) -> VerificationReport:
-    """Run each claim over its grid.
+    """Run each claim over its grid, once per claim id, in first-seen order.
 
     grid_override maps an axis name to its values.  A claim with one of
     those axes runs over the product of its axes, each overridden one
@@ -339,6 +340,7 @@ def run_claims(claim_ids: list[str], config: RunConfig,
     InvalidParameterError.
     """
     override = grid_override or {}
+    claim_ids = list(dict.fromkeys(claim_ids))  # each claim runs once
     unknown = [cid for cid in claim_ids if cid not in CLAIMS]
     if unknown:
         raise InvalidParameterError(f"unknown claim {unknown[0]!r}; "

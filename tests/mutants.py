@@ -81,6 +81,27 @@ MUTANTS = {
         '"cycle": _Kind({"n": 2},',
         ("tests/test_families.py::test_every_family_refusal_keeps_its_message",),
         "one table row per family kind"),
+    "colon-first-pivot-only": Mutant(
+        "decompositions.py",
+        "for v in vars_of(pivot):",
+        "for v in vars_of(pivot)[:1]:",
+        ("tests/test_decomp.py::test_replay_bristled_small",
+         "tests/test_decomp.py::test_replay_full_catalogue"),
+        "the replay reads each quotient off the parent's adjacency masks"),
+    "free-count-keeps-killed": Mutant(
+        "decompositions.py",
+        "len(adj) - killed.bit_count() - live.bit_count()",
+        "len(adj) - live.bit_count()",
+        ("tests/test_decomp.py::test_replay_snakes_small",
+         "tests/test_decomp.py::test_wrong_free_count_fails_the_accounting"),
+        "the replay reads each quotient off the parent's adjacency masks"),
+    "colon-pivot-unchecked": Mutant(
+        "decompositions.py",
+        "if killed & pivot:",
+        "if False:",
+        ("tests/test_decomp.py::"
+         "test_quotient_matches_the_ideal_route_on_random_graphs",),
+        "the replay refuses a colon pivot that is not independent"),
     "cap-below-minus-five": Mutant(
         "cli.py",
         "if value < 0:",

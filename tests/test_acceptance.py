@@ -161,7 +161,7 @@ def test_criterion_09_decomposition_replay():
     bad = [r for r in reports if not r.ok]
     _report("09", "decomposition rule replay", not bad,
             f"{len(reports)} rule instances" if not bad
-            else "; ".join(f"{r.rule_id} on {r.family}" for r in bad))
+            else "; ".join(f"{r.rule_id} on {r.spec}" for r in bad))
 
 
 def test_criterion_10_property_suites():

@@ -7,16 +7,18 @@ from pathlib import Path
 
 import pytest
 
-from edgeideals import (FamilySpec, LabeledGraph, build_extended, bristled,
-                        ouroboros, parse_family, replay_catalogue,
-                        replay_family, rules_for, star, tsnake, tsnake_star,
-                        tsnake_starstar, verify_decomposition)
+from edgeideals import (FamilySpec, LabeledGraph, add_variable, build_extended,
+                        bristled, colon_by, edge_ideal, ouroboros,
+                        parse_family, replay_catalogue, replay_family,
+                        rules_for, star, tsnake, tsnake_star, tsnake_starstar,
+                        verify_decomposition)
 from edgeideals import decompositions
 from edgeideals.cli import main
 from edgeideals.decompositions import (RULES_BY_ID, expected_outcome,
                                        pivot_mask)
-from edgeideals.errors import InvalidParameterError
+from edgeideals.errors import InvalidParameterError, MembershipError
 from edgeideals.families import cycle, family_key
+from edgeideals.ideals import graph_parts, vars_of
 
 PINNED = json.loads((Path(__file__).parent / "pinned_outcomes.json").read_text())
 
@@ -75,15 +77,19 @@ def test_expected_outcome_accounting_examples():
     assert free == 0
 
 
+def pinned_cell(rid, n, p, q):
+    """The rule and parent spec of one row of the pinned rule table."""
+    rule = RULES_BY_ID[rid]
+    spec = FamilySpec(rule.family.removeprefix("brs-"), n=n, p=p)
+    return rule, spec if q is None else bristled(q, spec)
+
+
 def test_rule_outcomes_and_pivots_match_the_pinned_table():
     # every rule at n = min_n..min_n+3, p = 1..2 and q = 1..2 (None when
     # unbristled): factor specs, freed count and pivot vertex mask
     seen = set()
     for rid, n, p, q, factors, free, mask in PINNED["rules"]:
-        rule = RULES_BY_ID[rid]
-        spec = FamilySpec(rule.family.removeprefix("brs-"), n=n, p=p)
-        if q is not None:
-            spec = bristled(q, spec)
+        rule, spec = pinned_cell(rid, n, p, q)
         got, got_free = expected_outcome(rule, spec)
         assert ([str(f) for f in got], got_free) == (factors, free), (rid, str(spec))
         assert pivot_mask(rule, spec, build_extended(spec)) == mask, (rid, str(spec))
@@ -158,7 +164,71 @@ def test_components_are_local_adjacency_of_the_graph_components():
             want.append(tuple(sum(1 << local[w] for w in oracle[v])
                               for v in comp))
         adj = LabeledGraph.from_edge_list(n, edges).adjacency
-        assert decompositions._component_graphs(adj) == want
+        assert decompositions._quotient(adj, 0, "add")[0] == want
+
+
+# the mask rule of the replay against the ideal route it stands for
+
+def ideal_route(graph, pivot, kind):
+    """(components with an edge, killed count, free count) by colon_by or
+    add_variable on the edge ideal, read back through graph_parts."""
+    ideal = edge_ideal(graph)
+    if kind == "colon":
+        ideal = colon_by(ideal, pivot)
+    else:
+        for v in vars_of(pivot):
+            ideal = add_variable(ideal, v)
+    killed, adj, free = graph_parts(ideal)
+    components, seen = [], 0
+    for v in range(len(adj)):
+        if seen >> v & 1 or not adj[v]:
+            continue
+        comp, stack = 1 << v, [v]
+        while stack:
+            for w in vars_of(adj[stack.pop()] & ~comp):
+                comp |= 1 << w
+                stack.append(w)
+        seen |= comp
+        order = vars_of(comp)
+        components.append(tuple(sum(1 << i for i, w in enumerate(order)
+                                    if adj[u] >> w & 1) for u in order))
+    return components, killed.bit_count(), free.bit_count()
+
+
+def assert_quotient_matches(graph, pivot, kind):
+    try:
+        want = ideal_route(graph, pivot, kind)
+    except MembershipError:
+        with pytest.raises(MembershipError, match="colon pivot lies in the ideal"):
+            decompositions._quotient(graph.adjacency, pivot, kind)
+        return False
+    assert decompositions._quotient(graph.adjacency, pivot, kind) == want, \
+        (graph.edges, bin(pivot), kind)
+    return True
+
+
+def test_quotient_matches_the_ideal_route_on_random_graphs():
+    rng = random.Random(22)
+    outcomes = Counter()
+    for _ in range(600):
+        n = rng.randint(1, 12)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        edges = rng.sample(pairs, rng.randint(0, len(pairs) // 2))
+        graph = LabeledGraph.from_edge_list(n, edges)
+        if rng.random() < 0.3:
+            kind, pivot = "add", 1 << rng.randrange(n)
+        else:
+            kind = "colon"
+            pivot = sum(1 << v for v in rng.sample(range(n), rng.randint(1, min(n, 4))))
+        outcomes[kind, assert_quotient_matches(graph, pivot, kind)] += 1
+    # every route is taken often: adds, independent and refused colons
+    assert min(outcomes.values()) > 50 and len(outcomes) == 3, outcomes
+
+
+def test_quotient_matches_the_ideal_route_on_every_pinned_rule():
+    for rid, n, p, q, _factors, _free, mask in PINNED["rules"]:
+        rule, spec = pinned_cell(rid, n, p, q)
+        assert assert_quotient_matches(build_extended(spec), mask, rule.kind)
 
 
 def test_rule_inapplicable_for_wrong_family():

@@ -58,7 +58,7 @@ def test_importing_the_package_or_the_cli_loads_no_engine():
                                   "taylor"}),
     (["sdepth", "path(4)"], {"verify", "decompositions", "recursion",
                              "taylor"}),
-    (["decomp", "brs(q=1,tsnake(n=2,p=1))"], {"betti", "sdepth", "gf",
+    (["decomp", "brs(q=1,tsnake(n=2,p=1))"], {"betti", "sdepth", "gf", "ideals",
                                               "recursion", "taylor",
                                               "verify"}),
 ])

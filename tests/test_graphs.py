@@ -225,7 +225,7 @@ def test_strip_isolated():
     # replay's components leave them out
     g = LabeledGraph.from_edge_list(5, [(0, 1)])
     assert graph_parts(edge_ideal(g))[2] == 0b11100
-    assert decompositions._component_graphs(g.adjacency) == [(0b10, 0b01)]
+    assert decompositions._quotient(g.adjacency, 0, "add")[0] == [(0b10, 0b01)]
 
 
 def test_components_split_and_cover():

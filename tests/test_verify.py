@@ -155,7 +155,7 @@ def test_run_cell_builds_its_graph_once(monkeypatch):
 
 
 def test_run_cell_takes_one_edge_ideal(monkeypatch):
-    # the replay reuses the ideal run_cell took; factors need no ideal
+    # the engines share the one ideal run_cell takes; the replay needs none
     taken = []
 
     def counting(graph):
@@ -163,7 +163,6 @@ def test_run_cell_takes_one_edge_ideal(monkeypatch):
         return edge_ideal(graph)
 
     monkeypatch.setattr(verify, "edge_ideal", counting)
-    monkeypatch.setattr(decompositions, "edge_ideal", counting)
     replayed = 0
     for claim in CLAIMS.values():
         for cell in claim.default_cells:
@@ -174,12 +173,20 @@ def test_run_cell_takes_one_edge_ideal(monkeypatch):
     assert replayed > 20
 
 
-def test_replay_family_takes_graph_and_ideal_together():
+def test_replay_family_takes_the_parent_graph():
     spec = CLAIMS["tsnake-reg"].builder({"n": 2, "p": 1})
-    graph = build_extended(spec)
-    with pytest.raises(ValueError):
-        replay_family(spec, graph)
-    assert replay_family(spec, graph, edge_ideal(graph)) == replay_family(spec)
+    assert replay_family(spec, build_extended(spec)) == replay_family(spec)
+
+
+def test_run_claims_runs_each_claim_once():
+    config = RunConfig(decompositions=False, include_durations=True)
+    once = run_claims(["star"], config, {"u": [1]})
+    twice = run_claims(["star", "star"], config, {"u": [1]})
+    assert len(once.rows) == 5
+    assert twice.rows == once.rows
+    assert list(twice.durations) == ["star"]
+    both = run_claims(["bstar", "star", "bstar"], config, {"u": [1]})
+    assert list(both.durations) == ["bstar", "star"]
 
 
 def test_every_rule_family_has_a_claim_row():
