@@ -41,7 +41,7 @@ from math import comb
 from .errors import DEFAULT_HOCHSTER_CAP, TooManyVariablesError
 from .gf import check_prime, gf2_rank, gfp_rank
 from .graphs import induced_adjacency, live_vertices
-from .ideals import MonomialIdeal, faces_of, graph_parts, vars_of
+from .ideals import MonomialIdeal, graph_faces, graph_parts, vars_of
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +140,7 @@ def _graph_homology(verts: int, adj: tuple[int, ...], char: int, do_fold: bool,
     cached = memo.get(key)
     if cached is not None:
         return cached
-    edges = [1 << a | 1 << b for a, m in enumerate(key)
-             for b in vars_of(m) if b > a]
-    dims = _homology_dims(faces_of(len(key), edges), char)
+    dims = _homology_dims(graph_faces(key), char)
     memo[key] = dims
     return dims
 

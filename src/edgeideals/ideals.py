@@ -8,7 +8,7 @@ so gens == (0,) is the unit ideal and gens == () the zero ideal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import MembershipError
 from .graphs import LabeledGraph, mask_of, vars_of  # the last two re-exported
@@ -77,6 +77,12 @@ def faces_of(n_vars: int, gens: Iterable[int]) -> list[int]:
     # size leaves it sorted by (size, mask)
     faces.sort(key=int.bit_count)
     return faces
+
+
+def graph_faces(adj: Sequence[int]) -> list[int]:
+    """faces_of the edge ideal of a graph given as adjacency masks."""
+    return faces_of(len(adj), [1 << a | 1 << b for a, m in enumerate(adj)
+                               for b in vars_of(m) if b > a])
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,26 @@
-"""Stanley depth of squarefree quotients via interval partitions.
+"""Stanley depth of edge-ideal quotients via interval partitions.
 
 For squarefree I the Stanley depth of S/I is the best possible
 min |tau| over partitions of the face poset (all squarefree monomials
 outside I) into boolean intervals [sigma, tau].
 
+The search takes I in the form ideals.graph_parts reads, the edge ideal
+of a graph plus some variables: a generator of degree 3 or more raises
+ValueError.  Free variables and killed variables both factor out: sdepth
+goes up by one per free variable and is untouched by a variable that is
+itself a generator, so the search runs on the graph induced on the live
+vertices, those with a neighbour outside the killed set, renumbered in
+order (graphs.induced_adjacency).
+
 The exact search rests on two known results.  Colon monotonicity
 (Rauf, Comm. Algebra 38, 2010): sdepth(S/I) <= sdepth(S/(I : x_v)) for
-every variable v outside I.  The colon frees v, so its value comes from
-the same search, recursively, memoised per call on the compacted ideal;
-the least colon value, capped by the largest face size, is the colon
-bound.  The skeleton reduction (Herzog-Vladoiu-Zheng, J. Algebra 322,
-2009): sdepth(S/I) >= d exactly when the faces of size <= d split into
+every variable v outside I.  For I = I(G) the colon is
+I(G - N[v]) + (N(v)): N(v) is killed, the live vertices of G - N(v)
+stay, and the other n - |N(v)| - |live| variables, v among them, are
+free.  Its value comes from the same search, recursively; the least
+colon value, capped by the largest face size, is the colon bound.  The
+skeleton reduction (Herzog-Vladoiu-Zheng, J. Algebra 322, 2009):
+sdepth(S/I) >= d exactly when the faces of size <= d split into
 intervals whose tops have exactly d elements, each larger face then
 being its own interval.  The colon bound is probed first, and a binary
 search below it runs only if that probe fails.  A probe covers the
@@ -19,21 +29,16 @@ interval, failed cover states are memoised, and a state is dropped as
 soon as an uncovered face has too few uncovered faces above it to reach
 size d.  That prune is incremental: a step can only strand the faces one
 below the faces it covers, so it tests those, and the faces already
-stranded before anything is covered.  Each colon is compacted in one
-pass.  Only the top-level ideal needs a witness: its faces above the
-skeleton cover are partitioned greedily once the value is known.  Every
-search stops with CapExceededError after SEARCH_NODE_BUDGET nodes.
+stranded before anything is covered.  Only the top-level graph needs a
+witness: its faces above the skeleton cover are partitioned greedily
+once the value is known.  Every search stops with CapExceededError
+after SEARCH_NODE_BUDGET nodes.
 
-Colon values are memoised on the compacted ideal and, for an edge ideal,
-on its isomorphism class too, since Stanley depth does not change when
-the variables are renamed: its graph is compared, with
-graphs.is_isomorphic, against the graphs solved with the same variable
-count and sorted degree sequence.  An ideal with a generator of degree
-3 or more has no graph form and keeps the exact-key memo alone.
-
-Free variables and killed variables both factor out: sdepth goes up by
-one per free variable and is untouched by a variable that appears as a
-generator, so the search always runs on the support-compacted ideal.
+Colon values are memoised, for one call, on the colon's graph and on its
+isomorphism class, since Stanley depth does not change when the
+variables are renamed: a graph is compared, with graphs.is_isomorphic,
+against the graphs solved with the same vertex count and sorted degree
+sequence.
 """
 
 from __future__ import annotations
@@ -42,9 +47,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .errors import DEFAULT_EXACT_CAP, CapExceededError
-from .graphs import is_isomorphic
-from .ideals import (MonomialIdeal, faces_of, graph_parts, mask_of, minimize,
-                     vars_of)
+from .graphs import induced_adjacency, is_isomorphic, live_vertices
+from .ideals import (MonomialIdeal, faces_of, graph_faces, graph_parts,
+                     mask_of, vars_of)
 
 DEFAULT_POSET_CAP = 14
 SEARCH_NODE_BUDGET = 200_000
@@ -265,102 +270,57 @@ def _feasible(faces: tuple[int, ...], d: int, solver: _Exact
     return _Search(faces, d, solver).run()
 
 
-def _reduce(ideal: MonomialIdeal) -> tuple[MonomialIdeal, list[int], int]:
-    """(ideal compacted to its live variables, those variables, free count).
-
-    A live variable lies in some generator of degree >= 2; a killed one
-    is itself a generator and a free one lies in no generator.  The
-    generators are minimal and sorted, and renumbering the live
-    variables in order keeps them so.
-    """
-    support = killed = 0
-    for g in ideal.gens:
-        support |= g
-        if g & (g - 1) == 0:
-            killed |= g
-    live = vars_of(support & ~killed)
-    position = [0] * ideal.n_vars
-    for k, u in enumerate(live):
-        position[u] = k
-    compacted = []
-    for g in ideal.gens:
-        if g & killed:
-            continue
-        m = 0
-        while g:
-            low = g & -g
-            m |= 1 << position[low.bit_length() - 1]
-            g ^= low
-        compacted.append(m)
-    return (MonomialIdeal(len(live), tuple(compacted)), live,
-            ideal.n_vars - support.bit_count())
-
-
-def _colon(reduced: MonomialIdeal, v: int) -> tuple[MonomialIdeal, int]:
-    """(I : x_v) compacted to its live variables, and the count it frees.
-
-    v is cleared from every generator, the result is minimized once,
-    and _reduce compacts it as it stands: no MonomialIdeal.make round
-    trip.
-    """
-    gens = minimize(g & ~(1 << v) for g in reduced.gens)
-    quotient, _, free = _reduce(MonomialIdeal(reduced.n_vars, gens))
-    return quotient, free
-
-
-def _colon_bound(reduced: MonomialIdeal, upper: int,
-                 value_of: Callable[[MonomialIdeal], int]) -> int:
-    """Lower an upper bound on sdepth(S/I) through every colon (I : x_v).
+def _colon_bound(adj: tuple[int, ...], upper: int,
+                 value_of: Callable[[tuple[int, ...]], int]) -> int:
+    """Lower an upper bound on sdepth(S/I(G)) through every colon by x_v.
 
     sdepth(S/I) <= sdepth(S/(I : x_v)) (Rauf), and the colon's value is
-    value_of(its compacted ideal) plus the variables it frees, v among
-    them.
+    value_of(the graph on its live vertices) plus its free count.
     """
-    for v in range(reduced.n_vars):
-        quotient, free = _colon(reduced, v)
-        upper = min(upper, value_of(quotient) + free)
+    n = len(adj)
+    full = (1 << n) - 1
+    for v in range(n):
+        live = live_vertices(adj, full & ~adj[v])
+        free = n - adj[v].bit_count() - live.bit_count()
+        upper = min(upper, value_of(induced_adjacency(adj, live)) + free)
     return upper
 
 
 class _Exact:
-    """Exact Stanley depth of compacted ideals, memoised for one call.
+    """Exact Stanley depth of graphs' edge ideals, memoised for one call.
 
-    memo is keyed on the ideal; classes maps (n_vars, sorted degree
-    sequence) to the adjacency and value of each edge ideal solved.
+    Graphs come as adjacency masks.  memo is keyed on the adjacency;
+    classes maps (vertex count, sorted degree sequence) to the adjacency
+    and value of each graph solved.
     """
 
     def __init__(self):
-        self.memo: dict[MonomialIdeal, int] = {}
+        self.memo: dict[tuple[int, ...], int] = {}
         self.classes: dict[tuple[int, tuple[int, ...]],
                            list[tuple[tuple[int, ...], int]]] = {}
         self.nodes = 0
 
-    def value(self, reduced: MonomialIdeal) -> int:
-        hit = self.memo.get(reduced)
+    def value(self, adj: tuple[int, ...]) -> int:
+        hit = self.memo.get(adj)
         if hit is not None:
             return hit
-        try:
-            _, adj, _ = graph_parts(reduced)
-        except ValueError:  # a generator of degree 3 or more
-            hit = self.solve(reduced)[0]
+        key = (len(adj), tuple(sorted(m.bit_count() for m in adj)))
+        bucket = self.classes.setdefault(key, [])
+        for other, known in bucket:
+            if is_isomorphic(adj, other):
+                hit = known
+                break
         else:
-            key = (reduced.n_vars, tuple(sorted(m.bit_count() for m in adj)))
-            bucket = self.classes.setdefault(key, [])
-            for other, known in bucket:
-                if is_isomorphic(adj, other):
-                    hit = known
-                    break
-            else:
-                hit = self.solve(reduced)[0]
-                bucket.append((adj, hit))
-        self.memo[reduced] = hit
+            hit = self.solve(adj)[0]
+            bucket.append((adj, hit))
+        self.memo[adj] = hit
         return hit
 
-    def solve(self, reduced: MonomialIdeal
+    def solve(self, adj: tuple[int, ...]
               ) -> tuple[int, tuple[int, ...], list[tuple[int, int]]]:
         """(value, faces, skeleton cover at the value)."""
-        faces = face_poset(reduced, cap=reduced.n_vars).faces
-        d = _colon_bound(reduced, faces[-1].bit_count(), self.value)
+        faces = tuple(graph_faces(adj))
+        d = _colon_bound(adj, faces[-1].bit_count(), self.value)
         found = _feasible(faces, d, self)
         if found is None:
             # the colon bound is only an upper bound: binary search below
@@ -383,29 +343,32 @@ def stanley_depth(ideal: MonomialIdeal, exact_cap: int = DEFAULT_EXACT_CAP
                   ) -> tuple[int, IntervalPartition]:
     """Exact Stanley depth of S/I with an interval-partition witness.
 
-    The cap applies to the variable count after stripping free and
-    killed variables.  A search that runs past SEARCH_NODE_BUDGET nodes
-    raises CapExceededError, as an instance over the cap does.
+    I is read by graph_parts, so a generator of degree 3 or more raises
+    ValueError.  The cap applies to the live vertices: the variables
+    left after stripping free and killed ones.  A search that runs past
+    SEARCH_NODE_BUDGET nodes raises CapExceededError, as an instance
+    over the cap does.
     """
     if ideal.is_unit:
         raise ValueError("S/I is the zero module")
-    reduced, live, free_count = _reduce(ideal)
-    if reduced.n_vars > exact_cap:
+    killed, adj, free = graph_parts(ideal)
+    live = live_vertices(adj, ((1 << ideal.n_vars) - 1) & ~killed)
+    if live.bit_count() > exact_cap:
         raise CapExceededError(
             f"exact Stanley depth capped at {exact_cap} live variables, "
-            f"got {reduced.n_vars}", limit="sdepth_cap")
-    value, faces, cover = _Exact().solve(reduced)
+            f"got {live.bit_count()}", limit="sdepth_cap")
+    value, faces, cover = _Exact().solve(induced_adjacency(adj, live))
     covered = {m for s, t in cover for m in _interval_members(s, t)}
     intervals = cover + _greedy_partition(tuple(f for f in faces if f not in covered))
-    return value + free_count, _lift_partition(ideal, live, intervals)
+    return value + free.bit_count(), _lift_partition(ideal, vars_of(live), intervals)
 
 
 def _lift_partition(ideal: MonomialIdeal, live_vars: list[int],
                     intervals: list[tuple[int, int]]) -> IntervalPartition:
-    """Send a reduced-poset partition back to the ambient variables.
+    """Lift a partition of the live graph's faces to the ambient variables.
 
     Each interval top gains every free variable: the ambient face poset
-    is the reduced one times a full cube on the free variables.
+    is the live graph's one times a full cube on the free variables.
     """
     free = ((1 << ideal.n_vars) - 1) & ~ideal.support
     lifted = []

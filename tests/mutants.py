@@ -108,6 +108,37 @@ MUTANTS = {
         "if value < -5:",
         ("tests/test_cli.py::test_a_negative_cap_exits_two_naming_its_flag",),
         "the cap flags refuse a negative value"),
+    "bucket-hit-unchecked": Mutant(
+        "sdepth.py",
+        "if is_isomorphic(adj, other):",
+        "if True:",
+        ("tests/test_sdepth.py::test_search_matches_its_pinned_nodes_and_witnesses",),
+        "the search memoises colon values on their isomorphism class"),
+    "node-budget-dropped": Mutant(
+        "sdepth.py",
+        "if self.solver.nodes > SEARCH_NODE_BUDGET:",
+        "if False:",
+        ("tests/test_sdepth.py::test_node_budget_fails_loudly",),
+        "the exact search fails loudly past SEARCH_NODE_BUDGET nodes"),
+    "prune-too-strong": Mutant(
+        "sdepth.py",
+        "if (covers & ~step).bit_count() < need:",
+        "if (covers & ~step).bit_count() <= need:",
+        ("tests/test_sdepth.py::test_prune_decides_every_node_as_the_full_scan",),
+        "the incremental prune of the skeleton search"),
+    "mask-colon-free-keeps-neighbours": Mutant(
+        "sdepth.py",
+        "free = n - adj[v].bit_count() - live.bit_count()",
+        "free = n - live.bit_count()",
+        ("tests/test_sdepth.py::test_search_matches_its_pinned_nodes_and_witnesses",
+         "tests/test_sdepth.py::test_paths_match_the_closed_form"),
+        "the search takes each colon on the graph's adjacency masks"),
+    "graph-parts-takes-cubics": Mutant(
+        "ideals.py",
+        "elif high & (high - 1):",
+        "elif False:",
+        ("tests/test_ideals.py::test_graph_parts_classifies_generators",),
+        "graph_parts is the one graph-form check of every engine"),
 }
 
 

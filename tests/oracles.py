@@ -15,3 +15,17 @@ def compact(ideal, variables):
     gens = [mask_of(pos[v] for v in vars_of(g))
             for g in ideal.gens if g & keep == g]
     return MonomialIdeal.make(len(varlist), gens)
+
+
+def reduce_by_compact(ideal):
+    """(compacted ideal, live variables, free count), in two steps.
+
+    The reduction the Stanley depth search took before it stayed on
+    adjacency masks: find the killed variables, then compact to the rest
+    of the support.
+    """
+    killed = mask_of(g.bit_length() - 1 for g in ideal.gens
+                     if g.bit_count() == 1)
+    live = vars_of(ideal.support & ~killed)
+    return (compact(ideal, live), live,
+            ideal.n_vars - ideal.support.bit_count())

@@ -7,8 +7,8 @@ import pytest
 from edgeideals import (BettiTable, LabeledGraph, MonomialIdeal, betti_table,
                         betti_table_taylor, build_extended, colon_by,
                         edge_ideal, invariants, parse_family,
-                        regularity_by_recursion)
-from edgeideals import betti
+                        regularity_by_recursion, stanley_depth)
+from edgeideals import betti, sdepth
 from edgeideals.ideals import faces_of, graph_parts
 from edgeideals.errors import (NonPrimeCharacteristicError,
                                TooManyVariablesError)
@@ -268,8 +268,9 @@ def test_degree_three_generator_is_refused_before_any_work(char, monkeypatch):
 
     monkeypatch.setattr(betti, "_scan", refuse)
     monkeypatch.setattr(betti, "_homology_dims", refuse)
+    monkeypatch.setattr(sdepth, "_Exact", refuse)
     for engine in (lambda i: betti_table(i, char), lambda i: invariants(i, char),
-                   regularity_by_recursion):
+                   regularity_by_recursion, stanley_depth):
         with pytest.raises(ValueError, match="degree 3"):
             engine(CUBIC_IDEAL)
 

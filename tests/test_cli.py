@@ -218,6 +218,10 @@ def test_gen_builds_a_starred_snake_at_n_zero_under_nested_bristles(capsys):
     ("brs(q=0,tsnake_starstar(n=0,p=0))", "error: tsnake_starstar needs p >= 1\n"),
     ("brs(q=1,brs(q=0,tsnake(n=1,p=1)))", "error: brs needs q >= 1\n"),
     ("tsnake_star(n=-1,p=1)", "error: expected an integer (at position 14)\n"),
+    pytest.param("path(" + "9" * 5000 + ")",
+                 "error: integer of 5000 digits is too long (at position 5)\n",
+                 id="path-of-5000-digits"),
+    ("path(\u00b2)", "error: expected an integer (at position 5)\n"),
 ])
 def test_degenerate_refusals_keep_their_message(capsys, spec, err):
     for command in ("gen", "inv", "decomp"):

@@ -11,7 +11,7 @@ from edgeideals import (LabeledGraph, MonomialIdeal, add_variable, colon_by,
                         vars_of)
 from edgeideals.errors import MembershipError
 from edgeideals.graphs import induced_adjacency
-from edgeideals.ideals import faces_of, graph_parts, minimize
+from edgeideals.ideals import faces_of, graph_faces, graph_parts, minimize
 from oracles import compact
 
 
@@ -65,6 +65,19 @@ def test_faces_of_matches_brute_force():
                       key=lambda f: (f.bit_count(), f))
         assert faces_of(n, ideal.gens) == want, ideal
     assert faces_of(3, [0]) == []  # the unit ideal has no faces
+
+
+def test_graph_faces_are_the_independent_sets():
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(0, 9)
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n)
+                 if rng.random() < 0.4]
+        adj = LabeledGraph.from_edge_list(n, edges).adjacency
+        want = sorted((m for m in range(1 << n)
+                       if not any(m >> a & m >> b & 1 for a, b in edges)),
+                      key=lambda f: (f.bit_count(), f))
+        assert graph_faces(adj) == want, edges
 
 
 def test_make_takes_any_variable_count_but_a_negative_one():

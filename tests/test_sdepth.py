@@ -10,14 +10,14 @@ from pathlib import Path
 import pytest
 
 from edgeideals import (LabeledGraph, MonomialIdeal, build_extended, colon_by,
-                        edge_ideal, face_poset, invariants, mask_of,
-                        parse_family, stanley_depth, validate_partition,
-                        vars_of)
+                        edge_ideal, face_poset, invariants, parse_family,
+                        stanley_depth, validate_partition)
 from edgeideals import sdepth as sdepth_module
 from edgeideals.cli import main
 from edgeideals.errors import CapExceededError
-from oracles import compact
-from edgeideals.sdepth import (IntervalPartition, _colon, _Exact, _reduce,
+from edgeideals.ideals import graph_parts
+from oracles import reduce_by_compact
+from edgeideals.sdepth import (IntervalPartition, _colon_bound, _Exact,
                                _Search)
 from edgeideals.verify import CLAIMS, RunConfig, run_cell
 
@@ -219,25 +219,30 @@ def oracle_sdepth(ideal):
 
 
 def random_ideals(seed, count):
-    """Seeded squarefree ideals on at most 7 variables, degrees 1 to 4."""
+    """Seeded ideals I(G) + (x_K) on 3 to 8 variables.
+
+    Each pair is an edge with one density per ideal, and up to two
+    variables are killed; a variable left in no generator is free.
+    """
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        nv = rng.randint(1, 7)
-        gens = []
-        for _ in range(rng.randint(0, 8)):
-            deg = min(nv, rng.choice((1, 2, 2, 2, 3, 3, 4, 4)))
-            gens.append(sum(1 << v for v in rng.sample(range(nv), deg)))
-        ideal = MonomialIdeal.make(nv, gens)
-        if not ideal.is_unit:
-            out.append(ideal)
+        nv = rng.randint(3, 8)
+        density = rng.uniform(0.2, 0.7)
+        gens = [1 << a | 1 << b for a in range(nv) for b in range(a + 1, nv)
+                if rng.random() < density]
+        gens += [1 << v for v in rng.sample(range(nv), rng.randint(0, 2))]
+        out.append(MonomialIdeal.make(nv, gens))
     return out
 
 
 def test_engine_matches_the_unseeded_full_poset_search():
     ideals = random_ideals(4, 300)
-    degrees = Counter(g.bit_count() for ideal in ideals for g in ideal.gens)
-    assert degrees[3] and degrees[4]
+    parts = [graph_parts(ideal) for ideal in ideals]
+    assert sum(any(adj) for _, adj, _ in parts) > 200
+    assert sum(bool(killed) for killed, _, _ in parts) > 150
+    assert sum(bool(free) for _, _, free in parts) > 100
+    assert sum(bool(killed and free) for killed, _, free in parts) > 50
     for ideal in ideals:
         value, witness = stanley_depth(ideal)
         validate_partition(face_poset(ideal), witness)
@@ -303,7 +308,7 @@ def test_one_feasibility_probe_per_ideal(monkeypatch, text):
     monkeypatch.setattr(sdepth_module, "_feasible", counting)
     ideal = family_ideal(text)
     stanley_depth(ideal, exact_cap=14)
-    reduced, _, _ = _reduce(ideal)
+    reduced, _, _ = reduce_by_compact(ideal)
     per_ideal = Counter(faces for faces, _ in probes)
     assert per_ideal[face_poset(reduced).faces] == 1
     assert set(per_ideal.values()) == {1}
@@ -382,20 +387,12 @@ def test_search_matches_its_pinned_nodes_and_witnesses():
     assert [search_record(text, cap) for text, cap in PINNED_CELLS] == pinned
 
 
-def reduce_by_compact(ideal):
-    """The two-step reduction the engine replaced: ideals.compact."""
-    killed = mask_of(g.bit_length() - 1 for g in ideal.gens
-                     if g.bit_count() == 1)
-    live = vars_of(ideal.support & ~killed)
-    return (compact(ideal, live), live,
-            ideal.n_vars - ideal.support.bit_count())
-
-
 def prune_corpus(seed=12, count=500):
-    """Seeded ideals on at most 11 variables; half edge ideals.
+    """Seeded ideals on at most 11 variables; the odd ones edge ideals.
 
-    The other half has generators of degree 1 to 4.  Ideals that reduce
-    to no variables at all are skipped.
+    The even ones have generators of degree 1 to 4: _Search takes faces
+    alone, so its prune is checked on those too.  Ideals that reduce to
+    no variables at all are skipped.
     """
     rng = random.Random(seed)
     out = []
@@ -474,34 +471,58 @@ def test_prune_decides_every_node_as_the_full_scan(monkeypatch):
     assert rooted and decisions[True] and decisions[False]
 
 
-def test_one_pass_colon_matches_colon_then_compact():
-    corpus = prune_corpus()
-    degrees = Counter(g.bit_count() for ideal in corpus for g in ideal.gens)
-    assert degrees[1] and degrees[3] and degrees[4]
+BIG = 10 ** 6
+
+
+def colons_on_masks(adj):
+    """(graph, free count) of each colon _colon_bound takes, by vertex.
+
+    value_of answers 0 for the k-th colon and BIG for the others, so the
+    bound _colon_bound returns is the k-th colon's free count.
+    """
+    out = []
+    for k in range(len(adj)):
+        graphs = []
+
+        def value_of(graph):
+            graphs.append(graph)
+            return 0 if len(graphs) == k + 1 else BIG
+
+        free = _colon_bound(adj, BIG, value_of)
+        assert len(graphs) == len(adj)
+        out.append((graphs[k], free))
+    return out
+
+
+def test_mask_colon_matches_colon_then_compact():
+    corpus = prune_corpus()[1::2]
+    assert len(corpus) == 250
+    sizes = Counter()
     for ideal in corpus:
-        assert _reduce(ideal) == reduce_by_compact(ideal), ideal
         reduced = reduce_by_compact(ideal)[0]
+        want = []
         for v in range(reduced.n_vars):
             quotient, _, free = reduce_by_compact(colon_by(reduced, 1 << v))
-            assert _colon(reduced, v) == (quotient, free), (reduced, v)
+            want.append((graph_parts(quotient)[1], free))
+            sizes[len(want[-1][0]) > 0, free > 1] += 1
+        assert colons_on_masks(graph_parts(reduced)[1]) == want, reduced
+    # colons with and without live vertices, freeing v alone and more
+    assert len(sizes) == 4
 
 
 class ExactKeyOnly(_Exact):
-    """The memo keyed on the compacted ideal alone, kept as an oracle."""
+    """The memo keyed on the adjacency alone, kept as an oracle."""
 
-    def value(self, reduced):
-        hit = self.memo.get(reduced)
+    def value(self, adj):
+        hit = self.memo.get(adj)
         if hit is None:
-            hit = self.memo[reduced] = self.solve(reduced)[0]
+            hit = self.memo[adj] = self.solve(adj)[0]
         return hit
 
 
 def test_isomorphism_memo_matches_the_exact_key_memo(monkeypatch):
-    # same value and same top-level witness, generators of degree 3 and 4
-    # included
-    corpus = [(ideal, ideal.n_vars) for ideal in prune_corpus()]
-    degrees = Counter(g.bit_count() for ideal, _ in corpus for g in ideal.gens)
-    assert degrees[3] and degrees[4]
+    # same value and same top-level witness
+    corpus = [(ideal, ideal.n_vars) for ideal in prune_corpus()[1::2]]
     corpus += [(family_ideal(text), cap) for text, cap in PINNED_CELLS]
     for ideal, cap in corpus:
         engine = stanley_depth(ideal, cap)
@@ -515,17 +536,17 @@ class CountingExact(_Exact):
         super().__init__()
         self.solved = []
 
-    def solve(self, reduced):
-        self.solved.append(reduced)
-        return super().solve(reduced)
+    def solve(self, adj):
+        self.solved.append(adj)
+        return super().solve(adj)
 
 
 def test_one_solver_tells_apart_graphs_with_one_degree_sequence():
     # P3 + P3 and P4 + P2: six vertices and degrees (1,1,1,1,2,2) each,
     # so they share a bucket and only the isomorphism test parts them
-    p3_p3 = MonomialIdeal.make(6, [0b11, 0b110, 0b11000, 0b110000])
-    p4_p2 = MonomialIdeal.make(6, [0b11, 0b110, 0b1100, 0b110000])
-    p2_p4 = MonomialIdeal.make(6, [0b11, 0b1100, 0b11000, 0b110000])
+    p3_p3, p4_p2, p2_p4 = (graph_parts(MonomialIdeal.make(6, gens))[1] for gens in (
+        [0b11, 0b110, 0b11000, 0b110000], [0b11, 0b110, 0b1100, 0b110000],
+        [0b11, 0b1100, 0b11000, 0b110000]))
     solver = CountingExact()
     assert solver.value(p3_p3) == 2
     assert solver.value(p4_p2) == 3
@@ -533,14 +554,3 @@ def test_one_solver_tells_apart_graphs_with_one_degree_sequence():
     assert solver.value(p2_p4) == 3  # a relabelling: found by its class
     assert len(solver.solved) == solved
     assert solver.memo[p2_p4] == 3
-
-
-def test_ideals_without_a_graph_form_keep_the_exact_key_memo():
-    # four variables and no degree-2 generator each: read as graphs both
-    # would be four isolated vertices
-    simplex = MonomialIdeal.make(4, [0b1111])
-    triples = MonomialIdeal.make(4, [0b0111, 0b1011, 0b1101, 0b1110])
-    solver = CountingExact()
-    assert solver.value(simplex) == 3
-    assert solver.value(triples) == 2
-    assert {simplex, triples} <= set(solver.solved)
