@@ -36,7 +36,7 @@ _HOME = {
     "build_extended": "families", "closed_form": "verify",
     "colon_by": "ideals", "cycle": "families", "edge_ideal": "ideals",
     "expected_counts": "families", "face_poset": "sdepth",
-    "invariants": "betti", "is_isomorphic": "graphs", "mask_of": "ideals",
+    "invariants": "betti", "is_isomorphic": "graphs", "mask_of": "graphs",
     "ouroboros": "families", "parse_family": "families", "path": "families",
     "regularity_by_recursion": "recursion",
     "replay_catalogue": "decompositions", "replay_family": "decompositions",
@@ -44,7 +44,7 @@ _HOME = {
     "star": "families", "stanley_depth": "sdepth", "to_dot": "graphs",
     "tsnake": "families", "tsnake_star": "families",
     "tsnake_starstar": "families", "validate_partition": "sdepth",
-    "vars_of": "ideals", "verify_decomposition": "decompositions",
+    "vars_of": "graphs", "verify_decomposition": "decompositions",
 }
 
 __all__ = list(_HOME)

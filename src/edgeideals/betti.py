@@ -40,8 +40,8 @@ from math import comb
 
 from .errors import DEFAULT_HOCHSTER_CAP, TooManyVariablesError
 from .gf import check_prime, gf2_rank, gfp_rank
-from .graphs import induced_adjacency, live_vertices
-from .ideals import MonomialIdeal, graph_faces, graph_parts, vars_of
+from .graphs import induced_adjacency, live_vertices, vars_of
+from .ideals import MonomialIdeal, graph_faces, graph_parts
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +130,10 @@ def _fold_down(verts: int, adj: tuple[int, ...]) -> int | None:
             return verts
 
 
-def _graph_homology(verts: int, adj: tuple[int, ...], char: int, do_fold: bool,
+def _graph_homology(verts: int, adj: tuple[int, ...], char: int,
                     memo: dict) -> tuple[tuple[int, int], ...]:
     # _scan passes only subsets without an isolated vertex
-    core =_fold_down(verts, adj) if do_fold else verts
+    core = _fold_down(verts, adj)
     if core is None:
         return ()
     key = induced_adjacency(adj, core)
@@ -149,14 +149,14 @@ def _graph_homology(verts: int, adj: tuple[int, ...], char: int, do_fold: bool,
 # the subset scan
 
 
-def _scan(killed: int, adj: tuple[int, ...], char: int,
-          do_fold: bool) -> dict[tuple[int, int], int]:
+def _scan(killed: int, adj: tuple[int, ...],
+          char: int) -> dict[tuple[int, int], int]:
     """Betti numbers of S/I from the homology of every induced complex.
 
     I is given as graph_parts gives it: killed is the mask of its
     degree-1 generators and adj the graph of its degree-2 ones, one
-    entry per variable.  do_fold=False skips the dominated-vertex folds,
-    so the tests can check the folds against the plain scan.
+    entry per variable.  Each induced graph is first shrunk by the
+    dominated-vertex folds of _fold_down.
     """
     entries: dict[tuple[int, int], int] = {}
     core_memo: dict = {}
@@ -175,7 +175,7 @@ def _scan(killed: int, adj: tuple[int, ...], char: int,
             if adj[low.bit_length() - 1] & w2 == 0:
                 break  # isolated vertex cones the complex off
         else:
-            for d, dim in _graph_homology(w2, adj, char, do_fold, core_memo):
+            for d, dim in _graph_homology(w2, adj, char, core_memo):
                 key = (j - d - 1, j)
                 entries[key] = entries.get(key, 0) + dim
     return entries
@@ -219,7 +219,7 @@ def _split(ideal: MonomialIdeal, char: int) -> dict[tuple[int, int], int]:
         y = _simplicial_vertex(verts, adj)
         if y is None:
             # the killed variables are left to the Koszul step below
-            out = _scan(0, induced_adjacency(adj, verts), char, True)
+            out = _scan(0, induced_adjacency(adj, verts), char)
         else:
             out = dict(table(verts ^ (1 << y)))
             for u in vars_of(adj[y] & verts):
@@ -287,13 +287,14 @@ class InvariantBundle:
                 "depth": self.depth}
 
 
-def _check_input(ideal: MonomialIdeal, characteristic: int, max_vars: int) -> None:
+def check_size(n_vars: int, characteristic: int, max_vars: int) -> None:
+    """Refuse a non-prime characteristic, then more than max_vars variables.
+    inv and verify call it on families.expected_counts before they build
+    a graph, since a graph over the cap can take gigabytes to build."""
     check_prime(characteristic)
-    if ideal.is_unit:
-        raise ValueError("S/I is the zero module; its Betti table is empty")
-    if ideal.n_vars > max_vars:
+    if n_vars > max_vars:
         raise TooManyVariablesError(
-            f"{ideal.n_vars} variables exceeds the cap of {max_vars}",
+            f"{n_vars} variables exceeds the cap of {max_vars}",
             limit="hochster_cap")
 
 
@@ -304,7 +305,9 @@ def betti_table(ideal: MonomialIdeal, characteristic: int = 2,
     Induced subgraphs without a simplicial vertex fall back to the
     subset scan; a generator of degree 3 or more raises ValueError.
     """
-    _check_input(ideal, characteristic, max_vars)
+    if ideal.is_unit:
+        raise ValueError("S/I is the zero module; its Betti table is empty")
+    check_size(ideal.n_vars, characteristic, max_vars)
     entries = _split(ideal, characteristic)
     return BettiTable.from_dict(ideal.n_vars, characteristic, entries)
 

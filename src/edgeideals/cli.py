@@ -103,10 +103,12 @@ def cmd_gen(args) -> int:
 
 
 def cmd_inv(args) -> int:
-    from . import betti, ideals, render, sdepth
+    from . import betti, families, ideals, render, sdepth
 
-    spec, graph = _build_from_arg(args.spec)
-    ideal = ideals.edge_ideal(graph)
+    spec = families.parse_family(args.spec)
+    betti.check_size(families.expected_counts(spec)[0], args.field,
+                     args.hochster_cap)
+    ideal = ideals.edge_ideal(families.build_extended(spec))
     inv = betti.invariants(ideal, args.field, max_vars=args.hochster_cap)
     doc = {
         "spec": str(spec),

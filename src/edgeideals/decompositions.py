@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 from .errors import MembershipError, RuleInapplicableError
 from .families import (FamilySpec, build_extended, bristled, family_key,
-                       find_vertex, resolve, spec_params, star, tsnake_star,
-                       tsnake_starstar, validate_spec)
+                       resolve, spec_params, star, tsnake_star, tsnake_starstar,
+                       validate_spec)
 from .graphs import (LabeledGraph, apex, component_masks, induced_adjacency,
                      is_isomorphic, live_vertices, mask_of, path_bristle,
                      path_vertex, vars_of)
@@ -142,7 +142,7 @@ def _params(spec: FamilySpec) -> tuple[int, int, int | None]:
 
 def pivot_mask(rule: DecompositionRule, spec: FamilySpec,
                graph: LabeledGraph) -> int:
-    return mask_of(find_vertex(graph, label)
+    return mask_of(graph.index_of(label)
                    for label in _PIVOTS[rule.pivot_desc](*_params(spec)))
 
 
@@ -212,15 +212,19 @@ def _quotient(adj: tuple[int, ...], pivot: int,
             len(adj) - killed.bit_count() - live.bit_count())
 
 
-def verify_decomposition(rule: DecompositionRule, spec: FamilySpec, *,
-                         _parent: tuple[LabeledGraph, dict] | None = None
-                         ) -> DecompositionReport:
+def verify_decomposition(rule: DecompositionRule,
+                         spec: FamilySpec) -> DecompositionReport:
     validate_spec(spec)
     if rule not in rules_for(spec):
         raise RuleInapplicableError(
             f"rule {rule.rule_id} does not apply to {spec}")
-    # the parent graph, and the adjacency of each factor spec built so far
-    graph, built = _parent or (build_extended(spec), {})
+    return _replay(rule, spec, build_extended(spec), {})
+
+
+def _replay(rule: DecompositionRule, spec: FamilySpec, graph: LabeledGraph,
+            built: dict[FamilySpec, tuple[int, ...]]) -> DecompositionReport:
+    """Replay a rule of rules_for(spec) on spec's graph; built maps each
+    factor spec built so far to its adjacency, and gains this rule's."""
     pivot = pivot_mask(rule, spec, graph)
     components, killed, actual_free = _quotient(graph.adjacency, pivot,
                                                 rule.kind)
@@ -291,8 +295,8 @@ def replay_family(spec: FamilySpec, graph: LabeledGraph | None = None
     rules = rules_for(spec)
     if graph is None:
         graph = build_extended(spec)
-    parent = (graph, {})
-    return [verify_decomposition(rule, spec, _parent=parent) for rule in rules]
+    built: dict[FamilySpec, tuple[int, ...]] = {}
+    return [_replay(rule, spec, graph, built) for rule in rules]
 
 
 def replay_catalogue(max_n: int = 4, max_p: int = 2,

@@ -418,10 +418,3 @@ class _Parser:
             return bristled_star(scalars["u"], scalars["q"])
         # range checks are the builders' business, not the grammar's
         return FamilySpec(name, **scalars)
-
-
-def find_vertex(g: LabeledGraph, label: VertexLabel) -> int:
-    """Index of a structured label, raising KeyError with a readable name."""
-    if not g.has_label(label):
-        raise KeyError(f"graph has no vertex {label.name}")
-    return g.index_of(label)

@@ -152,13 +152,11 @@ class LabeledGraph:
         return len(self.edges)
 
     def index_of(self, label: VertexLabel) -> int:
-        return self._index[label]
-
-    def has_label(self, label: VertexLabel) -> bool:
-        return label in self._index
-
-    def degree(self, v: int) -> int:
-        return self.adjacency[v].bit_count()
+        """Index of a structured label, raising KeyError with a readable name."""
+        try:
+            return self._index[label]
+        except KeyError:
+            raise KeyError(f"graph has no vertex {label.name}") from None
 
     def __repr__(self):
         return f"<LabeledGraph {self.n_vertices} vertices, {self.n_edges} edges>"
@@ -180,25 +178,23 @@ def live_vertices(adjacency: Sequence[int], vertices: int) -> int:
     return live
 
 
-def component_masks(adjacency: Sequence[int],
-                    vertices: int | None = None) -> list[int]:
+def component_masks(adjacency: Sequence[int], vertices: int) -> list[int]:
     """Vertex masks of the connected components, lowest vertex first.
 
-    The components are those of the subgraph induced on `vertices`
-    (default: every vertex); the search never leaves that set.
+    The components are those of the subgraph induced on `vertices`; the
+    search never leaves that set.
     """
-    left = (1 << len(adjacency)) - 1 if vertices is None else vertices
     comps = []
-    while left:
-        comp = frontier = left & -left
+    while vertices:
+        comp = frontier = vertices & -vertices
         while frontier:
             reach = 0
             for v in vars_of(frontier):
                 reach |= adjacency[v]
-            frontier = reach & left & ~comp
+            frontier = reach & vertices & ~comp
             comp |= frontier
         comps.append(comp)
-        left &= ~comp
+        vertices &= ~comp
     return comps
 
 

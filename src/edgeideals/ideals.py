@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import MembershipError
-from .graphs import LabeledGraph, mask_of, vars_of  # the last two re-exported
+from .graphs import LabeledGraph, vars_of
 
 
 def minimize(gens: Iterable[int]) -> tuple[int, ...]:

@@ -47,9 +47,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .errors import DEFAULT_EXACT_CAP, CapExceededError
-from .graphs import induced_adjacency, is_isomorphic, live_vertices
-from .ideals import (MonomialIdeal, faces_of, graph_faces, graph_parts,
-                     mask_of, vars_of)
+from .graphs import (induced_adjacency, is_isomorphic, live_vertices, mask_of,
+                     vars_of)
+from .ideals import MonomialIdeal, faces_of, graph_faces, graph_parts
 
 DEFAULT_POSET_CAP = 14
 SEARCH_NODE_BUDGET = 200_000
@@ -360,23 +360,23 @@ def stanley_depth(ideal: MonomialIdeal, exact_cap: int = DEFAULT_EXACT_CAP
     value, faces, cover = _Exact().solve(induced_adjacency(adj, live))
     covered = {m for s, t in cover for m in _interval_members(s, t)}
     intervals = cover + _greedy_partition(tuple(f for f in faces if f not in covered))
-    return value + free.bit_count(), _lift_partition(ideal, vars_of(live), intervals)
+    return value + free.bit_count(), _lift_partition(
+        ideal.n_vars, free, vars_of(live), intervals)
 
 
-def _lift_partition(ideal: MonomialIdeal, live_vars: list[int],
+def _lift_partition(n_vars: int, free: int, live_vars: list[int],
                     intervals: list[tuple[int, int]]) -> IntervalPartition:
     """Lift a partition of the live graph's faces to the ambient variables.
 
     Each interval top gains every free variable: the ambient face poset
     is the live graph's one times a full cube on the free variables.
     """
-    free = ((1 << ideal.n_vars) - 1) & ~ideal.support
     lifted = []
     for s, t in intervals:
         ls = mask_of(live_vars[v] for v in vars_of(s))
         lt = mask_of(live_vars[v] for v in vars_of(t)) | free
         lifted.append((ls, lt))
-    return IntervalPartition(ideal.n_vars, tuple(sorted(lifted)))
+    return IntervalPartition(n_vars, tuple(sorted(lifted)))
 
 
 def _greedy_partition(faces: tuple[int, ...]) -> list[tuple[int, int]]:

@@ -30,7 +30,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .betti import invariants
+from .betti import check_size, invariants
 from .decompositions import replay_family
 from .errors import (DEFAULT_EXACT_CAP, DEFAULT_HOCHSTER_CAP, CapExceededError,
                      EdgeIdealsError, InvalidParameterError,
@@ -88,9 +88,6 @@ class Claim:
     @property
     def param_names(self) -> tuple[str, ...]:
         return family_params(self.family)
-
-    def builder(self, params: dict[str, int]) -> FamilySpec:
-        return spec_of(self.family, params)
 
 
 def _snake_cells(family, ns, ps, var_cap):
@@ -264,17 +261,16 @@ def run_cell(claim: Claim, cell: tuple[int, ...],
              config: RunConfig) -> list[CheckRow]:
     params = dict(zip(claim.param_names, cell))
     key = tuple(sorted(params.items()))
-    spec: FamilySpec = claim.builder(params)
+    spec = spec_of(claim.family, params)
 
     def row(invariant, computed, predicted, status):
         return CheckRow(claim.claim_id, str(spec), key, invariant,
                         computed, predicted, status)
 
     try:
-        graph = build_extended(spec)
+        n_vars = expected_counts(spec)[0]
     except EdgeIdealsError as exc:
         return [row("build", str(exc), None, "skipped")]
-    ideal = edge_ideal(graph)
     prediction = closed_form(spec, allow_observational=True)
 
     def compared(computed):
@@ -293,9 +289,12 @@ def run_cell(claim: Claim, cell: tuple[int, ...],
         return rows
 
     try:
-        inv = invariants(ideal, config.characteristic, max_vars=config.hochster_cap)
+        check_size(n_vars, config.characteristic, config.hochster_cap)
     except TooManyVariablesError:
         return compared({})
+    graph = build_extended(spec)
+    ideal = edge_ideal(graph)
+    inv = invariants(ideal, config.characteristic, max_vars=config.hochster_cap)
     computed = inv.as_dict()
     if "sdepth" in prediction.values:
         try:

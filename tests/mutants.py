@@ -50,11 +50,29 @@ MUTANTS = {
         "recursion.STEP_BUDGET bounds each call in place of max_steps"),
     "fallback-unrenumbered": Mutant(
         "betti.py",
-        "_scan(0, induced_adjacency(adj, verts), char, True)",
-        "_scan(0, adj, char, True)",
+        "_scan(0, induced_adjacency(adj, verts), char)",
+        "_scan(0, adj, char)",
         ("tests/test_betti.py::"
          "test_the_fallback_gets_the_renumbered_core_and_no_killed_variable",),
         "the Betti split hands its scan the core's adjacency"),
+    "split-binomial-widened": Mutant(
+        "betti.py",
+        "comb(d, a)",
+        "comb(d + 1, a)",
+        ("tests/test_betti.py::test_split_equals_scan_and_taylor_on_random_corpus",),
+        "the Betti split at simplicial vertices"),
+    "koszul-factor-dropped": Mutant(
+        "betti.py",
+        "range(killed.bit_count())",
+        "range(killed.bit_count() - 1)",
+        ("tests/test_betti.py::test_killed_variables_tensor_with_koszul_factors",),
+        "the Betti split applies one Koszul factor per killed variable"),
+    "fold-on-any-overlap": Mutant(
+        "betti.py",
+        "neigh[iv] | nu == nu",
+        "neigh[iv] & nu",
+        ("tests/test_betti.py::test_fold_off_agrees",),
+        "the scan's dominated-vertex folds, checked against the plain scan"),
     "lacking-axis-accepted": Mutant(
         "verify.py",
         "lacking = [name for name in override if name not in params]",

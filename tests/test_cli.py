@@ -90,6 +90,24 @@ def test_inv_respects_hochster_cap(capsys):
     assert json.loads(out)["reg"] == 3
 
 
+def test_inv_refuses_an_over_cap_graph_before_building_it(capsys, monkeypatch):
+    # the graph alone of path(400000) took 7.6 GB before the refusal;
+    # spec errors still come first, then a non-prime field, then the cap
+    from edgeideals import families
+
+    def refuse(spec):
+        raise AssertionError(f"built {spec}")
+
+    monkeypatch.setattr(families, "build_extended", refuse)
+    for argv, err in [
+        (["path(400000)"], "error: 400000 variables exceeds the cap of 16\n"
+                           "hint: raise --hochster-cap, or pick smaller parameters\n"),
+        (["path(400000)", "--field", "4"], "error: characteristic 4 is not prime\n"),
+        (["path(0)", "--field", "4"], "error: path needs n >= 1\n"),
+    ]:
+        assert run(capsys, "inv", *argv) == (2, "", err)
+
+
 def test_sdepth_reports_witness(capsys):
     code, out, _ = run(capsys, "sdepth", "star(u=3)")
     assert code == 0

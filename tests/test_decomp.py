@@ -18,7 +18,8 @@ from edgeideals.decompositions import (RULES_BY_ID, expected_outcome,
                                        pivot_mask)
 from edgeideals.errors import InvalidParameterError, MembershipError
 from edgeideals.families import cycle, family_key
-from edgeideals.ideals import graph_parts, vars_of
+from edgeideals.graphs import vars_of
+from edgeideals.ideals import graph_parts
 
 PINNED = json.loads((Path(__file__).parent / "pinned_outcomes.json").read_text())
 
@@ -290,13 +291,13 @@ def test_decomp_cli_exits_one_on_a_mismatch(monkeypatch, capsys):
 def test_replay_routes_every_check_and_builds_each_spec_once(monkeypatch, text):
     spec = parse_family(text)
     rules, iso_rule, builds = [], [], []
-    real_verify = decompositions.verify_decomposition
+    real_replay = decompositions._replay
     real_iso = decompositions.is_isomorphic
     real_build = decompositions.build_extended
 
-    def verify(rule, s, **kwargs):
+    def replay(rule, s, *args):
         rules.append(rule.rule_id)
-        return real_verify(rule, s, **kwargs)
+        return real_replay(rule, s, *args)
 
     def iso(g, h):
         iso_rule.append(len(rules) - 1)
@@ -306,7 +307,7 @@ def test_replay_routes_every_check_and_builds_each_spec_once(monkeypatch, text):
         builds.append(s)
         return real_build(s)
 
-    monkeypatch.setattr(decompositions, "verify_decomposition", verify)
+    monkeypatch.setattr(decompositions, "_replay", replay)
     monkeypatch.setattr(decompositions, "is_isomorphic", iso)
     monkeypatch.setattr(decompositions, "build_extended", build)
     reports = replay_family(spec)
@@ -321,3 +322,18 @@ def test_replay_routes_every_check_and_builds_each_spec_once(monkeypatch, text):
     # no cache outlives the call: a second replay builds everything again
     replay_family(spec)
     assert Counter(builds) == Counter({s: 2 for s in once})
+
+
+def test_one_replay_reads_the_rule_table_once(monkeypatch):
+    # the rules come from rules_for(spec) once; no per-rule recheck
+    seen = []
+    real = decompositions.rules_for
+
+    def counted(s):
+        seen.append(s)
+        return real(s)
+
+    monkeypatch.setattr(decompositions, "rules_for", counted)
+    spec = bristled(2, ouroboros(4, 1))
+    assert_all_ok(replay_family(spec))
+    assert seen == [spec]

@@ -11,9 +11,9 @@ from edgeideals import (LabeledGraph, VertexLabel, build_extended, bristled,
 from edgeideals import decompositions
 from edgeideals.families import cycle, path
 from edgeideals.graphs import (anonymous, apex, component_masks,
-                               induced_adjacency, live_vertices, path_bristle,
-                               path_vertex)
-from edgeideals.ideals import MonomialIdeal, graph_parts, mask_of, vars_of
+                               induced_adjacency, live_vertices, mask_of,
+                               path_bristle, path_vertex, vars_of)
+from edgeideals.ideals import MonomialIdeal, graph_parts
 
 
 def k_path(n):
@@ -61,7 +61,7 @@ def test_from_edge_list_counts():
     g = k_path(4)
     assert g.n_vertices == 4
     assert g.n_edges == 3
-    assert sorted(g.degree(v) for v in range(4)) == [1, 1, 2, 2]
+    assert sorted(m.bit_count() for m in g.adjacency) == [1, 1, 2, 2]
 
 
 def test_labels_sort_canonically():
@@ -70,7 +70,16 @@ def test_labels_sort_canonically():
                               (path_vertex(1), apex(1, 1)),
                               (path_vertex(2), apex(1, 1))])
     assert [lab.name for lab in g.labels] == ["x1", "x2", "y11"]
-    assert g.degree(g.index_of(path_vertex(1))) == 2
+    assert g.adjacency[g.index_of(path_vertex(1))].bit_count() == 2
+
+
+def test_index_of_names_a_missing_vertex():
+    g = build_extended(path(3))
+    assert g.index_of(path_vertex(3)) == 2
+    with pytest.raises(KeyError, match="graph has no vertex x4"):
+        g.index_of(path_vertex(4))
+    with pytest.raises(KeyError, match="graph has no vertex y11"):
+        g.index_of(apex(1, 1))
 
 
 def test_duplicate_edges_collapse():
@@ -179,7 +188,7 @@ def test_disjoint_union_counts():
     u = disjoint_union(k_path(3), k_cycle(4))
     assert u.n_vertices == 7
     assert u.n_edges == 6
-    assert component_masks(u.adjacency) == [0b111, 0b1111000]
+    assert component_masks(u.adjacency, 0b1111111) == [0b111, 0b1111000]
 
 
 def test_corona_counts():
@@ -187,7 +196,7 @@ def test_corona_counts():
     c = corona_with_leaves(k_cycle(4), 3)
     assert c.n_vertices == 4 * 4
     assert c.n_edges == 4 + 4 * 3
-    assert sorted(c.degree(v) for v in range(16)) == [1] * 12 + [5] * 4
+    assert sorted(m.bit_count() for m in c.adjacency) == [1] * 12 + [5] * 4
 
 
 def test_bristle_equals_corona_with_null():
@@ -200,7 +209,7 @@ def test_bristle_equals_corona_with_null():
 
 def test_bristle_pendant_degrees():
     g = build_extended(bristled(2, path(3)))
-    ones = sum(1 for v in range(g.n_vertices) if g.degree(v) == 1)
+    ones = sum(1 for m in g.adjacency if m.bit_count() == 1)
     assert ones == 6
     assert g.n_vertices == 9
 
@@ -230,7 +239,7 @@ def test_strip_isolated():
 
 def test_components_split_and_cover():
     g = LabeledGraph.from_edge_list(6, [(0, 1), (1, 2), (4, 5)])
-    parts = component_masks(g.adjacency)
+    parts = component_masks(g.adjacency, 0b111111)
     assert sorted(c.bit_count() for c in parts) == [1, 2, 3]
     assert sum(parts) == 0b111111
 
@@ -263,7 +272,7 @@ def test_components_match_a_label_level_search():
     graphs.append(disjoint_union(build_extended(bristled(1, cycle(5))),
                                  LabeledGraph.from_edge_list(2, [])))
     for g in graphs:
-        assert component_masks(g.adjacency) == \
+        assert component_masks(g.adjacency, (1 << g.n_vertices) - 1) == \
             [mask_of(c) for c in reference_components(g)]
 
 
@@ -334,7 +343,7 @@ def test_induced_adjacency_matches_the_dict_renumbering():
         n, adj = g.n_vertices, g.adjacency
         full = (1 << n) - 1
         masks = [0, full, rng.getrandbits(n), full & ~(1 << rng.randrange(n))]
-        masks += component_masks(adj) + component_masks(adj, masks[2])
+        masks += component_masks(adj, full) + component_masks(adj, masks[2])
         for comp in masks:
             got = induced_adjacency(adj, comp)
             assert got == reference_induced_adjacency(adj, comp), (g.edges, comp)

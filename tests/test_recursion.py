@@ -9,7 +9,6 @@ from edgeideals import (LabeledGraph, MonomialIdeal, RegInterval,
                         regularity_by_recursion)
 from edgeideals import recursion
 from edgeideals.errors import RecursionCapError
-from edgeideals.families import find_vertex
 from edgeideals.graphs import path_vertex, vars_of
 from edgeideals.ideals import graph_parts
 from edgeideals.recursion import _combine, _intersect
@@ -87,7 +86,7 @@ def test_snake_cells_give_points_with_named_pivot():
         spec = parse_family(f"tsnake(n={n},p=1)")
         graph = build_extended(spec)
         ideal = edge_ideal(graph)
-        pivot = find_vertex(graph, path_vertex(n))
+        pivot = graph.index_of(path_vertex(n))
         iv, _ = pivot_step(ideal, pivot)
         assert iv.is_point
         assert iv.value == (n + 2) // 2

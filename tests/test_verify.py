@@ -10,7 +10,7 @@ from edgeideals import (CLAIMS, RunConfig, build_extended, edge_ideal,
 from edgeideals import decompositions, verify
 from edgeideals.decompositions import RULES_BY_ID
 from edgeideals.errors import InvalidParameterError
-from edgeideals.families import family_key, spec_params
+from edgeideals.families import family_key, spec_of, spec_params
 
 
 def test_claim_registry_names():
@@ -52,6 +52,16 @@ def test_rows_over_the_hochster_cap_skip_as_pinned():
     pinned = (Path(__file__).parent / "pinned_skip_report.json").read_text()
     assert report.as_json() == pinned
     assert report.summary()["skipped"] == 13
+
+
+def test_a_cell_over_the_cap_skips_before_its_build(monkeypatch):
+    def refuse(spec):
+        raise AssertionError(f"built {spec}")
+
+    monkeypatch.setattr(verify, "build_extended", refuse)
+    report = run_claims(["tsnake-reg"], RunConfig(), {"n": [100000], "p": [1]})
+    assert [(r.invariant, r.computed, r.predicted, r.status)
+            for r in report.rows] == [("reg", None, 50001, "skipped")]
 
 
 def test_grid_override():
@@ -140,7 +150,7 @@ def test_run_cell_builds_its_graph_once(monkeypatch):
 
     for claim in CLAIMS.values():
         for cell in claim.default_cells:
-            spec = claim.builder(dict(zip(claim.param_names, cell)))
+            spec = spec_of(claim.family, dict(zip(claim.param_names, cell)))
             want = [(f"decomp:{r.rule_id}", "ok" if r.ok else "mismatch")
                     for r in replay_family(spec)]
             with monkeypatch.context() as m:
@@ -174,7 +184,7 @@ def test_run_cell_takes_one_edge_ideal(monkeypatch):
 
 
 def test_replay_family_takes_the_parent_graph():
-    spec = CLAIMS["tsnake-reg"].builder({"n": 2, "p": 1})
+    spec = spec_of("tsnake", {"n": 2, "p": 1})
     assert replay_family(spec, build_extended(spec)) == replay_family(spec)
 
 
@@ -197,7 +207,7 @@ def test_every_rule_family_has_a_claim_row():
 def test_claim_rows_build_their_own_family_and_round_trip():
     for claim in CLAIMS.values():
         for cell in claim.default_cells:
-            spec = claim.builder(dict(zip(claim.param_names, cell)))
+            spec = spec_of(claim.family, dict(zip(claim.param_names, cell)))
             assert family_key(spec) == claim.family, (claim.claim_id, cell)
             assert spec_params(spec) == cell, (claim.claim_id, cell)
 
