@@ -29,8 +29,8 @@ Degree-1 generators kill their variable: it belongs to no face, but the
 subset W still counts it, which is what produces the linear beta_{i,i}
 strands.  The split engine applies them at the end as one Koszul factor
 per killed variable; ideals.graph_parts refuses degree 3 or more, which
-only betti_table_taylor takes.  Homology is taken over GF(p); ranks over
-GF(2) run on packed bitmask rows and other primes on sparse rows of signs.
+only betti_table_taylor takes.  Homology is taken over GF(p), every p
+ranking the same sparse rows of signs with gf.gfp_rank.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import DEFAULT_HOCHSTER_CAP, TooManyVariablesError
-from .gf import check_prime, gf2_rank, gfp_rank
+from .gf import check_prime, gfp_rank
 from .graphs import induced_adjacency, live_vertices, vars_of
 from .ideals import MonomialIdeal, graph_faces, graph_parts
 
@@ -67,30 +67,18 @@ def _homology_dims(faces: list[int], char: int) -> tuple[tuple[int, int], ...]:
     rank_map[1] = 1
     for k in range(2, max_k + 1):
         cols = {f: i for i, f in enumerate(by_size[k - 1])}
-        if char == 2:
-            rows = []
-            for f in by_size[k]:
-                row = 0
-                rem = f
-                while rem:
-                    low = rem & -rem
-                    rem ^= low
-                    row |= 1 << cols[f ^ low]
-                rows.append(row)
-            rank_map[k] = gf2_rank(rows)
-        else:
-            rows = []
-            for f in by_size[k]:
-                row = {}
-                sign = 1
-                rem = f
-                while rem:
-                    low = rem & -rem
-                    rem ^= low
-                    row[cols[f ^ low]] = sign
-                    sign = -sign
-                rows.append(row)
-            rank_map[k] = gfp_rank(rows, char)
+        rows = []
+        for f in by_size[k]:
+            row = {}
+            sign = 1
+            rem = f
+            while rem:
+                low = rem & -rem
+                rem ^= low
+                row[cols[f ^ low]] = sign
+                sign = -sign
+            rows.append(row)
+        rank_map[k] = gfp_rank(rows, char)
     dims = []
     for k in range(1, max_k + 1):
         h = len(by_size[k]) - rank_map[k] - rank_map[k + 1]

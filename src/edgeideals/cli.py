@@ -76,17 +76,11 @@ def _cap(text: str) -> int:
     return value
 
 
-def _build_from_arg(spec_text: str):
-    from . import families
-
-    spec = families.parse_family(spec_text)
-    return spec, families.build_extended(spec)
-
-
 def cmd_gen(args) -> int:
-    from . import graphs, render
+    from . import families, graphs, render
 
-    spec, graph = _build_from_arg(args.spec)
+    spec = families.parse_family(args.spec)
+    graph = families.build_extended(spec)
     if args.format == "json":
         doc = {
             "spec": str(spec),
@@ -139,9 +133,13 @@ def cmd_inv(args) -> int:
 
 
 def cmd_sdepth(args) -> int:
-    from . import ideals, render, sdepth
+    from . import families, ideals, render, sdepth
 
-    spec, graph = _build_from_arg(args.spec)
+    spec = families.parse_family(args.spec)
+    n_vertices, n_edges = families.expected_counts(spec)
+    # family graphs are connected: every vertex is live once there is an edge
+    sdepth.check_live(n_vertices if n_edges else 0, args.sdepth_cap)
+    graph = families.build_extended(spec)
     ideal = ideals.edge_ideal(graph)
     value, witness = sdepth.stanley_depth(ideal, args.sdepth_cap)
     poset = sdepth.face_poset(ideal, cap=ideal.n_vars)

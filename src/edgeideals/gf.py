@@ -43,28 +43,12 @@ def check_prime(p: int) -> None:
         raise NonPrimeCharacteristicError(f"characteristic {p} is not prime")
 
 
-def gf2_rank(rows: list[int]) -> int:
-    """Rank over GF(2) of rows given as bitmasks."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for row in rows:
-        while row:
-            low = row & -row
-            other = pivots.get(low)
-            if other is None:
-                pivots[low] = row
-                rank += 1
-                break
-            row ^= other
-    return rank
-
-
 def gfp_rank(rows: list[dict[int, int]], p: int) -> int:
     """Rank mod p of sparse rows {column: entry}; entries may be negative.
 
     Each row is reduced by the stored pivot row of its lowest column
-    until it vanishes or opens a new pivot, as in gf2_rank; entries are
-    Python ints, so any prime p works.
+    until it vanishes or opens a new pivot; entries are Python ints, so
+    any prime p works, 2 included.
     """
     pivots: dict[int, dict[int, int]] = {}
     rank = 0

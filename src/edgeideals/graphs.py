@@ -7,8 +7,9 @@ natural order is the canonical one: by role, then by indices.  Vertex
 ids are always dense 0-based integers assigned in that order, so two
 builds of the same family are identical object-for-object.  There are
 no graph surgeries here: families.py assembles each family graph,
-bristles included, as label lists and wraps it in one LabeledGraph, and
-the engines work on its adjacency masks.
+bristles included, as label lists and wraps it in one LabeledGraph.
+Its adjacency masks are the only form it stores: the engines work on
+them, and its edge list is read off them.
 """
 
 from __future__ import annotations
@@ -100,10 +101,11 @@ class LabeledGraph:
     """Immutable simple graph with unique vertex labels.
 
     Construction sorts labels into canonical order and renumbers the
-    edges accordingly.  Edges are stored as sorted index pairs.
+    edges accordingly.  The graph is stored only as adjacency masks, one
+    per vertex; edges and n_edges are read off them.
     """
 
-    __slots__ = ("labels", "edges", "adjacency", "_index")
+    __slots__ = ("labels", "adjacency", "_index")
 
     def __init__(self, labels: Iterable[VertexLabel],
                  edges: Iterable[tuple[VertexLabel, VertexLabel]]):
@@ -112,7 +114,6 @@ class LabeledGraph:
         if len(index) != len(ordered):
             raise ValueError("duplicate vertex labels")
         adj = [0] * len(ordered)
-        pairs = set()
         for a, b in edges:
             if a == b:
                 raise ValueError(f"loop at {a.name}")
@@ -120,13 +121,9 @@ class LabeledGraph:
                 ia, ib = index[a], index[b]
             except KeyError as exc:
                 raise ValueError(f"edge endpoint {exc.args[0]!r} not a vertex") from None
-            if ia > ib:
-                ia, ib = ib, ia
-            pairs.add((ia, ib))
             adj[ia] |= 1 << ib
             adj[ib] |= 1 << ia
         self.labels: tuple[VertexLabel, ...] = tuple(ordered)
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(pairs))
         self.adjacency: tuple[int, ...] = tuple(adj)
         self._index = index
 
@@ -148,8 +145,14 @@ class LabeledGraph:
         return len(self.labels)
 
     @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Index pairs (a, b) with a < b, in sorted order."""
+        return tuple((a, b) for a, m in enumerate(self.adjacency)
+                     for b in vars_of(m) if b > a)
+
+    @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return sum(m.bit_count() for m in self.adjacency) // 2
 
     def index_of(self, label: VertexLabel) -> int:
         """Index of a structured label, raising KeyError with a readable name."""

@@ -79,10 +79,15 @@ def faces_of(n_vars: int, gens: Iterable[int]) -> list[int]:
     return faces
 
 
+def _edge_gens(adj: Sequence[int]) -> list[int]:
+    """One degree-2 generator per edge of a graph given as adjacency masks."""
+    return [1 << a | 1 << b for a, m in enumerate(adj)
+            for b in vars_of(m) if b > a]
+
+
 def graph_faces(adj: Sequence[int]) -> list[int]:
     """faces_of the edge ideal of a graph given as adjacency masks."""
-    return faces_of(len(adj), [1 << a | 1 << b for a, m in enumerate(adj)
-                               for b in vars_of(m) if b > a])
+    return faces_of(len(adj), _edge_gens(adj))
 
 
 @dataclass(frozen=True)
@@ -130,8 +135,7 @@ class MonomialIdeal:
 
 def edge_ideal(graph: LabeledGraph) -> MonomialIdeal:
     """Edge ideal of a simple graph on its canonical variable order."""
-    gens = [(1 << a) | (1 << b) for a, b in graph.edges]
-    return MonomialIdeal.make(graph.n_vertices, gens)
+    return MonomialIdeal.make(graph.n_vertices, _edge_gens(graph.adjacency))
 
 
 def colon_by(ideal: MonomialIdeal, monomial: int) -> MonomialIdeal:

@@ -22,8 +22,8 @@ colon value, capped by the largest face size, is the colon bound.  The
 skeleton reduction (Herzog-Vladoiu-Zheng, J. Algebra 322, 2009):
 sdepth(S/I) >= d exactly when the faces of size <= d split into
 intervals whose tops have exactly d elements, each larger face then
-being its own interval.  The colon bound is probed first, and a binary
-search below it runs only if that probe fails.  A probe covers the
+being its own interval.  The colon bound is probed first, then each
+size below it in turn until a probe succeeds.  A probe covers the
 skeleton smallest face first; the lowest uncovered face must start an
 interval, failed cover states are memoised, and a state is dropped as
 soon as an uncovered face has too few uncovered faces above it to reach
@@ -321,22 +321,23 @@ class _Exact:
         """(value, faces, skeleton cover at the value)."""
         faces = tuple(graph_faces(adj))
         d = _colon_bound(adj, faces[-1].bit_count(), self.value)
+        # the colon bound is only an upper bound: step down from it, where
+        # d = 0 always succeeds
         found = _feasible(faces, d, self)
-        if found is None:
-            # the colon bound is only an upper bound: binary search below
-            # it, where d = 0 always succeeds
-            lo, hi = 0, d - 1
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                attempt = _feasible(faces, mid, self)
-                if attempt is None:
-                    hi = mid - 1
-                else:
-                    lo, found = mid, attempt
-            d = lo
-            if found is None:
-                found = _feasible(faces, d, self)
+        while found is None:
+            d -= 1
+            found = _feasible(faces, d, self)
         return d, faces, found
+
+
+def check_live(n_live: int, exact_cap: int) -> None:
+    """Refuse more than exact_cap live variables.  The sdepth command
+    calls it on the family's closed-form counts before it builds a graph,
+    since a graph far over the cap can take gigabytes to build."""
+    if n_live > exact_cap:
+        raise CapExceededError(
+            f"exact Stanley depth capped at {exact_cap} live variables, "
+            f"got {n_live}", limit="sdepth_cap")
 
 
 def stanley_depth(ideal: MonomialIdeal, exact_cap: int = DEFAULT_EXACT_CAP
@@ -353,10 +354,7 @@ def stanley_depth(ideal: MonomialIdeal, exact_cap: int = DEFAULT_EXACT_CAP
         raise ValueError("S/I is the zero module")
     killed, adj, free = graph_parts(ideal)
     live = live_vertices(adj, ((1 << ideal.n_vars) - 1) & ~killed)
-    if live.bit_count() > exact_cap:
-        raise CapExceededError(
-            f"exact Stanley depth capped at {exact_cap} live variables, "
-            f"got {live.bit_count()}", limit="sdepth_cap")
+    check_live(live.bit_count(), exact_cap)
     value, faces, cover = _Exact().solve(induced_adjacency(adj, live))
     covered = {m for s, t in cover for m in _interval_members(s, t)}
     intervals = cover + _greedy_partition(tuple(f for f in faces if f not in covered))

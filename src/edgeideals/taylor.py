@@ -6,8 +6,8 @@ with the residue field keeps exactly the unit entries of the
 differential, i.e. the pairs A, A minus g with equal lcm.  The complex
 therefore splits into strands, one per lcm value, and the homology of
 the strand in homological degree i is beta_{i, lcm}.  Nothing here is
-shared with the subset-scan engine beyond gfp_rank, which ranks GF(2)
-here too, where the scan uses gf2_rank.
+shared with the subset-scan engine beyond gf.gfp_rank, which both call
+for every field.
 """
 
 from __future__ import annotations

@@ -151,6 +151,25 @@ MUTANTS = {
         ("tests/test_sdepth.py::test_search_matches_its_pinned_nodes_and_witnesses",
          "tests/test_sdepth.py::test_paths_match_the_closed_form"),
         "the search takes each colon on the graph's adjacency masks"),
+    "homology-signs-dropped": Mutant(
+        "betti.py",
+        "sign = -sign",
+        "sign = sign",
+        ("tests/test_betti.py::test_split_equals_scan_and_taylor_on_random_corpus",),
+        "every field ranks the scan's sparse rows of signs with gfp_rank"),
+    "probe-skips-a-size": Mutant(
+        "sdepth.py",
+        "d -= 1",
+        "d -= 2",
+        ("tests/test_sdepth.py::test_probes_step_down_one_size_at_a_time",),
+        "the exact search steps down from the colon bound one size at a time"),
+    "edge-pairs-reversed": Mutant(
+        "graphs.py",
+        "for b in vars_of(m) if b > a)",
+        "for b in vars_of(m) if b < a)",
+        ("tests/test_graphs.py::test_duplicate_edges_collapse",
+         "tests/test_graphs.py::test_edges_are_the_sorted_index_pairs_on_every_kind"),
+        "a graph stores only its adjacency masks and reads its edges off them"),
     "graph-parts-takes-cubics": Mutant(
         "ideals.py",
         "elif high & (high - 1):",

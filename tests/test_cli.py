@@ -13,6 +13,7 @@ import pytest
 import edgeideals
 from edgeideals import betti, closed_form, parse_family, sdepth
 from edgeideals.cli import build_parser, main
+from test_graphs import EVERY_KIND
 
 SRC = str(Path(edgeideals.__file__).resolve().parent.parent)
 
@@ -106,6 +107,44 @@ def test_inv_refuses_an_over_cap_graph_before_building_it(capsys, monkeypatch):
         (["path(0)", "--field", "4"], "error: path needs n >= 1\n"),
     ]:
         assert run(capsys, "inv", *argv) == (2, "", err)
+
+
+def test_sdepth_refuses_an_over_cap_graph_before_building_it(capsys, monkeypatch):
+    # the graph alone of path(60000) peaked at 731 MB before the refusal;
+    # spec errors still come first
+    from edgeideals import families
+
+    def refuse(spec):
+        raise AssertionError(f"built {spec}")
+
+    monkeypatch.setattr(families, "build_extended", refuse)
+    hint = "hint: raise --sdepth-cap, or pick smaller parameters\n"
+    for argv, err in [
+        (["path(60000)"], "error: exact Stanley depth capped at 10 live "
+                          "variables, got 60000\n" + hint),
+        (["brs(q=1,cycle(6))", "--sdepth-cap", "11"],
+         "error: exact Stanley depth capped at 11 live variables, got 12\n"
+         + hint),
+        (["path(0)"], "error: path needs n >= 1\n"),
+        (["path(60000"], "error: expected ')' (at position 10)\n"),
+    ]:
+        assert run(capsys, "sdepth", *argv) == (2, "", err)
+
+
+@pytest.mark.parametrize("text", EVERY_KIND + [
+    "path(n=1)", "brs(q=1,brs(q=2,tsnake_star(n=0,p=1)))",
+    "brs(q=2,brs(q=1,path(n=1)))", "brs(q=1,tsnake_starstar(n=0,p=2))"])
+def test_sdepth_refusal_counts_every_vertex_of_a_graph_with_an_edge(text):
+    # the sdepth command refuses on this count before it builds the
+    # graph, since every family graph is connected
+    from edgeideals import families
+    from edgeideals.graphs import live_vertices
+
+    spec = parse_family(text)
+    n_vertices, n_edges = families.expected_counts(spec)
+    adj = families.build_extended(spec).adjacency
+    live = live_vertices(adj, (1 << len(adj)) - 1).bit_count()
+    assert (n_vertices if n_edges else 0) == live
 
 
 def test_sdepth_reports_witness(capsys):
@@ -242,7 +281,7 @@ def test_gen_builds_a_starred_snake_at_n_zero_under_nested_bristles(capsys):
     ("path(\u00b2)", "error: expected an integer (at position 5)\n"),
 ])
 def test_degenerate_refusals_keep_their_message(capsys, spec, err):
-    for command in ("gen", "inv", "decomp"):
+    for command in ("gen", "inv", "sdepth", "decomp"):
         assert run(capsys, command, spec) == (2, "", err)
 
 

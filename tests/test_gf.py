@@ -7,7 +7,7 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from edgeideals.errors import CapExceededError, NonPrimeCharacteristicError
-from edgeideals.gf import MILLER_RABIN_LIMIT, check_prime, gf2_rank, gfp_rank
+from edgeideals.gf import MILLER_RABIN_LIMIT, check_prime, gfp_rank
 
 
 def test_check_prime():
@@ -57,26 +57,9 @@ def test_check_prime_refuses_past_the_exact_bound():
         check_prime(MILLER_RABIN_LIMIT)
 
 
-def test_gf2_rank_known():
-    assert gf2_rank([]) == 0
-    assert gf2_rank([0b1]) == 1
-    assert gf2_rank([0b11, 0b01, 0b10]) == 2
-    # row equal to the xor of the others is dependent
-    assert gf2_rank([0b110, 0b011, 0b101]) == 2
-
-
 def sparse(matrix):
     """Dense rows as the {column: entry} rows gfp_rank takes."""
     return [{c: x for c, x in enumerate(row) if x} for row in matrix]
-
-
-def test_gf2_rank_matches_gfp_rank_mod_2():
-    rng = random.Random(3)
-    for _ in range(40):
-        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
-        bits = [[rng.randint(0, 1) for _ in range(cols)] for _ in range(rows)]
-        packed = [sum(b << j for j, b in enumerate(row)) for row in bits]
-        assert gf2_rank(packed) == gfp_rank(sparse(bits), 2)
 
 
 def test_gfp_rank_known():
@@ -89,6 +72,12 @@ def test_gfp_rank_known():
     assert gfp_rank([], 3) == 0
     # entries that vanish mod p count as zero
     assert gfp_rank([{0: 3, 1: 6}], 3) == 0
+    # over GF(2), the field of the default Betti table
+    assert gfp_rank([], 2) == 0
+    assert gfp_rank(sparse([[1]]), 2) == 1
+    assert gfp_rank(sparse([[1, 1], [1, 0], [0, 1]]), 2) == 2
+    # a row equal to the sum of the others is dependent
+    assert gfp_rank(sparse([[0, 1, 1], [1, 1, 0], [1, 0, 1]]), 2) == 2
 
 
 def test_gfp_rank_negative_entries():

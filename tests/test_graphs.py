@@ -85,6 +85,24 @@ def test_index_of_names_a_missing_vertex():
 def test_duplicate_edges_collapse():
     g = LabeledGraph.from_edge_list(2, [(0, 1), (1, 0)])
     assert g.n_edges == 1
+    # reversed or repeated, each edge gives one sorted pair
+    g = LabeledGraph.from_edge_list(4, [(3, 0), (0, 3), (3, 0), (1, 3), (2, 1)])
+    assert g.edges == ((0, 3), (1, 2), (1, 3))
+    assert g.n_edges == 3
+
+
+def test_edges_are_the_sorted_index_pairs_on_every_kind():
+    # the masks are the only stored form; the pairs read off them are
+    # the sorted, deduplicated index pairs of the labelled edges
+    from edgeideals import families
+
+    for text in EVERY_KIND + [f"brs(q=2,{t})" for t in EVERY_KIND]:
+        labels, edges = families._build(families._resolved(parse_family(text)))
+        index = {lab: i for i, lab in enumerate(sorted(labels))}
+        pairs = sorted({tuple(sorted((index[a], index[b]))) for a, b in edges})
+        g = LabeledGraph(labels, edges)
+        assert g.edges == tuple(pairs), text
+        assert g.n_edges == len(pairs), text
 
 
 def test_self_loop_rejected():

@@ -15,7 +15,7 @@ from edgeideals import (LabeledGraph, MonomialIdeal, build_extended, colon_by,
 from edgeideals import sdepth as sdepth_module
 from edgeideals.cli import main
 from edgeideals.errors import CapExceededError
-from edgeideals.ideals import graph_parts
+from edgeideals.ideals import graph_faces, graph_parts
 from oracles import reduce_by_compact
 from edgeideals.sdepth import (IntervalPartition, _colon_bound, _Exact,
                                _Search)
@@ -250,9 +250,9 @@ def test_engine_matches_the_unseeded_full_poset_search():
         assert value == oracle_sdepth(ideal), ideal
 
 
-def test_binary_search_below_a_seed_that_fails(monkeypatch):
+def test_search_steps_down_from_a_seed_that_fails(monkeypatch):
     # seeded with the largest face size alone, the first probe fails on
-    # many ideals and the search below it must still land on the value
+    # many ideals and the probes below it must still land on the value
     probes = []
     feasible = sdepth_module._feasible
 
@@ -269,6 +269,25 @@ def test_binary_search_below_a_seed_that_fails(monkeypatch):
         validate_partition(face_poset(ideal), witness)
         assert value == witness.value == oracle_sdepth(ideal), ideal
     assert not all(probes)
+
+
+def test_probes_step_down_one_size_at_a_time(monkeypatch):
+    # C_7 has colon bound 3 and Stanley depth 2: the probe at the bound
+    # fails and the next size down answers
+    probes = []
+    feasible = sdepth_module._feasible
+
+    def spy(faces, d, solver):
+        found = feasible(faces, d, solver)
+        probes.append((faces, d, found is not None))
+        return found
+
+    monkeypatch.setattr(sdepth_module, "_feasible", spy)
+    ideal = family_ideal("cycle(7)")
+    assert stanley_depth(ideal)[0] == 2
+    top = tuple(graph_faces(graph_parts(ideal)[1]))
+    assert [(d, ok) for faces, d, ok in probes if faces == top] == [
+        (3, False), (2, True)]
 
 
 @pytest.mark.parametrize("n", range(1, 15))
