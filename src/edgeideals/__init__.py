@@ -23,7 +23,7 @@ _HOME = {
     "DecompositionRule": "decompositions", "EdgeIdealsError": "errors",
     "FacePoset": "sdepth", "FamilySpec": "families",
     "FamilySpecParseError": "errors", "IntervalPartition": "sdepth",
-    "InvalidParameterError": "errors", "InvariantBundle": "betti",
+    "InvalidParameterError": "errors",
     "LabeledGraph": "graphs", "MembershipError": "errors",
     "MonomialIdeal": "ideals", "NonPrimeCharacteristicError": "errors",
     "OutOfStatedRangeError": "errors", "RegInterval": "recursion",

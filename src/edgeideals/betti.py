@@ -259,20 +259,10 @@ class BettiTable:
     def projective_dimension(self) -> int:
         return max(i for (i, _), _ in self.entries)
 
-
-@dataclass(frozen=True)
-class InvariantBundle:
-    """Regularity, projective dimension and depth of S/I."""
-
-    n_vars: int
-    characteristic: int
-    regularity: int
-    projective_dimension: int
-    depth: int
-
-    def as_dict(self) -> dict[str, int]:
-        return {"reg": self.regularity, "pdim": self.projective_dimension,
-                "depth": self.depth}
+    @property
+    def depth(self) -> int:
+        """n_vars - pdim, by the Auslander-Buchsbaum formula."""
+        return self.n_vars - self.projective_dimension
 
 
 def check_size(n_vars: int, characteristic: int, max_vars: int) -> None:
@@ -300,14 +290,5 @@ def betti_table(ideal: MonomialIdeal, characteristic: int = 2,
     return BettiTable.from_dict(ideal.n_vars, characteristic, entries)
 
 
-def invariants(ideal: MonomialIdeal, characteristic: int = 2,
-               max_vars: int = DEFAULT_HOCHSTER_CAP) -> InvariantBundle:
-    """Regularity, projective dimension and depth via the Betti table.
-
-    depth comes out of the Auslander-Buchsbaum formula
-    depth = n_vars - pdim.
-    """
-    table = betti_table(ideal, characteristic, max_vars)
-    pd = table.projective_dimension
-    return InvariantBundle(ideal.n_vars, characteristic,
-                           table.regularity, pd, ideal.n_vars - pd)
+# regularity, projective dimension and depth are read off the table
+invariants = betti_table

@@ -21,8 +21,13 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import FamilySpecParseError, InvalidParameterError
+from .errors import FamilySpecParseError, InvalidParameterError, SizeLimitError
 from .graphs import LabeledGraph, VertexLabel, anonymous, apex, path_vertex
+
+# The most vertices of any graph build_extended assembles: its masks take
+# O(n^2) bits, and at this count gen peaked at 53 MB and decomp, which
+# also builds the factors, at 133 MB (325 MB at 30000 vertices).
+MAX_BUILD_VERTICES = 20_000
 
 
 @dataclass(frozen=True)
@@ -284,19 +289,29 @@ def build_extended(spec: FamilySpec) -> LabeledGraph:
 
     A starred snake may also sit at n = 0 under any nesting of brs: it
     builds as the star, bristled or not, that resolve makes of it.
-    Lower indices are refused as validate_spec refuses them.
+    Lower indices are refused as validate_spec refuses them, and more
+    than MAX_BUILD_VERTICES vertices with SizeLimitError before the build.
     """
-    return LabeledGraph(*_build(_resolved(spec)))
+    spec = _resolved(spec)
+    n_vertices = _counts(spec)[0]
+    if n_vertices > MAX_BUILD_VERTICES:
+        raise SizeLimitError(f"{n_vertices} vertices exceeds the build "
+                             f"limit of {MAX_BUILD_VERTICES}")
+    return LabeledGraph(*_build(spec))
+
+
+def _counts(spec: FamilySpec) -> tuple[int, int]:
+    """(vertices, edges) of a spec that _resolved returned."""
+    if spec.kind == "brs":
+        v, e = _counts(spec.inner)
+        return v * (1 + spec.q), e + v * spec.q
+    return _KINDS[spec.kind].counts(*spec_params(spec))
 
 
 def expected_counts(spec: FamilySpec) -> tuple[int, int]:
     """Closed-form (vertices, edges) of build_extended(spec); refuses
     with InvalidParameterError, and the same message, where it does."""
-    spec = _resolved(spec)
-    if spec.kind == "brs":
-        v, e = expected_counts(spec.inner)
-        return v * (1 + spec.q), e + v * spec.q
-    return _KINDS[spec.kind].counts(*spec_params(spec))
+    return _counts(_resolved(spec))
 
 
 # ---------------------------------------------------------------------------

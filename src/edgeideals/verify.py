@@ -8,16 +8,16 @@ spec.  A prediction is "stated" when the parameters sit inside the
 stated range; outside it the same forms can still be evaluated on
 request and are then flagged observational.
 
-For every grid cell the runner builds the edge ideal, computes
-invariants from homology, re-derives regularity through the colon/add
-recursion, runs the exact Stanley depth search when the instance is
-small enough, replays the decomposition rules, and compares everything
-against the closed forms.  Each comparison becomes one report row with
-a status:
+For every grid cell the runner builds the edge ideal and runs each
+route once: the Betti table, the exact Stanley depth search when the
+instance is small enough, the colon/add regularity recursion, the other
+field's Betti table and the decomposition replay.  Each comparison, of
+a route with the Betti table or of a value with its closed form, is one
+report row, and one rule decides its status:
 
-  pass / fail      the cell is inside the formula's stated range
-  observational    outside the stated range; never affects the exit code
-  skipped          an engine cap excluded the computation
+  pass / fail      the two sides agree, or disagree
+  observational    a closed form outside its stated range; never fails
+  skipped          a side is missing: a cap, a budget or a refused build
 
 Reports are deterministic byte-for-byte for a fixed configuration; wall
 clock durations are only included on request for that reason.
@@ -30,11 +30,12 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .betti import check_size, invariants
+from .betti import betti_table, check_size
 from .decompositions import replay_family
 from .errors import (DEFAULT_EXACT_CAP, DEFAULT_HOCHSTER_CAP, CapExceededError,
                      EdgeIdealsError, InvalidParameterError,
-                     OutOfStatedRangeError, TooManyVariablesError)
+                     OutOfStatedRangeError, RecursionCapError,
+                     TooManyVariablesError)
 from .families import (FamilySpec, build_extended, expected_counts, family_key,
                        family_params, resolve, spec_of, spec_params,
                        validate_spec)
@@ -259,70 +260,72 @@ class VerificationReport:
 
 def run_cell(claim: Claim, cell: tuple[int, ...],
              config: RunConfig) -> list[CheckRow]:
+    """Run each route on one cell once, then compare each closed form."""
     params = dict(zip(claim.param_names, cell))
     key = tuple(sorted(params.items()))
     spec = spec_of(claim.family, params)
+    rows = []
 
-    def row(invariant, computed, predicted, status):
-        return CheckRow(claim.claim_id, str(spec), key, invariant,
-                        computed, predicted, status)
+    def row(invariant, computed, predicted, stated=True, agree=None):
+        """Append one row and decide its status: skipped when a side is
+        missing, observational for a closed form outside its stated
+        range, else pass exactly when the sides agree (are equal, unless
+        agree says otherwise)."""
+        if computed is None or predicted is None:
+            status = "skipped"
+        elif not stated:
+            status = "observational"
+        else:
+            same = computed == predicted if agree is None else agree
+            status = "pass" if same else "fail"
+        rows.append(CheckRow(claim.claim_id, str(spec), key, invariant,
+                             computed, predicted, status))
 
     try:
         n_vars = expected_counts(spec)[0]
     except EdgeIdealsError as exc:
-        return [row("build", str(exc), None, "skipped")]
-    prediction = closed_form(spec, allow_observational=True)
-
-    def compared(computed):
-        """One row per predicted invariant: skipped without a computed
-        value, observational outside the stated range, else pass or fail."""
-        rows = []
-        for name, want in sorted(prediction.values.items()):
-            got = computed.get(name)
-            if got is None:
-                status = "skipped"
-            elif not prediction.stated:
-                status = "observational"
-            else:
-                status = "pass" if got == want else "fail"
-            rows.append(row(name, got, want, status))
+        row("build", str(exc), None)
         return rows
-
+    prediction = closed_form(spec, allow_observational=True)
+    computed = {}
     try:
         check_size(n_vars, config.characteristic, config.hochster_cap)
     except TooManyVariablesError:
-        return compared({})
-    graph = build_extended(spec)
-    ideal = edge_ideal(graph)
-    inv = invariants(ideal, config.characteristic, max_vars=config.hochster_cap)
-    computed = inv.as_dict()
-    if "sdepth" in prediction.values:
+        pass  # nothing is built, so every closed-form row is skipped
+    else:
+        graph = build_extended(spec)
+        ideal = edge_ideal(graph)
+        table = betti_table(ideal, config.characteristic,
+                            max_vars=config.hochster_cap)
+        computed = {"reg": table.regularity, "depth": table.depth,
+                    "pdim": table.projective_dimension}
+        if "sdepth" in prediction.values:
+            try:
+                computed["sdepth"] = stanley_depth(ideal, config.sdepth_cap)[0]
+            except CapExceededError:
+                pass
         try:
-            computed["sdepth"] = stanley_depth(ideal, config.sdepth_cap)[0]
-        except CapExceededError:
-            pass
-    rows = compared(computed)
-    rec = regularity_by_recursion(ideal)
-    rec_shown = rec.lo if rec.is_point else f"[{rec.lo},{rec.hi}]"
-    rec_ok = rec.is_point and rec.value == inv.regularity
-    rows.append(row("reg-recursion", rec_shown, inv.regularity,
-                    "pass" if rec_ok else "fail"))
-    if config.cross_field:
-        other = 3 if config.characteristic == 2 else 2
-        inv_b = invariants(ideal, other, max_vars=config.hochster_cap)
-        same = (inv_b.regularity == inv.regularity
-                and inv_b.projective_dimension == inv.projective_dimension)
-        rows.append(row("field-agree",
-                        f"GF({other}):reg={inv_b.regularity},"
-                        f"pdim={inv_b.projective_dimension}",
-                        f"GF({config.characteristic}):reg={inv.regularity},"
-                        f"pdim={inv.projective_dimension}",
-                        "pass" if same else "fail"))
-    if config.decompositions:
-        for report in replay_family(spec, graph):
-            rows.append(row(f"decomp:{report.rule_id}",
-                            "ok" if report.ok else "mismatch", "ok",
-                            "pass" if report.ok else "fail"))
+            rec = regularity_by_recursion(ideal)
+            shown = rec.lo if rec.is_point else f"[{rec.lo},{rec.hi}]"
+        except RecursionCapError:
+            shown = None
+        row("reg-recursion", shown, table.regularity)
+        if config.cross_field:
+            other = 3 if config.characteristic == 2 else 2
+            twin = betti_table(ideal, other, max_vars=config.hochster_cap)
+            row("field-agree",
+                f"GF({other}):reg={twin.regularity},"
+                f"pdim={twin.projective_dimension}",
+                f"GF({config.characteristic}):reg={table.regularity},"
+                f"pdim={table.projective_dimension}",
+                agree=(twin.regularity, twin.projective_dimension)
+                == (table.regularity, table.projective_dimension))
+        if config.decompositions:
+            for report in replay_family(spec, graph):
+                row(f"decomp:{report.rule_id}",
+                    "ok" if report.ok else "mismatch", "ok")
+    for name, want in sorted(prediction.values.items()):
+        row(name, computed.get(name), want, prediction.stated)
     return rows
 
 

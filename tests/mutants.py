@@ -176,6 +176,26 @@ MUTANTS = {
         "elif False:",
         ("tests/test_ideals.py::test_graph_parts_classifies_generators",),
         "graph_parts is the one graph-form check of every engine"),
+    "verify-rows-always-pass": Mutant(
+        "verify.py",
+        'status = "pass" if same else "fail"',
+        'status = "pass"',
+        ("tests/test_verify.py::test_a_broken_closed_form_fails_a_stated_cell",
+         "tests/test_verify.py::test_a_disagreeing_route_fails_on_any_cell"),
+        "one status rule decides every verify row"),
+    "verify-exit-always-zero": Mutant(
+        "cli.py",
+        "return 0 if report.ok else 1",
+        "return 0",
+        ("tests/test_verify.py::test_a_broken_closed_form_fails_a_stated_cell",),
+        "verify exits 1 when a stated check fails"),
+    "observational-compared": Mutant(
+        "verify.py",
+        "elif not stated:",
+        "elif False:",
+        ("tests/test_verify.py::"
+         "test_a_broken_closed_form_stays_observational_outside_its_range",),
+        "a closed form outside its stated range never fails a row"),
 }
 
 

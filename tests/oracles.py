@@ -29,3 +29,29 @@ def reduce_by_compact(ideal):
     live = vars_of(ideal.support & ~killed)
     return (compact(ideal, live), live,
             ideal.n_vars - ideal.support.bit_count())
+
+
+def least_maximal_independent_set(adjacency):
+    """The least size of a maximal independent set of a graph given by
+    adjacency masks: an independent set that dominates every vertex.
+
+    Branch and bound: the undominated vertex with the fewest choices
+    left is dominated by itself or by one of its neighbours.
+    """
+    best = len(adjacency)
+
+    def grow(free, undominated, size):
+        nonlocal best
+        if not undominated:
+            best = min(best, size)
+            return
+        if size + 1 >= best:
+            return
+        choices = [(adjacency[v] | 1 << v) & free for v in vars_of(undominated)]
+        for u in vars_of(min(choices, key=int.bit_count)):
+            closed = adjacency[u] | 1 << u
+            grow(free & ~closed, undominated & ~closed, size + 1)
+
+    everything = (1 << len(adjacency)) - 1
+    grow(everything, everything, 0)
+    return best

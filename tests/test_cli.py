@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats and exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -131,6 +132,30 @@ def test_sdepth_refuses_an_over_cap_graph_before_building_it(capsys, monkeypatch
         assert run(capsys, "sdepth", *argv) == (2, "", err)
 
 
+@pytest.mark.parametrize("command", ["gen", "decomp"])
+def test_gen_and_decomp_refuse_past_the_build_limit_before_building(
+        capsys, monkeypatch, command):
+    # gen "path(100000)" peaked at 718 MB before the limit; spec errors
+    # still come first
+    from edgeideals import families
+
+    def refuse(parts):
+        raise AssertionError(f"built {parts}")
+
+    monkeypatch.setattr(families, "_build", refuse)
+    hint = "hint: no cap flag lifts this limit; pick smaller parameters\n"
+    for spec, err in [
+        ("path(100000)",
+         "error: 100000 vertices exceeds the build limit of 20000\n" + hint),
+        ("tsnake(n=10000,p=1)",
+         "error: 20001 vertices exceeds the build limit of 20000\n" + hint),
+        ("brs(q=1,tsnake_star(n=0,p=10000))",
+         "error: 20002 vertices exceeds the build limit of 20000\n" + hint),
+        ("path(0)", "error: path needs n >= 1\n"),
+    ]:
+        assert run(capsys, command, spec) == (2, "", err)
+
+
 @pytest.mark.parametrize("text", EVERY_KIND + [
     "path(n=1)", "brs(q=1,brs(q=2,tsnake_star(n=0,p=1)))",
     "brs(q=2,brs(q=1,path(n=1)))", "brs(q=1,tsnake_starstar(n=0,p=2))"])
@@ -154,6 +179,12 @@ def test_sdepth_reports_witness(capsys):
     assert doc["sdepth"] == 1
     assert doc["intervals"]
     assert all(set(iv) == {"lower", "upper"} for iv in doc["intervals"])
+
+
+def test_sdepth_text_lists_the_witness_intervals(capsys):
+    assert run(capsys, "sdepth", "path(4)", "--format", "text") == (
+        0, "path(n=4): sdepth = 2\n  [1, x1*x3]\n  [x2, x2*x4]\n"
+           "  [x4, x1*x4]\n", "")
 
 
 def test_decomp_ok(capsys):
@@ -279,6 +310,15 @@ def test_gen_builds_a_starred_snake_at_n_zero_under_nested_bristles(capsys):
                  "error: integer of 5000 digits is too long (at position 5)\n",
                  id="path-of-5000-digits"),
     ("path(\u00b2)", "error: expected an integer (at position 5)\n"),
+    ("path(3,4)",
+     "error: too many positional values for 'path' (at position 7)\n"),
+    ("tsnake(n=1,n=2)", "error: duplicate parameter 'n' (at position 11)\n"),
+    ("path(path(3))",
+     "error: 'path' takes no nested family (at position 5)\n"),
+    ("brs(q=1,path(2),path(3))",
+     "error: duplicate inner family (at position 16)\n"),
+    ("brs(q=1)", "error: brs needs an inner family (at position 8)\n"),
+    ("(3)", "error: expected a family or parameter name (at position 0)\n"),
 ])
 def test_degenerate_refusals_keep_their_message(capsys, spec, err):
     for command in ("gen", "inv", "sdepth", "decomp"):
@@ -300,6 +340,15 @@ def test_a_negative_cap_exits_two_naming_its_flag(capsys, argv):
     assert out.out == ""
     assert (f"argument {argv[-2]}: expected a non-negative integer, "
             f"got {argv[-1]}") in out.err
+
+
+def test_a_cap_that_is_no_integer_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["inv", "path(3)", "--sdepth-cap", "x"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "argument --sdepth-cap: invalid int value: 'x'" in out.err
 
 
 def test_a_zero_cap_stays_valid(capsys):
@@ -347,6 +396,27 @@ def test_a_format_the_subcommand_cannot_write_exits_two(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+def subcommand_formats():
+    """(subcommand, format) for every --format choice of the parser."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(name, fmt) for name, parser in sub.choices.items()
+            for action in parser._actions if action.dest == "format"
+            for fmt in action.choices]
+
+
+def test_every_subcommand_writes_every_format(capsys):
+    # read off the parser, so a new renderer cannot go untested
+    pairs = subcommand_formats()
+    assert len(pairs) == 12
+    for command, fmt in pairs:
+        target = (["star", "--u", "2"] if command == "verify"
+                  else ["tsnake(n=2,p=1)"])
+        code, out, err = run(capsys, command, *target, "--format", fmt)
+        assert (code, err) == (0, ""), (command, fmt)
+        assert out.strip(), (command, fmt)
 
 
 def test_verify_runs_are_byte_identical(capsys):

@@ -12,11 +12,13 @@ import pytest
 from edgeideals import (LabeledGraph, MonomialIdeal, build_extended, colon_by,
                         edge_ideal, face_poset, invariants, parse_family,
                         stanley_depth, validate_partition)
+from edgeideals import recursion as recursion_module
 from edgeideals import sdepth as sdepth_module
 from edgeideals.cli import main
 from edgeideals.errors import CapExceededError
+from edgeideals.graphs import induced_adjacency, live_vertices
 from edgeideals.ideals import graph_faces, graph_parts
-from oracles import reduce_by_compact
+from oracles import least_maximal_independent_set, reduce_by_compact
 from edgeideals.sdepth import (IntervalPartition, _colon_bound, _Exact,
                                _Search)
 from edgeideals.verify import CLAIMS, RunConfig, run_cell
@@ -363,6 +365,54 @@ def test_node_budget_fails_loudly(monkeypatch, capsys):
     rows = run_cell(claim, claim.default_cells[-1], RunConfig())
     assert [r.status for r in rows if r.invariant == "sdepth"] == ["skipped"]
     assert all(r.status == "pass" for r in rows if r.invariant != "sdepth")
+
+
+def test_step_budget_leaves_a_skipped_row(monkeypatch, capsys):
+    # a regularity recursion past its budget skips its own row and keeps
+    # every other row of the report, as the search's node budget does
+    monkeypatch.setattr(recursion_module, "STEP_BUDGET", 3)
+    claim = CLAIMS["bstar"]
+    rows = run_cell(claim, claim.default_cells[-1], RunConfig())
+    betti_reg = [r.computed for r in rows if r.invariant == "reg"]
+    assert [(r.computed, r.predicted, r.status) for r in rows
+            if r.invariant == "reg-recursion"] == [(None, *betti_reg, "skipped")]
+    assert all(r.status == "pass" for r in rows
+               if r.invariant != "reg-recursion")
+    assert main(["verify", "bstar", "--format", "text"]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.splitlines()[-1] == "pass=14 fail=0 observational=0 skipped=1"
+
+
+def independent_set_bound(ideal):
+    """The least size of a maximal independent set A of the live graph,
+    plus the free variables.  (I : x_A) is generated by variables, and a
+    colon by a monomial never lowers sdepth (Rauf, Comm. Algebra 38,
+    2010; Cimpoeas, 2012), so sdepth(S/I) is at most this."""
+    killed, adj, free = graph_parts(ideal)
+    live = live_vertices(adj, ((1 << ideal.n_vars) - 1) & ~killed)
+    return (least_maximal_independent_set(induced_adjacency(adj, live))
+            + free.bit_count())
+
+
+def test_search_stays_at_or_below_the_independent_set_bound():
+    values = [(stanley_depth(ideal)[0], independent_set_bound(ideal))
+              for ideal in random_ideals(4, 300)]
+    assert all(value <= bound for value, bound in values)
+    assert sum(value == bound for value, bound in values) == 295
+
+
+def test_independent_set_bound_meets_the_pinned_values_but_two_cycles():
+    # the known gaps: C_4 has sdepth 1 against a bound of 2, C_7 has 2
+    # against 3; on every other pinned cell the bound is the value
+    gaps = {}
+    for record in json.loads((Path(__file__).parent / "pinned_sdepth.json")
+                             .read_text())["cells"]:
+        bound = independent_set_bound(family_ideal(record["cell"]))
+        assert record["value"] <= bound, record["cell"]
+        if record["value"] != bound:
+            gaps[record["cell"]] = (record["value"], bound)
+    assert gaps == {"cycle(4)": (1, 2), "cycle(7)": (2, 3)}
 
 
 # the cells whose search is pinned: the benchmark's sdepth cells at its

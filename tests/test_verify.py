@@ -1,13 +1,15 @@
 """Claim registry and verification reports."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from edgeideals import (CLAIMS, RunConfig, build_extended, edge_ideal,
-                        replay_family, run_claims)
-from edgeideals import decompositions, verify
+from edgeideals import (CLAIMS, BettiTable, RegInterval, RunConfig,
+                        build_extended, edge_ideal, replay_family, run_claims)
+from edgeideals import decompositions, recursion, verify
+from edgeideals.cli import main
 from edgeideals.decompositions import RULES_BY_ID
 from edgeideals.errors import InvalidParameterError
 from edgeideals.families import family_key, spec_of, spec_params
@@ -218,3 +220,114 @@ def test_run_config_refuses_a_negative_cap(cap):
     with pytest.raises(ValueError, match=cap):
         RunConfig(**{cap: -1})
     assert getattr(RunConfig(**{cap: 0}), cap) == 0
+
+
+# verify can fail: a broken closed form or a disagreeing route.  The
+# stated cell is tsnake(n=2,p=1); ouroboros(n=3,p=1) is outside the
+# cycle-snake formula's stated range, so its reg row is observational.
+STATED = ("tsnake-reg", {"n": [2], "p": [1]})
+OBSERVATIONAL = ("ouroboros-reg", {"n": [3], "p": [1]})
+
+
+def statuses(claim_id, override, config=RunConfig(cross_field=True)):
+    """{invariant: status} of the one cell of override, and report.ok."""
+    report = run_claims([claim_id], config, override)
+    return {r.invariant: r.status for r in report.rows}, report.ok
+
+
+def verify_exit(claim_id, override, capsys):
+    argv = ["verify", claim_id, "--cross-field"]
+    for name, (value,) in override.items():
+        argv += [f"--{name}", str(value)]
+    code = main(argv)
+    capsys.readouterr()
+    return code
+
+
+def break_reg_form(monkeypatch):
+    real = verify.closed_form
+
+    def broken(spec, allow_observational=False):
+        cf = real(spec, allow_observational)
+        return dataclasses.replace(
+            cf, values={**cf.values, "reg": cf.values["reg"] + 1})
+
+    monkeypatch.setattr(verify, "closed_form", broken)
+
+
+def test_a_broken_closed_form_fails_a_stated_cell(monkeypatch, capsys):
+    break_reg_form(monkeypatch)
+    got, ok = statuses(*STATED)
+    assert got["reg"] == "fail" and not ok
+    assert {s for inv, s in got.items() if inv != "reg"} == {"pass"}
+    assert verify_exit(*STATED, capsys) == 1
+
+
+def test_a_broken_closed_form_stays_observational_outside_its_range(
+        monkeypatch, capsys):
+    break_reg_form(monkeypatch)
+    got, ok = statuses(*OBSERVATIONAL)
+    assert got["reg"] == "observational" and ok
+    assert verify_exit(*OBSERVATIONAL, capsys) == 0
+
+
+def off_by_one_recursion(monkeypatch):
+    real = verify.regularity_by_recursion
+
+    def shifted(ideal):
+        rec = real(ideal)
+        return RegInterval(rec.lo + 1, rec.hi + 1)
+
+    monkeypatch.setattr(verify, "regularity_by_recursion", shifted)
+
+
+def other_field_shifted(monkeypatch):
+    real = verify.betti_table
+
+    def shifted(ideal, characteristic=2, max_vars=16):
+        table = real(ideal, characteristic, max_vars)
+        if characteristic == 2:
+            return table
+        # one more in every degree j: the regularity rises by one
+        return BettiTable.from_dict(
+            table.n_vars, characteristic,
+            {(i, j + 1): b for (i, j), b in table.entries})
+
+    monkeypatch.setattr(verify, "betti_table", shifted)
+
+
+def wrong_outcome(monkeypatch):
+    monkeypatch.setattr(decompositions, "expected_outcome",
+                        lambda rule, spec: ([], 0))
+
+
+@pytest.mark.parametrize("route, patch", [
+    ("reg-recursion", off_by_one_recursion),
+    ("field-agree", other_field_shifted),
+    ("decomp:", wrong_outcome),
+], ids=["reg-recursion", "field-agree", "decomp"])
+@pytest.mark.parametrize("cell", [STATED, OBSERVATIONAL],
+                         ids=["stated", "observational"])
+def test_a_disagreeing_route_fails_on_any_cell(monkeypatch, capsys, route,
+                                               patch, cell):
+    # two routes that disagree involve no closed form, so the row fails
+    # even where the closed form is only observational
+    patch(monkeypatch)
+    got, ok = statuses(*cell)
+    failing = {inv for inv, s in got.items() if s == "fail"}
+    assert failing and all(inv.startswith(route) for inv in failing)
+    assert not ok
+    assert verify_exit(*cell, capsys) == 1
+
+
+def test_a_refused_build_leaves_a_skipped_row(capsys):
+    report = run_claims(["tsnake-reg"], RunConfig(), {"n": [0, 1], "p": [1]})
+    built = [(r.invariant, r.computed, r.predicted, r.status)
+             for r in report.rows if r.params == (("n", 0), ("p", 1))]
+    assert built == [("build", "tsnake needs n >= 1", None, "skipped")]
+    assert report.ok
+    assert main(["verify", "tsnake-reg", "--n", "0..1", "--p", "1",
+                 "--format", "text"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "[skipped      ] tsnake-reg(n=0,p=1) build: "
+        "computed=tsnake needs n >= 1 predicted=None")
