@@ -9,7 +9,10 @@ verify.CLAIMS; it carries its own outcome, the expected factors and the
 expected number of freed variables, and names its pivot by a key of
 _PIVOTS.  A rule reads the parent's (n, p, q) through
 families.spec_params.  verify_decomposition replays one rule
-mechanically and reports per-factor isomorphism results.
+mechanically and reports per-factor isomorphism results: each expected
+factor takes the first unused isomorphic component, which finds a
+one-to-one match exactly when one exists, as isomorphism is an
+equivalence relation.
 
 The replay stays on the parent graph's adjacency masks.  For an
 independent pivot set P, (I(G) : x_P) = I(G - N[P]) + (x_w : w in N(P)),
@@ -240,47 +243,29 @@ def _replay(rule: DecompositionRule, spec: FamilySpec, graph: LabeledGraph,
         expected_graphs.extend(built[s] for s in specs)
         names.extend([str(fs)] * len(specs))
         expected_free += extra
-    assignment = _match_graphs(expected_graphs, components)
+    # first fit, exact since isomorphism is an equivalence relation
+    unused = list(components)
+    matched = False
+    for g in expected_graphs:
+        j = next((j for j, c in enumerate(unused) if is_isomorphic(g, c)), None)
+        if j is None:
+            break
+        del unused[j]
+    else:
+        matched = not unused
     reports = []
-    for i, g in enumerate(expected_graphs):
-        if assignment is not None:
-            reports.append(FactorReport(names[i], True))
-        else:
+    for name, g in zip(names, expected_graphs):
+        detail = ""
+        if not matched:
             hit = any(is_isomorphic(g, c) for c in components)
             detail = "no unused component matches" if hit else "no component matches"
-            reports.append(FactorReport(names[i], False, detail))
-    count_ok = len(expected_graphs) == len(components)
-    free_ok = actual_free == expected_free
+        reports.append(FactorReport(name, matched, detail))
     accounting = (sum(len(g) for g in expected_graphs)
                   + expected_free + killed == graph.n_vertices)
-    ok = (assignment is not None) and count_ok and free_ok and accounting
+    ok = matched and actual_free == expected_free and accounting
     return DecompositionReport(
         rule.rule_id, spec, rule.pivot_desc, ok, tuple(reports),
         expected_free, actual_free, killed, accounting)
-
-
-def _match_graphs(expected: list[tuple[int, ...]],
-                  found: list[tuple[int, ...]]) -> list[int] | None:
-    """Injective assignment of expected factors to isomorphic components."""
-    if len(expected) != len(found):
-        return None
-    used = [False] * len(found)
-    pick: list[int] = []
-
-    def go(i: int) -> bool:
-        if i == len(expected):
-            return True
-        for j in range(len(found)):
-            if not used[j] and is_isomorphic(expected[i], found[j]):
-                used[j] = True
-                pick.append(j)
-                if go(i + 1):
-                    return True
-                used[j] = False
-                pick.pop()
-        return False
-
-    return pick if go(0) else None
 
 
 def replay_family(spec: FamilySpec, graph: LabeledGraph | None = None

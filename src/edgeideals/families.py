@@ -12,11 +12,13 @@ kind, and build_extended wraps the result in a single LabeledGraph.
 Each kind but brs is one row of _KINDS: the least value of each
 parameter, its builder and its closed-form counts.  It is also the one
 reader of a spec's shape: family_key, spec_params and spec_of map a
-spec to its family key and parameter values and back.
+spec to its family key and parameter values and back, and parse_family
+reads a spec string in one pass over its tokens.
 """
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
@@ -315,121 +317,101 @@ def expected_counts(spec: FamilySpec) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# compact spec strings, e.g. brs(q=3,tsnake(n=3,p=3)) or path(4)
+# compact spec strings, e.g. brs(q=3,tsnake(n=3,p=3)) or path(4), split
+# into tokens: runs of word characters (str.isalnum or "_") and single
+# other characters, with whitespace free between them
+_TOKENS = re.compile(r"\s*(?:(\w+)|(\S))")
+_DIGITS = re.compile(r"[0-9]*")
 
 
 def parse_family(text: str) -> FamilySpec:
-    """Parse a compact family spec; errors carry the offending position."""
-    parser = _Parser(text)
-    spec = parser.parse_call()
-    parser.skip_ws()
-    if parser.pos != len(text):
-        raise FamilySpecParseError("trailing input after family spec", parser.pos)
-    return spec
+    """Parse a compact family spec; errors carry the offending position.
 
+    Positional values fill a name's parameters in order, name=value
+    sets one, and brs also takes one nested family.  A value is a run of
+    ASCII digits.
+    """
+    tokens = _TOKENS.findall(text) + [("", "")]  # (word, mark); end last
+    i = 0
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+    def fail(message, at, shift=0):
+        """Raise at the offset of token at, plus shift; past the last
+        token, the offset is len(text)."""
+        starts = [m.start(m.lastindex) for m in _TOKENS.finditer(text)]
+        raise FamilySpecParseError(message, (starts + [len(text)])[at] + shift)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def expect(mark):
+        nonlocal i
+        if tokens[i][1] != mark:
+            fail(f"expected {mark!r}", i)
+        i += 1
 
-    def error(self, message: str):
-        raise FamilySpecParseError(message, self.pos)
-
-    def parse_name(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                             or self.text[self.pos] == "_"):
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected a family or parameter name")
-        return self.text[start:self.pos]
-
-    def parse_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected an integer")
+    def integer():
+        nonlocal i
+        word = tokens[i][0]
+        digits = _DIGITS.match(word)[0]
+        if not digits:
+            fail("expected an integer", i)
         try:
-            return int(self.text[start:self.pos])
+            value = int(digits)
         except ValueError:  # more digits than int() converts
-            length, self.pos = self.pos - start, start
-            self.error(f"integer of {length} digits is too long")
+            fail(f"integer of {len(digits)} digits is too long", i)
+        if digits != word:  # as in 12ab: the call wants its ')' at the a
+            fail("expected ')'", i, len(digits))
+        i += 1
+        return value
 
-    def expect(self, ch: str):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse_call(self) -> FamilySpec:
-        at = self.pos
-        name = self.parse_name()
+    def call():
+        nonlocal i
+        name = tokens[i][0]
+        if not name:
+            fail("expected a family or parameter name", i)
         if name not in _PARAMS:
-            self.pos = at
-            self.error(f"unknown family {name!r}")
-        self.expect("(")
-        scalars: dict[str, int] = {}
-        positional = list(_PARAMS[name])
-        inner: FamilySpec | None = None
-        if self.peek() != ")":
-            while True:
-                inner, positional = self._parse_arg(name, scalars, positional, inner)
-                if self.peek() != ",":
-                    break
-                self.expect(",")
-        self.expect(")")
-        return self._assemble(name, scalars, inner)
-
-    def _parse_arg(self, name, scalars, positional, inner):
-        self.skip_ws()
-        at = self.pos
-        if self.text[self.pos:self.pos + 1].isdigit():
-            if not positional:
-                self.error(f"too many positional values for {name!r}")
-            scalars[positional[0]] = self.parse_int()
-            return inner, positional[1:]
-        arg_name = self.parse_name()
-        if self.peek() == "=":
-            self.expect("=")
-            if arg_name not in _PARAMS[name]:
-                self.pos = at
-                self.error(f"{name!r} takes no parameter {arg_name!r}")
-            if arg_name in scalars:
-                self.pos = at
-                self.error(f"duplicate parameter {arg_name!r}")
-            scalars[arg_name] = self.parse_int()
-            return inner, [p for p in positional if p != arg_name]
-        # otherwise it must be a nested family call
-        if name != "brs":
-            self.pos = at
-            self.error(f"{name!r} takes no nested family")
-        if inner is not None:
-            self.pos = at
-            self.error("duplicate inner family")
-        self.pos = at
-        return self.parse_call(), positional
-
-    def _assemble(self, name, scalars, inner) -> FamilySpec:
-        for param in _PARAMS[name]:
+            if not i:  # a top-level name is refused at 0, spaces and all
+                raise FamilySpecParseError(f"unknown family {name!r}", 0)
+            fail(f"unknown family {name!r}", i)
+        i += 1
+        expect("(")
+        scalars, positional, inner = {}, list(_PARAMS[name]), None
+        more = tokens[i][1] != ")"
+        while more:
+            word = tokens[i][0]
+            if not word:
+                fail("expected a family or parameter name", i)
+            if word[0].isdigit():
+                if not positional:
+                    fail(f"too many positional values for {name!r}", i)
+                scalars[positional.pop(0)] = integer()
+            elif tokens[i + 1][1] == "=":
+                if word not in _PARAMS[name]:
+                    fail(f"{name!r} takes no parameter {word!r}", i)
+                if word in scalars:
+                    fail(f"duplicate parameter {word!r}", i)
+                i += 2
+                scalars[word] = integer()
+                positional.remove(word)
+            elif name != "brs":
+                fail(f"{name!r} takes no nested family", i)
+            elif inner is not None:
+                fail("duplicate inner family", i)
+            else:
+                inner = call()
+            more = tokens[i][1] == ","
+            i += more
+        expect(")")
+        for param in _PARAMS[name]:  # refused just past the ')'
             if param not in scalars:
-                self.error(f"{name!r} is missing parameter {param!r}")
+                fail(f"{name!r} is missing parameter {param!r}", i - 1, 1)
         if name == "brs":
             if inner is None:
-                self.error("brs needs an inner family")
-            return FamilySpec("brs", q=scalars["q"], inner=inner)
+                fail("brs needs an inner family", i - 1, 1)
+            return bristled(scalars["q"], inner)
         if name == "bstar":
             return bristled_star(scalars["u"], scalars["q"])
         # range checks are the builders' business, not the grammar's
         return FamilySpec(name, **scalars)
+
+    spec = call()
+    if i < len(tokens) - 1:
+        fail("trailing input after family spec", i)
+    return spec

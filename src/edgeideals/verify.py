@@ -34,7 +34,7 @@ from .betti import betti_table, check_size
 from .decompositions import replay_family
 from .errors import (DEFAULT_EXACT_CAP, DEFAULT_HOCHSTER_CAP, CapExceededError,
                      EdgeIdealsError, InvalidParameterError,
-                     OutOfStatedRangeError, RecursionCapError,
+                     OutOfStatedRangeError, RecursionCapError, SizeLimitError,
                      TooManyVariablesError)
 from .families import (FamilySpec, build_extended, expected_counts, family_key,
                        family_params, resolve, spec_of, spec_params,
@@ -293,7 +293,11 @@ def run_cell(claim: Claim, cell: tuple[int, ...],
     except TooManyVariablesError:
         pass  # nothing is built, so every closed-form row is skipped
     else:
-        graph = build_extended(spec)
+        try:
+            graph = build_extended(spec)
+        except SizeLimitError as exc:  # past the build limit: nothing is built
+            row("build", str(exc), None)
+            return rows
         ideal = edge_ideal(graph)
         table = betti_table(ideal, config.characteristic,
                             max_vars=config.hochster_cap)

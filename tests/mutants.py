@@ -196,6 +196,30 @@ MUTANTS = {
         ("tests/test_verify.py::"
          "test_a_broken_closed_form_stays_observational_outside_its_range",),
         "a closed form outside its stated range never fails a row"),
+    "first-fit-keeps-its-pick": Mutant(
+        "decompositions.py",
+        "del unused[j]",
+        "pass",
+        ("tests/test_decomp.py::test_replay_full_catalogue",),
+        "the replay matches factors to components by first fit"),
+    "leftover-components-ignored": Mutant(
+        "decompositions.py",
+        "matched = not unused",
+        "matched = True",
+        ("tests/test_decomp.py::test_more_components_than_factors_match_none",),
+        "the replay matches factors to components by first fit"),
+    "spec-digits-any-script": Mutant(
+        "families.py",
+        '_DIGITS = re.compile(r"[0-9]*")',
+        '_DIGITS = re.compile(r"\\d*")',
+        ("tests/test_cli.py::test_degenerate_refusals_keep_their_message",),
+        "parse_family splits the spec into one token list"),
+    "top-level-name-at-its-token": Mutant(
+        "families.py",
+        "if not i:",
+        "if False:",
+        ("tests/test_cli.py::test_degenerate_refusals_keep_their_message",),
+        "parse_family splits the spec into one token list"),
 }
 
 

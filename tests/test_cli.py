@@ -1,10 +1,12 @@
 """Command-line interface: subcommands, formats and exit codes."""
 
 import argparse
+import ast
 import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -300,7 +302,8 @@ def test_gen_builds_a_starred_snake_at_n_zero_under_nested_bristles(capsys):
     assert (doc["vertices"], doc["edges"]) == (want["vertices"], want["edges"])
 
 
-@pytest.mark.parametrize("spec, err", [
+# Every refusal of a spec the CLI reads, parse errors at their position
+SPEC_REFUSALS = [
     ("tsnake_star(n=0,p=0)", "error: tsnake_star needs p >= 1\n"),
     ("brs(q=0,tsnake_star(n=0,p=1))", "error: brs needs q >= 1\n"),
     ("brs(q=0,tsnake_starstar(n=0,p=0))", "error: tsnake_starstar needs p >= 1\n"),
@@ -319,10 +322,56 @@ def test_gen_builds_a_starred_snake_at_n_zero_under_nested_bristles(capsys):
      "error: duplicate inner family (at position 16)\n"),
     ("brs(q=1)", "error: brs needs an inner family (at position 8)\n"),
     ("(3)", "error: expected a family or parameter name (at position 0)\n"),
-])
+    ("path 3", "error: expected '(' (at position 5)\n"),
+    (" foo(1)", "error: unknown family 'foo' (at position 0)\n"),
+    ("brs(q=1, foo(1))", "error: unknown family 'foo' (at position 9)\n"),
+    ("2path(3)", "error: unknown family '2path' (at position 0)\n"),
+    ("tsnake(n=2,p=1,z=9)",
+     "error: 'tsnake' takes no parameter 'z' (at position 15)\n"),
+    ("tsnake(n=2)",
+     "error: 'tsnake' is missing parameter 'p' (at position 11)\n"),
+    ("brs(tsnake(n=1,p=1))",
+     "error: 'brs' is missing parameter 'q' (at position 20)\n"),
+    ("path(12ab)", "error: expected ')' (at position 7)\n"),
+    ("path(n=)", "error: expected an integer (at position 7)\n"),
+    ("path(\u0663)", "error: expected an integer (at position 5)\n"),
+    ("bstar(1,2,3)",
+     "error: too many positional values for 'bstar' (at position 10)\n"),
+    ("brs(q=1,tsnake(n=1,p=1),)",
+     "error: expected a family or parameter name (at position 24)\n"),
+    ("path(3) x", "error: trailing input after family spec (at position 8)\n"),
+]
+
+
+@pytest.mark.parametrize("spec, err", SPEC_REFUSALS)
 def test_degenerate_refusals_keep_their_message(capsys, spec, err):
     for command in ("gen", "inv", "sdepth", "decomp"):
         assert run(capsys, command, spec) == (2, "", err)
+
+
+def test_every_parse_message_has_a_pinned_refusal():
+    # each message families.py hands to FamilySpecParseError, directly
+    # or through parse_family's fail, matches a row of SPEC_REFUSALS
+    from edgeideals import families
+
+    tree = ast.parse(Path(families.__file__).read_text())
+    templates = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("fail", "FamilySpecParseError")):
+            message = node.args[0]
+            if isinstance(message, ast.Constant):
+                templates.append(re.escape(message.value))
+            elif isinstance(message, ast.JoinedStr):
+                templates.append("".join(
+                    re.escape(part.value) if isinstance(part, ast.Constant)
+                    else ".+" for part in message.values))
+    pinned = [getattr(row, "values", row)[1] for row in SPEC_REFUSALS]
+    pinned = [err for err in pinned if "(at position" in err]
+    matches = {(t, err) for t in templates for err in pinned
+               if re.fullmatch(f"error: {t} \\(at position \\d+\\)\n", err)}
+    assert set(templates) - {t for t, _ in matches} == set()  # unpinned
+    assert set(pinned) - {err for _, err in matches} == set()  # walk missed
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,7 +17,7 @@ from edgeideals.cli import main
 from edgeideals.decompositions import (RULES_BY_ID, expected_outcome,
                                        pivot_mask)
 from edgeideals.errors import InvalidParameterError, MembershipError
-from edgeideals.families import cycle, family_key
+from edgeideals.families import cycle, family_key, resolve
 from edgeideals.graphs import vars_of
 from edgeideals.ideals import graph_parts
 
@@ -266,6 +266,16 @@ def test_duplicated_factor_matches_no_unused_component(monkeypatch):
     assert not report.accounting_ok
 
 
+def test_more_components_than_factors_match_none(monkeypatch):
+    # the factor finds its component, but the star(2) is left over
+    patch_outcome(monkeypatch, [tsnake_star(2, 2)], 0)
+    report = verify_decomposition(ADD_XN, tsnake(4, 2))
+    assert not report.ok
+    assert [(f.matched, f.detail) for f in report.factors] == [
+        (False, "no unused component matches")]
+    assert not report.accounting_ok
+
+
 def test_wrong_free_count_fails_the_accounting(monkeypatch):
     patch_outcome(monkeypatch, [tsnake_star(2, 2), star(2)], 1)
     report = verify_decomposition(ADD_XN, tsnake(4, 2))
@@ -273,6 +283,66 @@ def test_wrong_free_count_fails_the_accounting(monkeypatch):
     assert all(f.matched for f in report.factors)
     assert (report.expected_free, report.actual_free) == (1, 0)
     assert not report.accounting_ok
+
+
+def nx_graph(nx, adj):
+    graph = nx.Graph()
+    graph.add_nodes_from(range(len(adj)))
+    graph.add_edges_from((a, b) for a, m in enumerate(adj) for b in vars_of(m))
+    return graph
+
+
+def perturbed(rng, factors, free):
+    """The outcome with one factor dropped, added, replaced or duplicated,
+    or with the free count one off."""
+    factors, k = list(factors), rng.randrange(len(factors))
+    op = rng.randrange(5)
+    if op == 0:
+        del factors[k]
+    elif op == 1:
+        factors.insert(k, rng.choice(FACTOR_POOL))
+    elif op == 2:
+        factors[k] = rng.choice(FACTOR_POOL)
+    elif op == 3:
+        factors.insert(k, factors[k])
+    else:
+        free += rng.choice((-1, 1))
+    return factors, free
+
+
+FACTOR_POOL = [star(1), star(2), cycle(3), tsnake_star(1, 1), tsnake_star(2, 1),
+               tsnake_star(-1, 1), tsnake_starstar(-1, 1)]
+
+
+def test_factors_match_exactly_when_networkx_pairs_them_off(monkeypatch):
+    # ok holds exactly when the free count agrees and every graph comes
+    # as often among the factors as among the components, up to
+    # isomorphism; the factors match exactly when the second holds
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(28)
+    seen = Counter()
+    for report in replay_catalogue(max_n=4, max_p=2, max_q=1):
+        rule, spec = RULES_BY_ID[report.rule_id], report.spec
+        graph = build_extended(spec)
+        components, _, free = decompositions._quotient(
+            graph.adjacency, pivot_mask(rule, spec, graph), rule.kind)
+        found = [nx_graph(nx, c) for c in components]
+        for _ in range(4):
+            factors, rule_free = perturbed(rng, *expected_outcome(rule, spec))
+            patch_outcome(monkeypatch, factors, rule_free)
+            got = verify_decomposition(rule, spec)
+            parts = [resolve(f) for f in factors]
+            expected = [nx_graph(nx, build_extended(s).adjacency)
+                        for specs, _ in parts for s in specs]
+            paired = all(
+                sum(nx.is_isomorphic(g, h) for h in expected)
+                == sum(nx.is_isomorphic(g, h) for h in found)
+                for g in expected + found)
+            free_ok = free == rule_free + sum(loose for _, loose in parts)
+            assert [f.matched for f in got.factors] == [paired] * len(expected)
+            assert got.ok == (paired and free_ok), failure_text(got)
+            seen[paired, free_ok] += 1
+    assert len(seen) == 4, seen
 
 
 def test_decomp_cli_exits_one_on_a_mismatch(monkeypatch, capsys):

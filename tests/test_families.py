@@ -259,6 +259,8 @@ def test_parse_round_trip():
 def test_parse_accepts_whitespace_and_positional():
     assert parse_family(" tsnake( n = 2 , p = 1 ) ") == tsnake(2, 1)
     assert parse_family("path(4)") == path(4)
+    assert str(parse_family("  path ( 4 )  ")) == "path(n=4)"
+    assert str(parse_family("brs(tsnake(n=1,p=1),2)")) == "brs(q=2,tsnake(n=1,p=1))"
 
 
 def test_parse_error_positions():

@@ -331,3 +331,41 @@ def test_a_refused_build_leaves_a_skipped_row(capsys):
     assert capsys.readouterr().out.splitlines()[0] == (
         "[skipped      ] tsnake-reg(n=0,p=1) build: "
         "computed=tsnake needs n >= 1 predicted=None")
+
+
+def test_a_cell_past_the_build_limit_leaves_a_skipped_row(monkeypatch, capsys):
+    # a cap raised past the build limit: the other cells carry on, and
+    # the cell past it is refused before anything is built
+    from edgeideals import families
+
+    config = RunConfig(hochster_cap=30000)
+    small = run_claims(["tsnake-reg"], config, {"n": [1], "p": [1]})
+    real = families._build
+
+    def build(spec):
+        assert spec.n != 10000, "built a cell past the build limit"
+        return real(spec)
+
+    monkeypatch.setattr(families, "_build", build)
+    report = run_claims(["tsnake-reg"], config, {"n": [1, 10000], "p": [1]})
+    big = [r for r in report.rows if r.params == (("n", 10000), ("p", 1))]
+    assert [r for r in report.rows if r not in big] == small.rows
+    assert [(r.invariant, r.computed, r.predicted, r.status) for r in big] == [
+        ("build", "20001 vertices exceeds the build limit of 20000", None,
+         "skipped")]
+    argv = ["verify", "tsnake-reg", "--n", "10000", "--p", "1",
+            "--hochster-cap", "30000", "--format", "text"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        "[skipped      ] tsnake-reg(n=10000,p=1) build: computed=20001 "
+        "vertices exceeds the build limit of 20000 predicted=None\n"
+        "pass=0 fail=0 observational=0 skipped=1\n")
+    # a bad field is still refused before the build, for the whole run
+    for field, err in [
+            ("4", "error: characteristic 4 is not prime\n"),
+            ("3317044064679887385961981",
+             "error: characteristic 3317044064679887385961981 is not below "
+             "3317044064679887385961981, where primality is decided exactly\n")]:
+        assert main(argv + ["--field", field]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err.startswith(err)) == ("", True), out.err
