@@ -220,6 +220,31 @@ MUTANTS = {
         "if False:",
         ("tests/test_cli.py::test_degenerate_refusals_keep_their_message",),
         "parse_family splits the spec into one token list"),
+    "render-keys-unsorted": Mutant(
+        "render.py",
+        "for k, v in sorted(o.items())]",
+        "for k, v in o.items()]",
+        ("tests/test_outputs.py::test_cli_outputs_match_the_pins",
+         "tests/test_render.py::test_json_text_is_json_dumps_byte_for_byte"),
+        "json_text writes reports without json's pure-Python encoder"),
+    "render-empty-padded": Mutant(
+        "render.py",
+        'return "[]"',
+        "pass",
+        ("tests/test_render.py::test_named_documents_render_as_json_does",),
+        "json_text writes reports without json's pure-Python encoder"),
+    "render-fallback-unshifted": Mutant(
+        "render.py",
+        '.replace("\\n", pad)',
+        "",
+        ("tests/test_render.py::test_named_documents_render_as_json_does",),
+        "json_text writes reports without json's pure-Python encoder"),
+    "render-non-ascii-raw": Mutant(
+        "render.py",
+        "import encode_basestring_ascii as _quote",
+        "import encode_basestring as _quote",
+        ("tests/test_render.py::test_json_text_is_json_dumps_byte_for_byte",),
+        "json_text writes reports without json's pure-Python encoder"),
 }
 
 

@@ -456,16 +456,34 @@ def subcommand_formats():
             for fmt in action.choices]
 
 
+def small_target(command):
+    return ["star", "--u", "2"] if command == "verify" else ["tsnake(n=2,p=1)"]
+
+
 def test_every_subcommand_writes_every_format(capsys):
     # read off the parser, so a new renderer cannot go untested
     pairs = subcommand_formats()
     assert len(pairs) == 12
     for command, fmt in pairs:
-        target = (["star", "--u", "2"] if command == "verify"
-                  else ["tsnake(n=2,p=1)"])
-        code, out, err = run(capsys, command, *target, "--format", fmt)
+        code, out, err = run(capsys, command, *small_target(command),
+                             "--format", fmt)
         assert (code, err) == (0, ""), (command, fmt)
         assert out.strip(), (command, fmt)
+
+
+def test_every_json_report_is_laid_out_as_json_dumps_lays_it_out(capsys):
+    # the byte pins cannot cover --durations, whose floats are wall-clock
+    # times, so each JSON report is checked against json's own layout
+    argvs = [[command, *small_target(command), "--format", "json"]
+             for command, fmt in subcommand_formats() if fmt == "json"]
+    argvs.append(["verify", "bstar", "--durations", "--format", "json"])
+    assert len(argvs) == 6
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out == json.dumps(json.loads(out), indent=2,
+                                 sort_keys=True) + "\n", argv
+    assert isinstance(json.loads(out)["durations"]["bstar"], float)
 
 
 def test_verify_runs_are_byte_identical(capsys):

@@ -39,11 +39,11 @@ def test_lazy_namespace_matches_the_home_modules():
         edgeideals.no_such_name
 
 
-def _loaded_after(code):
-    """The edgeideals submodules a fresh interpreter holds after code."""
+def _loaded_after(code, package="edgeideals"):
+    """The submodules of package a fresh interpreter holds after code."""
     probe = ("import sys, io, contextlib\n" + code + "\n"
              "print(' '.join(sorted(m.partition('.')[2] for m in sys.modules\n"
-             "                      if m.startswith('edgeideals.'))))")
+             f"                      if m.startswith({package + '.'!r}))))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=env, check=True)
@@ -53,6 +53,11 @@ def _loaded_after(code):
 def test_importing_the_package_or_the_cli_loads_no_engine():
     assert _loaded_after("import edgeideals") == set()
     assert _loaded_after("import edgeideals.cli") == {"cli", "errors"}
+    # nor json, whose import would land in the start-up time; only the
+    # reports need it (importing json loads json.decoder and json.scanner)
+    assert _loaded_after("import edgeideals", "json") == set()
+    assert _loaded_after("import edgeideals.cli", "json") == set()
+    assert _loaded_after("import json", "json") >= {"decoder", "scanner"}
 
 
 @pytest.mark.parametrize("argv, absent", [
