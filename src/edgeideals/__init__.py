@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 # each exported name and the module that defines it, in __all__ order
 _HOME = {
-    "BettiTable": "betti", "CLAIMS": "verify", "CapExceededError": "errors",
+    "BettiTable": "betti", "CLAIMS": "verify",
     "ClosedForm": "verify", "DecompositionReport": "decompositions",
     "DecompositionRule": "decompositions", "EdgeIdealsError": "errors",
     "FacePoset": "sdepth", "FamilySpec": "families",
@@ -27,9 +27,8 @@ _HOME = {
     "LabeledGraph": "graphs", "MembershipError": "errors",
     "MonomialIdeal": "ideals", "NonPrimeCharacteristicError": "errors",
     "OutOfStatedRangeError": "errors", "RegInterval": "recursion",
-    "RecursionCapError": "errors", "RuleInapplicableError": "errors",
-    "RunConfig": "verify", "TooManyGeneratorsError": "errors",
-    "TooManyVariablesError": "errors", "VerificationReport": "verify",
+    "RuleInapplicableError": "errors", "RunConfig": "verify",
+    "SizeLimitError": "errors", "VerificationReport": "verify",
     "VertexLabel": "graphs", "add_variable": "ideals",
     "betti_table": "betti", "betti_table_taylor": "taylor",
     "bristled": "families", "bristled_star": "families",

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import DEFAULT_HOCHSTER_CAP, TooManyVariablesError
+from .errors import DEFAULT_HOCHSTER_CAP, SizeLimitError
 from .gf import check_prime, gfp_rank
 from .graphs import induced_adjacency, live_vertices, vars_of
 from .ideals import MonomialIdeal, graph_faces, graph_parts
@@ -271,7 +271,7 @@ def check_size(n_vars: int, characteristic: int, max_vars: int) -> None:
     a graph, since a graph over the cap can take gigabytes to build."""
     check_prime(characteristic)
     if n_vars > max_vars:
-        raise TooManyVariablesError(
+        raise SizeLimitError(
             f"{n_vars} variables exceeds the cap of {max_vars}",
             limit="hochster_cap")
 

@@ -22,8 +22,8 @@ import argparse
 import functools
 import sys
 
-from .errors import (DEFAULT_EXACT_CAP, DEFAULT_HOCHSTER_CAP, CapExceededError,
-                     EdgeIdealsError, SizeLimitError)
+from .errors import (DEFAULT_EXACT_CAP, DEFAULT_HOCHSTER_CAP, EdgeIdealsError,
+                     SizeLimitError)
 
 # What helps past each size limit; every hint says "cap", which scripts
 # reading stderr key on.
@@ -32,9 +32,13 @@ _LIMIT_HINTS = {
     "sdepth_cap": "raise --sdepth-cap, or pick smaller parameters",
     "node_budget": "no cap flag lifts the search node budget; "
                    "pick smaller parameters",
+    "step_budget": "no cap flag lifts the recursion step budget; "
+                   "pick smaller parameters",
     "primality_bound": "no cap flag lifts the primality bound; "
                        "pick a smaller prime",
-    None: "no cap flag lifts this limit; pick smaller parameters",
+    "taylor_cap": "no cap flag lifts the Taylor cap; pick fewer generators",
+    "poset_cap": "no cap flag lifts the poset cap; pick smaller parameters",
+    "build_limit": "no cap flag lifts this limit; pick smaller parameters",
 }
 
 
@@ -117,7 +121,7 @@ def cmd_inv(args) -> int:
     try:
         value, _ = sdepth.stanley_depth(ideal, args.sdepth_cap)
         doc["sdepth"] = value
-    except CapExceededError:
+    except SizeLimitError:
         doc["sdepth"] = None
     if args.format == "text":
         keys = ["n_vars", "depth", "sdepth", "reg", "pdim"]

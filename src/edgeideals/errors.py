@@ -1,8 +1,9 @@
 """Exception types shared across the package, and the default caps.
 
-The caps are the defaults of the two limits the CLI flags set; betti
-and sdepth export them under the same names.  They live here so the
-argument parser can read them without loading either engine.
+Every size limit raises SizeLimitError, naming the limit.  The caps are
+the defaults of the two limits the CLI flags set; betti and sdepth
+export them under the same names.  They live here so the argument
+parser can read them without loading either engine.
 """
 
 from __future__ import annotations
@@ -40,30 +41,19 @@ class SizeLimitError(EdgeIdealsError, ValueError):
     """An input is past a size limit, so an exact answer is refused.
 
     `limit` names the limit: "hochster_cap" or "sdepth_cap" (the caps the
-    CLI flags set), "node_budget" (the Stanley depth search) or
-    "primality_bound" (the exact primality test); None for a size
-    argument that only the library API sets.
+    CLI flags set), "node_budget" (the Stanley depth search),
+    "step_budget" (the regularity recursion), "primality_bound" (the
+    exact primality test), "taylor_cap" (the Taylor complex),
+    "poset_cap" (sdepth.face_poset) or "build_limit" (the graph build).
     """
 
-    def __init__(self, message: str, limit: str | None = None):
+    def __init__(self, message: str, limit: str):
         super().__init__(message)
         self.limit = limit
 
 
-class TooManyVariablesError(SizeLimitError):
-    """The ambient variable count exceeds a configured cap."""
-
-
-class TooManyGeneratorsError(EdgeIdealsError, ValueError):
-    """The generator count exceeds the Taylor-complex cap."""
-
-
 class NonPrimeCharacteristicError(EdgeIdealsError, ValueError):
     """Field characteristic must be a prime number."""
-
-
-class CapExceededError(SizeLimitError):
-    """An exact search was requested beyond its configured size cap."""
 
 
 class OutOfStatedRangeError(EdgeIdealsError, ValueError):
@@ -72,7 +62,3 @@ class OutOfStatedRangeError(EdgeIdealsError, ValueError):
 
 class RuleInapplicableError(EdgeIdealsError, ValueError):
     """A decomposition rule does not apply at the given parameters."""
-
-
-class RecursionCapError(EdgeIdealsError, RuntimeError):
-    """The regularity recursion exceeded its depth cap."""

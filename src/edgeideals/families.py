@@ -298,7 +298,8 @@ def build_extended(spec: FamilySpec) -> LabeledGraph:
     n_vertices = _counts(spec)[0]
     if n_vertices > MAX_BUILD_VERTICES:
         raise SizeLimitError(f"{n_vertices} vertices exceeds the build "
-                             f"limit of {MAX_BUILD_VERTICES}")
+                             f"limit of {MAX_BUILD_VERTICES}",
+                             limit="build_limit")
     return LabeledGraph(*_build(spec))
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .errors import CapExceededError, NonPrimeCharacteristicError
+from .errors import NonPrimeCharacteristicError, SizeLimitError
 
 # Strong-probable-prime tests to the first 13 prime bases decide
 # primality exactly below this bound (Sorenson and Webster, 2015).
@@ -36,7 +36,7 @@ def _is_prime(n: int) -> bool:
 
 def check_prime(p: int) -> None:
     if p >= MILLER_RABIN_LIMIT:
-        raise CapExceededError(
+        raise SizeLimitError(
             f"characteristic {p} is not below {MILLER_RABIN_LIMIT}, "
             f"where primality is decided exactly", limit="primality_bound")
     if not _is_prime(p):

@@ -17,14 +17,15 @@ so on a tie we retry the remaining pivots and intersect the resulting
 ranges, returning a point whenever one pivot is decisive.  The result
 type is an interval either way; callers assert is_point where a
 claim row of verify.CLAIMS predicts an exact value.  Each call may take
-at most STEP_BUDGET steps and raises RecursionCapError past it.
+at most STEP_BUDGET steps and raises SizeLimitError (limit
+"step_budget") past it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import RecursionCapError
+from .errors import SizeLimitError
 from .graphs import component_masks, induced_adjacency, live_vertices, vars_of
 from .ideals import MonomialIdeal, graph_parts
 
@@ -82,8 +83,9 @@ class _Engine:
         """reg of the edge ideal of the subgraph induced on verts."""
         self.steps += 1
         if self.steps > STEP_BUDGET:
-            raise RecursionCapError(
-                f"regularity recursion exceeded {STEP_BUDGET} steps")
+            raise SizeLimitError(
+                f"regularity recursion exceeded {STEP_BUDGET} steps",
+                limit="step_budget")
         adj = self.adj
         total = _POINT_ZERO
         for comp in component_masks(adj, live_vertices(adj, verts)):

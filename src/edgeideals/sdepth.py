@@ -31,8 +31,8 @@ size d.  That prune is incremental: a step can only strand the faces one
 below the faces it covers, so it tests those, and the faces already
 stranded before anything is covered.  Only the top-level graph needs a
 witness: its faces above the skeleton cover are partitioned greedily
-once the value is known.  Every search stops with CapExceededError
-after SEARCH_NODE_BUDGET nodes.
+once the value is known.  Every search stops with SizeLimitError
+(limit "node_budget") after SEARCH_NODE_BUDGET nodes.
 
 Colon values are memoised, for one call, on the colon's graph and on its
 isomorphism class, since Stanley depth does not change when the
@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .errors import DEFAULT_EXACT_CAP, CapExceededError
+from .errors import DEFAULT_EXACT_CAP, SizeLimitError
 from .graphs import (induced_adjacency, is_isomorphic, live_vertices, mask_of,
                      vars_of)
 from .ideals import MonomialIdeal, faces_of, graph_faces, graph_parts
@@ -67,8 +67,9 @@ def face_poset(ideal: MonomialIdeal, cap: int = DEFAULT_POSET_CAP) -> FacePoset:
     if ideal.is_unit:
         raise ValueError("the unit ideal has an empty face poset")
     if ideal.n_vars > cap:
-        raise CapExceededError(
-            f"face poset capped at {cap} variables, got {ideal.n_vars}")
+        raise SizeLimitError(
+            f"face poset capped at {cap} variables, got {ideal.n_vars}",
+            limit="poset_cap")
     return FacePoset(ideal.n_vars, tuple(faces_of(ideal.n_vars, ideal.gens)))
 
 
@@ -227,7 +228,7 @@ class _Search:
         """
         self.solver.nodes += 1
         if self.solver.nodes > SEARCH_NODE_BUDGET:
-            raise CapExceededError(
+            raise SizeLimitError(
                 f"exact Stanley depth search passed its budget of "
                 f"{SEARCH_NODE_BUDGET} nodes", limit="node_budget")
         index = self.index
@@ -335,7 +336,7 @@ def check_live(n_live: int, exact_cap: int) -> None:
     calls it on the family's closed-form counts before it builds a graph,
     since a graph far over the cap can take gigabytes to build."""
     if n_live > exact_cap:
-        raise CapExceededError(
+        raise SizeLimitError(
             f"exact Stanley depth capped at {exact_cap} live variables, "
             f"got {n_live}", limit="sdepth_cap")
 
@@ -347,7 +348,7 @@ def stanley_depth(ideal: MonomialIdeal, exact_cap: int = DEFAULT_EXACT_CAP
     I is read by graph_parts, so a generator of degree 3 or more raises
     ValueError.  The cap applies to the live vertices: the variables
     left after stripping free and killed ones.  A search that runs past
-    SEARCH_NODE_BUDGET nodes raises CapExceededError, as an instance
+    SEARCH_NODE_BUDGET nodes raises SizeLimitError, as an instance
     over the cap does.
     """
     if ideal.is_unit:

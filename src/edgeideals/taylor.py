@@ -7,12 +7,13 @@ differential, i.e. the pairs A, A minus g with equal lcm.  The complex
 therefore splits into strands, one per lcm value, and the homology of
 the strand in homological degree i is beta_{i, lcm}.  Nothing here is
 shared with the subset-scan engine beyond gf.gfp_rank, which both call
-for every field.
+for every field.  The complex has 2^r faces, so more than
+DEFAULT_MAX_GENS generators raise SizeLimitError (limit "taylor_cap").
 """
 
 from __future__ import annotations
 
-from .errors import TooManyGeneratorsError
+from .errors import SizeLimitError
 from .gf import check_prime, gfp_rank
 from .ideals import MonomialIdeal
 from .betti import BettiTable
@@ -28,8 +29,9 @@ def betti_table_taylor(ideal: MonomialIdeal, characteristic: int = 2
     gens = sorted(ideal.gens, key=lambda g: (g.bit_count(), g))
     r = len(gens)
     if r > DEFAULT_MAX_GENS:
-        raise TooManyGeneratorsError(
-            f"{r} generators exceeds the Taylor cap of {DEFAULT_MAX_GENS}")
+        raise SizeLimitError(
+            f"{r} generators exceeds the Taylor cap of {DEFAULT_MAX_GENS}",
+            limit="taylor_cap")
     # lcm of every generator subset, built one lowest bit at a time
     lcm = [0] * (1 << r)
     for a in range(1, 1 << r):

@@ -32,13 +32,13 @@ from dataclasses import dataclass, field
 
 from .betti import betti_table, check_size
 from .decompositions import replay_family
-from .errors import (DEFAULT_EXACT_CAP, DEFAULT_HOCHSTER_CAP, CapExceededError,
-                     EdgeIdealsError, InvalidParameterError,
-                     OutOfStatedRangeError, RecursionCapError, SizeLimitError,
-                     TooManyVariablesError)
+from .errors import (DEFAULT_EXACT_CAP, DEFAULT_HOCHSTER_CAP, EdgeIdealsError,
+                     InvalidParameterError, OutOfStatedRangeError,
+                     SizeLimitError)
 from .families import (FamilySpec, build_extended, expected_counts, family_key,
                        family_params, resolve, spec_of, spec_params,
                        validate_spec)
+from .gf import check_prime
 from .ideals import edge_ideal
 from .recursion import regularity_by_recursion
 from .render import csv_line, json_text
@@ -61,6 +61,7 @@ class RunConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be 0 or more, "
                                  f"got {getattr(self, name)}")
+        check_prime(self.characteristic)
 
     def as_dict(self) -> dict:
         return {
@@ -290,7 +291,7 @@ def run_cell(claim: Claim, cell: tuple[int, ...],
     computed = {}
     try:
         check_size(n_vars, config.characteristic, config.hochster_cap)
-    except TooManyVariablesError:
+    except SizeLimitError:
         pass  # nothing is built, so every closed-form row is skipped
     else:
         try:
@@ -306,12 +307,12 @@ def run_cell(claim: Claim, cell: tuple[int, ...],
         if "sdepth" in prediction.values:
             try:
                 computed["sdepth"] = stanley_depth(ideal, config.sdepth_cap)[0]
-            except CapExceededError:
+            except SizeLimitError:
                 pass
         try:
             rec = regularity_by_recursion(ideal)
             shown = rec.lo if rec.is_point else f"[{rec.lo},{rec.hi}]"
-        except RecursionCapError:
+        except SizeLimitError:
             shown = None
         row("reg-recursion", shown, table.regularity)
         if config.cross_field:

@@ -245,6 +245,19 @@ MUTANTS = {
         "import encode_basestring as _quote",
         ("tests/test_render.py::test_json_text_is_json_dumps_byte_for_byte",),
         "json_text writes reports without json's pure-Python encoder"),
+    "runconfig-field-unchecked": Mutant(
+        "verify.py",
+        "        check_prime(self.characteristic)\n",
+        "",
+        ("tests/test_verify.py::test_run_config_refuses_a_bad_field",),
+        "RunConfig checks the field once per verify run"),
+    "limit-name-drift": Mutant(
+        "sdepth.py",
+        'limit="node_budget"',
+        'limit="node-budget"',
+        ("tests/test_limits.py::test_every_raised_limit_has_exactly_one_hint",
+         "tests/test_cli.py::test_node_budget_refusal_says_no_flag_lifts_it"),
+        "every size limit raises SizeLimitError with a hinted limit name"),
 }
 
 

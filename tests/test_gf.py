@@ -6,7 +6,7 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from edgeideals.errors import CapExceededError, NonPrimeCharacteristicError
+from edgeideals.errors import NonPrimeCharacteristicError, SizeLimitError
 from edgeideals.gf import MILLER_RABIN_LIMIT, check_prime, gfp_rank
 
 
@@ -51,9 +51,9 @@ def test_check_prime_decides_large_primes():
 
 
 def test_check_prime_refuses_past_the_exact_bound():
-    with pytest.raises(CapExceededError):
+    with pytest.raises(SizeLimitError):
         check_prime(2**127 - 1)
-    with pytest.raises(CapExceededError):
+    with pytest.raises(SizeLimitError):
         check_prime(MILLER_RABIN_LIMIT)
 
 

@@ -8,7 +8,7 @@ from edgeideals import (LabeledGraph, MonomialIdeal, RegInterval,
                         build_extended, edge_ideal, invariants, parse_family,
                         regularity_by_recursion)
 from edgeideals import recursion
-from edgeideals.errors import RecursionCapError
+from edgeideals.errors import SizeLimitError
 from edgeideals.graphs import path_vertex, vars_of
 from edgeideals.ideals import graph_parts
 from edgeideals.recursion import _combine, _intersect
@@ -110,7 +110,7 @@ def test_unit_ideal_rejected():
 
 def test_step_cap(monkeypatch):
     monkeypatch.setattr(recursion, "STEP_BUDGET", 2)
-    with pytest.raises(RecursionCapError, match="exceeded 2 steps"):
+    with pytest.raises(SizeLimitError, match="exceeded 2 steps"):
         regularity_by_recursion(cycle_ideal(7))
 
 
@@ -279,5 +279,5 @@ def test_step_cap_falls_where_the_ideal_recursion_stops(monkeypatch):
         monkeypatch.setattr(recursion, "STEP_BUDGET", steps)
         assert regularity_by_recursion(ideal) is not None
         monkeypatch.setattr(recursion, "STEP_BUDGET", steps - 1)
-        with pytest.raises(RecursionCapError):
+        with pytest.raises(SizeLimitError):
             regularity_by_recursion(ideal)

@@ -15,7 +15,7 @@ from edgeideals import (LabeledGraph, MonomialIdeal, build_extended, colon_by,
 from edgeideals import recursion as recursion_module
 from edgeideals import sdepth as sdepth_module
 from edgeideals.cli import main
-from edgeideals.errors import CapExceededError
+from edgeideals.errors import SizeLimitError
 from edgeideals.graphs import induced_adjacency, live_vertices
 from edgeideals.ideals import graph_faces, graph_parts
 from oracles import least_maximal_independent_set, reduce_by_compact
@@ -103,7 +103,7 @@ def test_sdepth_at_least_depth_on_small_corpus():
 
 def test_exact_cap_raises():
     ideal = family_ideal("brs(q=1,ouroboros(n=3,p=1))")  # 12 live variables
-    with pytest.raises(CapExceededError):
+    with pytest.raises(SizeLimitError):
         stanley_depth(ideal)
     value, witness = stanley_depth(ideal, exact_cap=12)
     assert value == 6
@@ -357,7 +357,7 @@ def test_one_greedy_partition_per_call(monkeypatch, text):
 
 def test_node_budget_fails_loudly(monkeypatch, capsys):
     monkeypatch.setattr(sdepth_module, "SEARCH_NODE_BUDGET", 3)
-    with pytest.raises(CapExceededError):
+    with pytest.raises(SizeLimitError):
         stanley_depth(family_ideal("path(9)"))
     assert main(["sdepth", "path(9)"]) == 2
     assert "budget" in capsys.readouterr().err
@@ -535,7 +535,7 @@ def test_prune_decides_every_node_as_the_full_scan(monkeypatch):
             rooted += search.stranded != 0
             try:
                 search.run()
-            except CapExceededError:
+            except SizeLimitError:
                 pass
     assert rooted and decisions[True] and decisions[False]
 

@@ -11,8 +11,10 @@ from edgeideals import (CLAIMS, BettiTable, RegInterval, RunConfig,
 from edgeideals import decompositions, recursion, verify
 from edgeideals.cli import main
 from edgeideals.decompositions import RULES_BY_ID
-from edgeideals.errors import InvalidParameterError
+from edgeideals.errors import (InvalidParameterError,
+                               NonPrimeCharacteristicError, SizeLimitError)
 from edgeideals.families import family_key, spec_of, spec_params
+from edgeideals.gf import MILLER_RABIN_LIMIT
 
 
 def test_claim_registry_names():
@@ -220,6 +222,20 @@ def test_run_config_refuses_a_negative_cap(cap):
     with pytest.raises(ValueError, match=cap):
         RunConfig(**{cap: -1})
     assert getattr(RunConfig(**{cap: 0}), cap) == 0
+
+
+def test_run_config_refuses_a_bad_field(capsys):
+    # checked once per run: tsnake(n=0,p=1) is a refused build, so no
+    # cell of this grid reaches the Betti engine
+    with pytest.raises(NonPrimeCharacteristicError):
+        RunConfig(characteristic=4)
+    with pytest.raises(SizeLimitError) as info:
+        RunConfig(characteristic=MILLER_RABIN_LIMIT)
+    assert info.value.limit == "primality_bound"
+    for claim in ["tsnake-reg", "no-such-claim"]:
+        argv = ["verify", claim, "--n", "0", "--p", "1", "--field", "4"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: characteristic 4 is not prime\n")
 
 
 # verify can fail: a broken closed form or a disagreeing route.  The
