@@ -18,32 +18,28 @@ __version__ = "0.1.0"
 
 # each exported name and the module that defines it, in __all__ order
 _HOME = {
-    "BettiTable": "betti", "CLAIMS": "verify",
-    "ClosedForm": "verify", "DecompositionReport": "decompositions",
+    "BettiTable": "betti", "CLAIMS": "verify", "ClosedForm": "verify",
+    "DecompositionReport": "decompositions",
     "DecompositionRule": "decompositions", "EdgeIdealsError": "errors",
     "FacePoset": "sdepth", "FamilySpec": "families",
     "FamilySpecParseError": "errors", "IntervalPartition": "sdepth",
-    "InvalidParameterError": "errors",
-    "LabeledGraph": "graphs", "MembershipError": "errors",
-    "MonomialIdeal": "ideals", "NonPrimeCharacteristicError": "errors",
-    "OutOfStatedRangeError": "errors", "RegInterval": "recursion",
-    "RuleInapplicableError": "errors", "RunConfig": "verify",
+    "InvalidParameterError": "errors", "LabeledGraph": "graphs",
+    "MembershipError": "errors", "MonomialIdeal": "ideals",
+    "NonPrimeCharacteristicError": "errors", "OutOfStatedRangeError": "errors",
+    "RegInterval": "recursion", "RunConfig": "verify",
     "SizeLimitError": "errors", "VerificationReport": "verify",
-    "VertexLabel": "graphs", "add_variable": "ideals",
-    "betti_table": "betti", "betti_table_taylor": "taylor",
-    "bristled": "families", "bristled_star": "families",
-    "build_extended": "families", "closed_form": "verify",
-    "colon_by": "ideals", "cycle": "families", "edge_ideal": "ideals",
+    "VertexLabel": "graphs", "betti_table": "betti",
+    "betti_table_taylor": "taylor", "bristled": "families",
+    "bristled_star": "families", "build_extended": "families",
+    "closed_form": "verify", "cycle": "families", "edge_ideal": "ideals",
     "expected_counts": "families", "face_poset": "sdepth",
     "invariants": "betti", "is_isomorphic": "graphs", "mask_of": "graphs",
     "ouroboros": "families", "parse_family": "families", "path": "families",
-    "regularity_by_recursion": "recursion",
-    "replay_catalogue": "decompositions", "replay_family": "decompositions",
-    "rules_for": "decompositions", "run_claims": "verify",
-    "star": "families", "stanley_depth": "sdepth", "to_dot": "graphs",
-    "tsnake": "families", "tsnake_star": "families",
-    "tsnake_starstar": "families", "validate_partition": "sdepth",
-    "vars_of": "graphs", "verify_decomposition": "decompositions",
+    "regularity_by_recursion": "recursion", "replay_family": "decompositions",
+    "rules_for": "decompositions", "run_claims": "verify", "star": "families",
+    "stanley_depth": "sdepth", "to_dot": "graphs", "tsnake": "families",
+    "tsnake_star": "families", "tsnake_starstar": "families",
+    "validate_partition": "sdepth", "vars_of": "graphs",
 }
 
 __all__ = list(_HOME)

@@ -39,6 +39,7 @@ _LIMIT_HINTS = {
     "taylor_cap": "no cap flag lifts the Taylor cap; pick fewer generators",
     "poset_cap": "no cap flag lifts the poset cap; pick smaller parameters",
     "build_limit": "no cap flag lifts this limit; pick smaller parameters",
+    "grid_limit": "no cap flag lifts the grid limit; pick shorter ranges",
 }
 
 
@@ -50,15 +51,16 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_range(text: str) -> list[int]:
-    """'2' -> [2]; '1..4' -> [1, 2, 3, 4].
+def _parse_range(text: str) -> range:
+    """'2' -> range(2, 3); '1..4' -> range(1, 5), kept lazy so that
+    verify counts its cells before it makes any.
 
     A malformed or empty range raises ArgumentTypeError, which argparse
     reports with the flag's name before exiting with status 2.
     """
     lo, dots, hi = text.partition("..")
     try:
-        values = list(range(int(lo), int(hi if dots else lo) + 1))
+        values = range(int(lo), int(hi if dots else lo) + 1)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected an integer or a range like 1..4, got {text!r}") from None
@@ -199,8 +201,7 @@ def cmd_verify(args) -> int:
     config = verify.RunConfig(
         characteristic=args.field, cross_field=args.cross_field,
         hochster_cap=args.hochster_cap, sdepth_cap=args.sdepth_cap,
-        include_durations=args.durations,
-        decompositions=not args.no_decomp)
+        include_durations=args.durations)
     report = verify.run_claims(claim_ids, config, override or None)
     as_format = {"json": report.as_json, "text": report.as_text,
                  "csv": report.as_csv}[args.format]
@@ -266,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also compute over GF(3) and compare")
     p_ver.add_argument("--durations", action="store_true",
                        help="include wall-clock durations in the report")
-    p_ver.add_argument("--no-decomp", action="store_true",
-                       help="skip decomposition replay")
     _add_common(p_ver, ["json", "text", "csv"], _FLAGS)
     p_ver.set_defaults(func=cmd_verify)
     return parser

@@ -8,7 +8,7 @@ families.family_key, the key of that family's claim row in
 verify.CLAIMS; it carries its own outcome, the expected factors and the
 expected number of freed variables, and names its pivot by a key of
 _PIVOTS.  A rule reads the parent's (n, p, q) through
-families.spec_params.  verify_decomposition replays one rule
+families.spec_params.  replay_family replays every rule of a spec
 mechanically and reports per-factor isomorphism results: each expected
 factor takes the first unused isomorphic component, which finds a
 one-to-one match exactly when one exists, as isomorphism is an
@@ -30,10 +30,9 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .errors import MembershipError, RuleInapplicableError
+from .errors import MembershipError
 from .families import (FamilySpec, build_extended, bristled, family_key,
-                       resolve, spec_params, star, tsnake_star, tsnake_starstar,
-                       validate_spec)
+                       resolve, spec_params, star, tsnake_star, tsnake_starstar)
 from .graphs import (LabeledGraph, apex, component_masks, induced_adjacency,
                      is_isomorphic, live_vertices, mask_of, path_bristle,
                      path_vertex, vars_of)
@@ -196,8 +195,8 @@ def _quotient(adj: tuple[int, ...], pivot: int,
     ideal of adj after a colon by, or an add of, the pivot mask.
 
     The components come as local adjacency masks, lowest vertex first.
-    A colon pivot that is not independent lies in the ideal and raises
-    MembershipError, as ideals.colon_by does.
+    A colon pivot that is not independent lies in the ideal, so the
+    quotient is the unit ideal: that raises MembershipError.
     """
     if kind == "colon":
         killed = 0
@@ -213,15 +212,6 @@ def _quotient(adj: tuple[int, ...], pivot: int,
                   for comp in component_masks(adj, live)]
     return (components, killed.bit_count(),
             len(adj) - killed.bit_count() - live.bit_count())
-
-
-def verify_decomposition(rule: DecompositionRule,
-                         spec: FamilySpec) -> DecompositionReport:
-    validate_spec(spec)
-    if rule not in rules_for(spec):
-        raise RuleInapplicableError(
-            f"rule {rule.rule_id} does not apply to {spec}")
-    return _replay(rule, spec, build_extended(spec), {})
 
 
 def _replay(rule: DecompositionRule, spec: FamilySpec, graph: LabeledGraph,
@@ -283,22 +273,3 @@ def replay_family(spec: FamilySpec, graph: LabeledGraph | None = None
     built: dict[FamilySpec, tuple[int, ...]] = {}
     return [_replay(rule, spec, graph, built) for rule in rules]
 
-
-def replay_catalogue(max_n: int = 4, max_p: int = 2,
-                     max_q: int = 2) -> list[DecompositionReport]:
-    """Replay every rule over its full desk-scale parameter box."""
-    from .families import ouroboros, tsnake
-
-    reports = []
-    for n in range(1, max_n + 1):
-        for p in range(1, max_p + 1):
-            for base in (tsnake(n, p), tsnake_star(n, p), tsnake_starstar(n, p)):
-                reports.extend(replay_family(base))
-                for q in range(1, max_q + 1):
-                    reports.extend(replay_family(bristled(q, base)))
-    for n in range(3, max_n + 1):
-        for p in range(1, max_p + 1):
-            reports.extend(replay_family(ouroboros(n, p)))
-            for q in range(1, max_q + 1):
-                reports.extend(replay_family(bristled(q, ouroboros(n, p))))
-    return reports

@@ -44,7 +44,8 @@ class SizeLimitError(EdgeIdealsError, ValueError):
     CLI flags set), "node_budget" (the Stanley depth search),
     "step_budget" (the regularity recursion), "primality_bound" (the
     exact primality test), "taylor_cap" (the Taylor complex),
-    "poset_cap" (sdepth.face_poset) or "build_limit" (the graph build).
+    "poset_cap" (sdepth.face_poset), "build_limit" (the graph build) or
+    "grid_limit" (the cell count of a verify run).
     """
 
     def __init__(self, message: str, limit: str):
@@ -58,7 +59,3 @@ class NonPrimeCharacteristicError(EdgeIdealsError, ValueError):
 
 class OutOfStatedRangeError(EdgeIdealsError, ValueError):
     """Closed-form values were requested outside the stated parameter range."""
-
-
-class RuleInapplicableError(EdgeIdealsError, ValueError):
-    """A decomposition rule does not apply at the given parameters."""

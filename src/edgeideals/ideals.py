@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import MembershipError
 from .graphs import LabeledGraph, vars_of
 
 
@@ -136,24 +135,6 @@ class MonomialIdeal:
 def edge_ideal(graph: LabeledGraph) -> MonomialIdeal:
     """Edge ideal of a simple graph on its canonical variable order."""
     return MonomialIdeal.make(graph.n_vertices, _edge_gens(graph.adjacency))
-
-
-def colon_by(ideal: MonomialIdeal, monomial: int) -> MonomialIdeal:
-    """Colon ideal (I : m) for a squarefree monomial m not in I.
-
-    Generators are g with g's intersection with m removed, reminimized.
-    Colon by 1 returns the ideal unchanged.
-    """
-    if ideal.contains(monomial):
-        raise MembershipError("colon pivot lies in the ideal; quotient is the unit ideal")
-    return MonomialIdeal.make(ideal.n_vars, (g & ~monomial for g in ideal.gens))
-
-
-def add_variable(ideal: MonomialIdeal, v: int) -> MonomialIdeal:
-    """The ideal (I, x_v); generators containing v become redundant."""
-    if not 0 <= v < ideal.n_vars:
-        raise ValueError(f"variable {v} outside the ring")
-    return MonomialIdeal.make(ideal.n_vars, ideal.gens + (1 << v,))
 
 
 def graph_parts(ideal: MonomialIdeal) -> tuple[int, tuple[int, ...], int]:

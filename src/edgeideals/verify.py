@@ -26,8 +26,9 @@ clock durations are only included on request for that reason.
 from __future__ import annotations
 
 import itertools
+import math
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from .betti import betti_table, check_size
@@ -45,6 +46,8 @@ from .render import csv_line, json_text
 from .sdepth import stanley_depth
 
 SCHEMA_VERSION = 2
+# the most cells one run_claims call runs, summed over its claims
+GRID_LIMIT = 10000
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,6 @@ class RunConfig:
     hochster_cap: int = DEFAULT_HOCHSTER_CAP
     sdepth_cap: int = DEFAULT_EXACT_CAP
     include_durations: bool = False
-    decompositions: bool = True
 
     def __post_init__(self):
         for name in ("hochster_cap", "sdepth_cap"):
@@ -69,7 +71,6 @@ class RunConfig:
             "cross_field": self.cross_field,
             "hochster_cap": self.hochster_cap,
             "sdepth_cap": self.sdepth_cap,
-            "decompositions": self.decompositions,
         }
 
 
@@ -325,26 +326,33 @@ def run_cell(claim: Claim, cell: tuple[int, ...],
                 f"pdim={table.projective_dimension}",
                 agree=(twin.regularity, twin.projective_dimension)
                 == (table.regularity, table.projective_dimension))
-        if config.decompositions:
-            for report in replay_family(spec, graph):
-                row(f"decomp:{report.rule_id}",
-                    "ok" if report.ok else "mismatch", "ok")
+        for report in replay_family(spec, graph):
+            row(f"decomp:{report.rule_id}",
+                "ok" if report.ok else "mismatch", "ok")
     for name, want in sorted(prediction.values.items()):
         row(name, computed.get(name), want, prediction.stated)
     return rows
 
 
+def _length(axis: Sequence[int]) -> int:
+    """len(axis), which len() refuses for a range past sys.maxsize values."""
+    if isinstance(axis, range) and axis:
+        return (axis[-1] - axis[0]) // axis.step + 1
+    return len(axis)
+
+
 def run_claims(claim_ids: list[str], config: RunConfig,
-               grid_override: dict[str, list[int]] | None = None
+               grid_override: dict[str, Sequence[int]] | None = None
                ) -> VerificationReport:
     """Run each claim over its grid, once per claim id, in first-seen order.
 
-    grid_override maps an axis name to its values.  A claim with one of
-    those axes runs over the product of its axes, each overridden one
-    replaced and the others taking the values of its default cells; a
-    claim with none of them keeps its default cells.  An unknown claim
-    id, or an axis that none of the claims has, raises
-    InvalidParameterError.
+    grid_override maps an axis name to its values, such as a range.  A
+    claim with one of those axes runs over the product of its axes, each
+    overridden one replaced and the others taking the values of its
+    default cells; a claim with none of them keeps its default cells.
+    An unknown claim id, or an axis that none of the claims has, raises
+    InvalidParameterError.  A run of more than GRID_LIMIT cells in all
+    raises SizeLimitError before its first cell runs.
     """
     override = grid_override or {}
     claim_ids = list(dict.fromkeys(claim_ids))  # each claim runs once
@@ -361,18 +369,27 @@ def run_claims(claim_ids: list[str], config: RunConfig,
             f"claim{'' if one else 's'} {', '.join(map(repr, claim_ids))} "
             f"{'has' if one else 'have'} no parameter {', '.join(lacking)}; "
             f"{'its' if one else 'their'} parameters are {', '.join(params)}")
-    report = VerificationReport(config)
+    grids = []  # (claim, its overridden axes or None)
     for cid in claim_ids:
         claim = CLAIMS[cid]
-        cells = claim.default_cells
+        axes = None
         if any(name in override for name in claim.param_names):
             axes = [override[name] if name in override
-                    else sorted({c[i] for c in cells})
+                    else sorted({c[i] for c in claim.default_cells})
                     for i, name in enumerate(claim.param_names)]
-            cells = tuple(itertools.product(*axes))
+        grids.append((claim, axes))
+    size = sum(len(claim.default_cells) if axes is None
+               else math.prod(map(_length, axes)) for claim, axes in grids)
+    if size > GRID_LIMIT:
+        raise SizeLimitError(f"the grid has {size} cells, past the grid "
+                             f"limit of {GRID_LIMIT}", limit="grid_limit")
+    report = VerificationReport(config)
+    for claim, axes in grids:
+        cells = (claim.default_cells if axes is None
+                 else itertools.product(*axes))
         started = time.monotonic()
         for cell in cells:
             report.rows.extend(run_cell(claim, cell, config))
-        report.durations[cid] = time.monotonic() - started
+        report.durations[claim.claim_id] = time.monotonic() - started
     report.rows.sort(key=lambda r: (r.claim, r.params, r.invariant))
     return report

@@ -258,6 +258,14 @@ MUTANTS = {
         ("tests/test_limits.py::test_every_raised_limit_has_exactly_one_hint",
          "tests/test_cli.py::test_node_budget_refusal_says_no_flag_lifts_it"),
         "every size limit raises SizeLimitError with a hinted limit name"),
+    "grid-limit-unchecked": Mutant(
+        "verify.py",
+        "if size > GRID_LIMIT:",
+        "if False:",
+        ("tests/test_verify.py::"
+         "test_a_grid_past_the_limit_is_refused_before_its_first_cell",
+         "tests/test_cli.py::test_a_grid_past_the_limit_exits_two_at_once"),
+        "verify counts a run's cells and refuses past GRID_LIMIT"),
 }
 
 

@@ -1,6 +1,45 @@
 """Independent references that the engines are tested against."""
 
-from edgeideals import MonomialIdeal, mask_of, vars_of
+from edgeideals import (MembershipError, MonomialIdeal, bristled, mask_of,
+                        ouroboros, replay_family, tsnake, tsnake_star,
+                        tsnake_starstar, vars_of)
+
+
+def colon_by(ideal, monomial):
+    """Colon ideal (I : m) for a squarefree monomial m not in I.
+
+    Generators are g with g's intersection with m removed, reminimized.
+    Colon by 1 returns the ideal unchanged.  The ideal-level route that
+    the replay's mask rule, decompositions._quotient, stands for.
+    """
+    if ideal.contains(monomial):
+        raise MembershipError("colon pivot lies in the ideal; quotient is the unit ideal")
+    return MonomialIdeal.make(ideal.n_vars, (g & ~monomial for g in ideal.gens))
+
+
+def add_variable(ideal, v):
+    """The ideal (I, x_v); generators containing v become redundant."""
+    if not 0 <= v < ideal.n_vars:
+        raise ValueError(f"variable {v} outside the ring")
+    return MonomialIdeal.make(ideal.n_vars, ideal.gens + (1 << v,))
+
+
+def replay_catalogue(max_n=4, max_p=2, max_q=2):
+    """replay_family over every catalogued family in the parameter box
+    n <= max_n, p <= max_p, q <= max_q, bare and bristled."""
+    reports = []
+    for n in range(1, max_n + 1):
+        for p in range(1, max_p + 1):
+            for base in (tsnake(n, p), tsnake_star(n, p), tsnake_starstar(n, p)):
+                reports.extend(replay_family(base))
+                for q in range(1, max_q + 1):
+                    reports.extend(replay_family(bristled(q, base)))
+    for n in range(3, max_n + 1):
+        for p in range(1, max_p + 1):
+            reports.extend(replay_family(ouroboros(n, p)))
+            for q in range(1, max_q + 1):
+                reports.extend(replay_family(bristled(q, ouroboros(n, p))))
+    return reports
 
 
 def compact(ideal, variables):

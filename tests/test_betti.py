@@ -7,13 +7,14 @@ from unittest.mock import patch
 import pytest
 
 from edgeideals import (BettiTable, LabeledGraph, MonomialIdeal, betti_table,
-                        betti_table_taylor, build_extended, colon_by,
-                        edge_ideal, invariants, parse_family,
-                        regularity_by_recursion, stanley_depth)
+                        betti_table_taylor, build_extended, edge_ideal,
+                        invariants, parse_family, regularity_by_recursion,
+                        stanley_depth)
 from edgeideals import betti, sdepth
 from edgeideals.ideals import faces_of, graph_parts
 from edgeideals.errors import (NonPrimeCharacteristicError,
                                SizeLimitError)
+from oracles import colon_by
 
 
 def cycle_ideal(n):

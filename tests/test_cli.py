@@ -425,6 +425,7 @@ def test_out_writes_file(tmp_path, capsys):
     ["decomp", "tsnake(n=2,p=1)", "--field", "3"],
     ["decomp", "tsnake(n=2,p=1)", "--hochster-cap", "20"],
     ["decomp", "tsnake(n=2,p=1)", "--sdepth-cap", "5"],
+    ["verify", "star", "--no-decomp"],  # every verify run replays
 ])
 def test_a_flag_the_subcommand_does_not_read_exits_two(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -586,6 +587,27 @@ def test_node_budget_refusal_says_no_flag_lifts_it(monkeypatch, capsys):
     assert "budget" in err
     assert "hint: no cap flag lifts the search node budget" in err
     assert "--hochster-cap" not in err and "--sdepth-cap" not in err
+
+
+def test_a_grid_past_the_limit_exits_two_at_once():
+    # a child process with 1 GB of address space: were the cells made
+    # before they are counted, the 10^9 values would fail it at once
+    import resource
+    import time
+
+    def small():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    started = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-m", "edgeideals.cli", "verify", "star", "--u",
+         "1..1000000000"], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=SRC), preexec_fn=small)
+    assert time.monotonic() - started < 10
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (
+        "error: the grid has 1000000000 cells, past the grid limit of 10000\n"
+        "hint: no cap flag lifts the grid limit; pick shorter ranges\n")
 
 
 def fresh_process(*argv):

@@ -7,11 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from edgeideals import (FamilySpec, LabeledGraph, add_variable, build_extended,
-                        bristled, colon_by, edge_ideal, ouroboros,
-                        parse_family, replay_catalogue, replay_family,
-                        rules_for, star, tsnake, tsnake_star, tsnake_starstar,
-                        verify_decomposition)
+from edgeideals import (FamilySpec, LabeledGraph, build_extended, bristled,
+                        edge_ideal, ouroboros, parse_family, replay_family,
+                        rules_for, star, tsnake, tsnake_star, tsnake_starstar)
 from edgeideals import decompositions
 from edgeideals.cli import main
 from edgeideals.decompositions import (RULES_BY_ID, expected_outcome,
@@ -20,6 +18,7 @@ from edgeideals.errors import InvalidParameterError, MembershipError
 from edgeideals.families import cycle, family_key, resolve
 from edgeideals.graphs import vars_of
 from edgeideals.ideals import graph_parts
+from oracles import add_variable, colon_by, replay_catalogue
 
 PINNED = json.loads((Path(__file__).parent / "pinned_outcomes.json").read_text())
 
@@ -34,6 +33,12 @@ def failure_text(r):
 def assert_all_ok(reports):
     bad = [r for r in reports if not r.ok]
     assert not bad, "\n".join(failure_text(r) for r in bad)
+
+
+def replay_rule(rule_id, spec):
+    """The report of one rule, picked by its id from replay_family."""
+    (report,) = [r for r in replay_family(spec) if r.rule_id == rule_id]
+    return report
 
 
 def test_rule_registry_covers_every_family():
@@ -100,7 +105,7 @@ def test_rule_outcomes_and_pivots_match_the_pinned_table():
 
 
 def test_single_rule_report_fields():
-    report = verify_decomposition(RULES_BY_ID["tsnake:colon-xn"], tsnake(3, 1))
+    report = replay_rule("tsnake:colon-xn", tsnake(3, 1))
     assert report.ok
     doc = report.as_dict()
     assert doc["rule"] == "tsnake:colon-xn"
@@ -138,8 +143,7 @@ def test_replay_remark_instances():
     assert_all_ok(replay_family(bristled(3, tsnake(3, 3))))
     for rid in ("brs-ouroboros:colon-xn", "brs-ouroboros:add-xn",
                 "brs-ouroboros:colon-brush"):
-        report = verify_decomposition(RULES_BY_ID[rid],
-                                      bristled(3, ouroboros(4, 2)))
+        report = replay_rule(rid, bristled(3, ouroboros(4, 2)))
         assert report.ok, failure_text(report)
 
 
@@ -232,15 +236,9 @@ def test_quotient_matches_the_ideal_route_on_every_pinned_rule():
         assert assert_quotient_matches(build_extended(spec), mask, rule.kind)
 
 
-def test_rule_inapplicable_for_wrong_family():
-    from edgeideals.errors import RuleInapplicableError
-    with pytest.raises(RuleInapplicableError):
-        verify_decomposition(RULES_BY_ID["ouroboros:colon-xn"], tsnake(3, 1))
-
-
 # the mismatch path: expected_outcome patched to a wrong answer
 
-ADD_XN = RULES_BY_ID["tsnake:add-xn"]  # tsnake(4,2) -> tsnake_star(2,2), star(2)
+ADD_XN = "tsnake:add-xn"  # tsnake(4,2) -> tsnake_star(2,2), star(2)
 
 
 def patch_outcome(monkeypatch, factors, free):
@@ -251,7 +249,7 @@ def patch_outcome(monkeypatch, factors, free):
 def test_wrong_factor_spec_matches_no_component(monkeypatch):
     # a triangle has the star(2)'s three vertices, so the count still adds up
     patch_outcome(monkeypatch, [tsnake_star(2, 2), cycle(3)], 0)
-    report = verify_decomposition(ADD_XN, tsnake(4, 2))
+    report = replay_rule(ADD_XN, tsnake(4, 2))
     assert not report.ok
     assert [f.detail for f in report.factors] == [
         "no unused component matches", "no component matches"]
@@ -260,7 +258,7 @@ def test_wrong_factor_spec_matches_no_component(monkeypatch):
 
 def test_duplicated_factor_matches_no_unused_component(monkeypatch):
     patch_outcome(monkeypatch, [tsnake_star(2, 2), tsnake_star(2, 2)], 0)
-    report = verify_decomposition(ADD_XN, tsnake(4, 2))
+    report = replay_rule(ADD_XN, tsnake(4, 2))
     assert not report.ok
     assert [f.detail for f in report.factors] == ["no unused component matches"] * 2
     assert not report.accounting_ok
@@ -269,7 +267,7 @@ def test_duplicated_factor_matches_no_unused_component(monkeypatch):
 def test_more_components_than_factors_match_none(monkeypatch):
     # the factor finds its component, but the star(2) is left over
     patch_outcome(monkeypatch, [tsnake_star(2, 2)], 0)
-    report = verify_decomposition(ADD_XN, tsnake(4, 2))
+    report = replay_rule(ADD_XN, tsnake(4, 2))
     assert not report.ok
     assert [(f.matched, f.detail) for f in report.factors] == [
         (False, "no unused component matches")]
@@ -278,7 +276,7 @@ def test_more_components_than_factors_match_none(monkeypatch):
 
 def test_wrong_free_count_fails_the_accounting(monkeypatch):
     patch_outcome(monkeypatch, [tsnake_star(2, 2), star(2)], 1)
-    report = verify_decomposition(ADD_XN, tsnake(4, 2))
+    report = replay_rule(ADD_XN, tsnake(4, 2))
     assert not report.ok
     assert all(f.matched for f in report.factors)
     assert (report.expected_free, report.actual_free) == (1, 0)
@@ -330,7 +328,7 @@ def test_factors_match_exactly_when_networkx_pairs_them_off(monkeypatch):
         for _ in range(4):
             factors, rule_free = perturbed(rng, *expected_outcome(rule, spec))
             patch_outcome(monkeypatch, factors, rule_free)
-            got = verify_decomposition(rule, spec)
+            got = replay_rule(rule.rule_id, spec)
             parts = [resolve(f) for f in factors]
             expected = [nx_graph(nx, build_extended(s).adjacency)
                         for specs, _ in parts for s in specs]

@@ -119,7 +119,10 @@ def test_pinning_script_uses_only_exported_names():
 
 # span targets of perfbench/spans.py whose function the package no longer
 # has; the tracer skips them, and their metrics read 0
-RETIRED_SPAN_TARGETS = [("edgeideals.gf", "gf2_rank")]
+RETIRED_SPAN_TARGETS = [("edgeideals.ideals", "colon_by"),
+                        ("edgeideals.ideals", "add_variable"),
+                        ("edgeideals.gf", "gf2_rank"),
+                        ("edgeideals.decompositions", "verify_decomposition")]
 
 
 def test_every_span_target_resolves_in_the_package():

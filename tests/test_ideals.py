@@ -1,4 +1,5 @@
-"""Bitmask monomial ideals: minimization, colon, membership, graph parts."""
+"""Bitmask monomial ideals: minimization, membership, graph parts, and the
+colon and add oracles of tests/oracles.py."""
 
 import random
 
@@ -6,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeideals import (LabeledGraph, MonomialIdeal, add_variable, colon_by,
-                        edge_ideal, invariants, mask_of, stanley_depth,
-                        vars_of)
+from edgeideals import (LabeledGraph, MonomialIdeal, edge_ideal, invariants,
+                        mask_of, stanley_depth, vars_of)
 from edgeideals.errors import MembershipError
 from edgeideals.graphs import induced_adjacency
 from edgeideals.ideals import faces_of, graph_faces, graph_parts, minimize
-from oracles import compact
+from oracles import add_variable, colon_by, compact
 
 
 # small random squarefree ideals on up to 6 variables

@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 
 import edgeideals
-from edgeideals import (betti_table, betti_table_taylor, build_extended, cycle,
-                        edge_ideal, face_poset, path, regularity_by_recursion,
-                        stanley_depth)
-from edgeideals import cli, recursion, sdepth
+from edgeideals import (RunConfig, betti_table, betti_table_taylor,
+                        build_extended, cycle, edge_ideal, face_poset, path,
+                        regularity_by_recursion, run_claims, stanley_depth)
+from edgeideals import cli, recursion, sdepth, verify
 from edgeideals.errors import SizeLimitError
 from edgeideals.gf import MILLER_RABIN_LIMIT, check_prime
 
@@ -59,6 +59,14 @@ def over_the_node_budget(monkeypatch):
     stanley_depth(edge_ideal(build_extended(path(9))))
 
 
+def over_the_grid_limit(monkeypatch):
+    def no_cell(claim, cell, config):
+        raise AssertionError("a cell ran before the grid was counted")
+
+    monkeypatch.setattr(verify, "run_cell", no_cell)
+    run_claims(["star"], RunConfig(), {"u": range(1, verify.GRID_LIMIT + 2)})
+
+
 # one call past each limit, by its name
 REFUSALS = {
     "hochster_cap": lambda mp: betti_table(cycle_ideal(17)),
@@ -69,6 +77,7 @@ REFUSALS = {
     "taylor_cap": lambda mp: betti_table_taylor(cycle_ideal(13)),
     "poset_cap": lambda mp: face_poset(cycle_ideal(15)),  # the cap is 14
     "build_limit": lambda mp: build_extended(path(100000)),
+    "grid_limit": over_the_grid_limit,
 }
 
 

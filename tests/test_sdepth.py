@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from edgeideals import (LabeledGraph, MonomialIdeal, build_extended, colon_by,
+from edgeideals import (LabeledGraph, MonomialIdeal, build_extended,
                         edge_ideal, face_poset, invariants, parse_family,
                         stanley_depth, validate_partition)
 from edgeideals import recursion as recursion_module
@@ -18,7 +18,8 @@ from edgeideals.cli import main
 from edgeideals.errors import SizeLimitError
 from edgeideals.graphs import induced_adjacency, live_vertices
 from edgeideals.ideals import graph_faces, graph_parts
-from oracles import least_maximal_independent_set, reduce_by_compact
+from oracles import (colon_by, least_maximal_independent_set,
+                     reduce_by_compact)
 from edgeideals.sdepth import (IntervalPartition, _colon_bound, _Exact,
                                _Search)
 from edgeideals.verify import CLAIMS, RunConfig, run_cell

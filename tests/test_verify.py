@@ -7,13 +7,15 @@ from pathlib import Path
 import pytest
 
 from edgeideals import (CLAIMS, BettiTable, RegInterval, RunConfig,
-                        build_extended, edge_ideal, replay_family, run_claims)
+                        betti_table, build_extended, edge_ideal, replay_family,
+                        run_claims)
 from edgeideals import decompositions, recursion, verify
 from edgeideals.cli import main
 from edgeideals.decompositions import RULES_BY_ID
-from edgeideals.errors import (InvalidParameterError,
+from edgeideals.errors import (DEFAULT_HOCHSTER_CAP, InvalidParameterError,
                                NonPrimeCharacteristicError, SizeLimitError)
-from edgeideals.families import family_key, spec_of, spec_params
+from edgeideals.families import (expected_counts, family_key, spec_of,
+                                 spec_params)
 from edgeideals.gf import MILLER_RABIN_LIMIT
 
 
@@ -101,6 +103,24 @@ def test_cross_field_rows():
     assert report.ok
 
 
+def test_every_default_cell_has_one_betti_table_over_three_fields():
+    # the split engine makes no rank call on these cells, so the field
+    # cannot enter: the full table agrees at GF(2), GF(3) and a prime
+    # above 2^40 on every default cell under the Betti cap
+    cells = 0
+    for claim in CLAIMS.values():
+        for cell in claim.default_cells:
+            spec = spec_of(claim.family, dict(zip(claim.param_names, cell)))
+            if expected_counts(spec)[0] > DEFAULT_HOCHSTER_CAP:
+                continue
+            ideal = edge_ideal(build_extended(spec))
+            tables = [betti_table(ideal, p).as_dict()
+                      for p in (2, 3, 1099511627791)]
+            assert tables[1] == tables[0] == tables[2], spec
+            cells += 1
+    assert cells == 46
+
+
 def test_json_report_shape_and_determinism():
     config = RunConfig()
     a = run_claims(["bstar"], config).as_json()
@@ -108,8 +128,11 @@ def test_json_report_shape_and_determinism():
     assert a == b
     doc = json.loads(a)
     assert doc["schema_version"] == 2
-    assert set(doc["config"]) == {"characteristic", "cross_field", "decompositions",
+    assert set(doc["config"]) == {"characteristic", "cross_field",
                                   "hochster_cap", "sdepth_cap"}
+    assert [f.name for f in dataclasses.fields(RunConfig)] == [
+        "characteristic", "cross_field", "hochster_cap", "sdepth_cap",
+        "include_durations"]
     assert "durations" not in doc
     assert {"cells", "config", "ok", "schema_version", "summary"} <= set(doc)
 
@@ -127,14 +150,6 @@ def test_csv_and_text_renderings():
     assert "star(u=1)" in csv_text
     text = report.as_text()
     assert "pass=" in text.splitlines()[-1]
-
-
-def test_decomp_rows_toggle():
-    on = run_claims(["tsnake-reg"], RunConfig(), grid_override={"n": [2], "p": [1]})
-    off = run_claims(["tsnake-reg"], RunConfig(decompositions=False),
-                     grid_override={"n": [2], "p": [1]})
-    assert any(r.invariant.startswith("decomp:") for r in on.rows)
-    assert not any(r.invariant.startswith("decomp:") for r in off.rows)
 
 
 def test_rows_sorted_for_stable_output():
@@ -193,7 +208,7 @@ def test_replay_family_takes_the_parent_graph():
 
 
 def test_run_claims_runs_each_claim_once():
-    config = RunConfig(decompositions=False, include_durations=True)
+    config = RunConfig(include_durations=True)
     once = run_claims(["star"], config, {"u": [1]})
     twice = run_claims(["star", "star"], config, {"u": [1]})
     assert len(once.rows) == 5
@@ -385,3 +400,24 @@ def test_a_cell_past_the_build_limit_leaves_a_skipped_row(monkeypatch, capsys):
         assert main(argv + ["--field", field]) == 2
         out = capsys.readouterr()
         assert (out.out, out.err.startswith(err)) == ("", True), out.err
+
+
+def test_a_grid_past_the_limit_is_refused_before_its_first_cell(monkeypatch):
+    # cells are counted over every claim of the run: star and bstar each
+    # fit alone (3999 and 2 * 3999 cells), but not together
+    ran = []
+    monkeypatch.setattr(verify, "run_cell",
+                        lambda claim, cell, config: ran.append(cell) or [])
+    limit = verify.GRID_LIMIT
+    run_claims(["star"], RunConfig(), {"u": range(1, limit + 1)})
+    assert len(ran) == limit
+    run_claims(["bstar"], RunConfig(), {"u": range(1, 4000)})
+    assert len(ran) == limit + 2 * 3999
+    ran.clear()
+    for claims, u in [(["star"], range(1, limit + 2)),
+                      (["star", "bstar"], range(1, 4000)),
+                      (["star"], range(1, 10 ** 30))]:
+        with pytest.raises(SizeLimitError, match="past the grid limit") as info:
+            run_claims(claims, RunConfig(), {"u": u})
+        assert info.value.limit == "grid_limit"
+    assert ran == []
