@@ -21,7 +21,7 @@ _HOME = {
     "BettiTable": "betti", "CLAIMS": "verify", "ClosedForm": "verify",
     "DecompositionReport": "decompositions",
     "DecompositionRule": "decompositions", "EdgeIdealsError": "errors",
-    "FacePoset": "sdepth", "FamilySpec": "families",
+    "FamilySpec": "families",
     "FamilySpecParseError": "errors", "IntervalPartition": "sdepth",
     "InvalidParameterError": "errors", "LabeledGraph": "graphs",
     "MembershipError": "errors", "MonomialIdeal": "ideals",

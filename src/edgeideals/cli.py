@@ -148,8 +148,7 @@ def cmd_sdepth(args) -> int:
     graph = families.build_extended(spec)
     ideal = ideals.edge_ideal(graph)
     value, witness = sdepth.stanley_depth(ideal, args.sdepth_cap)
-    poset = sdepth.face_poset(ideal, cap=ideal.n_vars)
-    sdepth.validate_partition(poset, witness)
+    sdepth.validate_partition(ideals.faces_of(ideal.n_vars, ideal.gens), witness)
     names = [lab.name for lab in graph.labels]
     doc = {
         "spec": str(spec),

@@ -44,7 +44,7 @@ sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .errors import DEFAULT_EXACT_CAP, SizeLimitError
 from .graphs import (induced_adjacency, is_isomorphic, live_vertices, mask_of,
@@ -55,22 +55,15 @@ DEFAULT_POSET_CAP = 14
 SEARCH_NODE_BUDGET = 200_000
 
 
-@dataclass(frozen=True)
-class FacePoset:
-    """Sorted nonfaces-excluded subset poset of an ideal."""
-
-    n_vars: int
-    faces: tuple[int, ...]  # sorted by (size, mask); includes the empty face
-
-
-def face_poset(ideal: MonomialIdeal, cap: int = DEFAULT_POSET_CAP) -> FacePoset:
+def face_poset(ideal: MonomialIdeal, cap: int = DEFAULT_POSET_CAP) -> tuple[int, ...]:
+    """The faces outside I, sorted by (size, mask), the empty face first."""
     if ideal.is_unit:
         raise ValueError("the unit ideal has an empty face poset")
     if ideal.n_vars > cap:
         raise SizeLimitError(
             f"face poset capped at {cap} variables, got {ideal.n_vars}",
             limit="poset_cap")
-    return FacePoset(ideal.n_vars, tuple(faces_of(ideal.n_vars, ideal.gens)))
+    return tuple(faces_of(ideal.n_vars, ideal.gens))
 
 
 @dataclass(frozen=True)
@@ -90,13 +83,13 @@ class IntervalPartition:
                 for s, t in self.intervals]
 
 
-def validate_partition(poset: FacePoset, partition: IntervalPartition) -> None:
-    """Check the partition is made of disjoint poset intervals covering it.
+def validate_partition(faces: Sequence[int], partition: IntervalPartition) -> None:
+    """Check the partition is made of disjoint face intervals covering the faces.
 
     Raises ValueError on any violation; meant as an independent witness
     checker, so it recomputes everything from scratch.
     """
-    face_set = set(poset.faces)
+    face_set = set(faces)
     seen: set[int] = set()
     for s, t in partition.intervals:
         if s & ~t:

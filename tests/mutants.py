@@ -71,7 +71,7 @@ MUTANTS = {
         "betti.py",
         "neigh[iv] | nu == nu",
         "neigh[iv] & nu",
-        ("tests/test_betti.py::test_fold_off_agrees",),
+        ("tests/test_corpus.py::test_split_table_is_the_pin_and_the_subset_scan",),
         "the scan's dominated-vertex folds, checked against the plain scan"),
     "lacking-axis-accepted": Mutant(
         "verify.py",

@@ -94,3 +94,21 @@ def least_maximal_independent_set(adjacency):
     everything = (1 << len(adjacency)) - 1
     grow(everything, everything, 0)
     return best
+
+
+def independence_number(adjacency):
+    """The largest size of an independent set of a graph given by
+    adjacency masks.
+
+    The lowest vertex left is either out of the set, or in it with its
+    neighbours out.
+    """
+    def best(left):
+        if not left:
+            return 0
+        low = left & -left
+        rest, near = left ^ low, adjacency[low.bit_length() - 1]
+        taken = 1 + best(rest & ~near)
+        return max(taken, best(rest)) if near & rest else taken
+
+    return best((1 << len(adjacency)) - 1)

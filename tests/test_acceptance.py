@@ -6,11 +6,11 @@ Every comparison is exact (tolerance 0).  The largest cells are a
 
 import random
 
-from edgeideals import (LabeledGraph, betti_table, betti_table_taylor,
-                        build_extended, edge_ideal, invariants,
-                        parse_family, regularity_by_recursion,
-                        stanley_depth, MonomialIdeal)
-from oracles import colon_by, replay_catalogue
+from edgeideals import (LabeledGraph, betti_table, build_extended,
+                        edge_ideal, invariants, parse_family,
+                        regularity_by_recursion, stanley_depth, MonomialIdeal)
+from oracles import replay_catalogue
+from test_corpus import colon_drops, taylor_mismatches
 
 
 def disjoint_union(g, h):
@@ -140,21 +140,9 @@ def test_criterion_07_stanley_depth_suite():
 
 
 def test_criterion_08_oracle_equivalence():
-    rng = random.Random(20240820)
-    mismatches = 0
-    checked = 0
-    while checked < 200:
-        nv = rng.randint(2, 8)
-        possible = [(i, j) for i in range(nv) for j in range(i + 1, nv)]
-        ne = rng.randint(1, min(12, len(possible)))
-        ideal = edge_ideal(LabeledGraph.from_edge_list(nv, rng.sample(possible, ne)))
-        if len(ideal.gens) > 12:
-            continue
-        checked += 1
-        if betti_table(ideal).as_dict() != betti_table_taylor(ideal).as_dict():
-            mismatches += 1
-    _report("08", "homology scan equals resolution oracle", mismatches == 0,
-            f"{checked} random graphs, {mismatches} mismatches")
+    checked, mismatches = taylor_mismatches(2)
+    _report("08", "homology scan equals resolution oracle", not mismatches,
+            f"{checked} graphs of the corpus, {len(mismatches)} mismatches")
 
 
 def test_criterion_09_decomposition_replay():
@@ -175,15 +163,8 @@ def test_criterion_10_property_suites():
         ne = rng.randint(1, min(max_e, len(possible)))
         return edge_ideal(LabeledGraph.from_edge_list(nv, rng.sample(possible, ne)))
 
-    for _ in range(25):
-        ideal = random_ideal(6, 8)
-        v = rng.choice([i for i in range(ideal.n_vars)
-                        if any(g >> i & 1 for g in ideal.gens)])
-        quo = colon_by(ideal, 1 << v)
-        if invariants(quo).depth < invariants(ideal).depth:
-            violations.append(("colon depth", ideal.gens, v))
-        if stanley_depth(quo)[0] < stanley_depth(ideal)[0]:
-            violations.append(("colon sdepth", ideal.gens, v))
+    colons, drops = colon_drops()
+    violations += drops
 
     for _ in range(15):
         a, b = random_ideal(5, 6), random_ideal(5, 6)
@@ -221,7 +202,7 @@ def test_criterion_10_property_suites():
             violations.append(("field agreement", text))
 
     _report("10", "monotonicity/additivity/shift/field properties",
-            not violations, f"{len(grid)} grid cells, 0 violations"
+            not violations, f"{colons} colons, {len(grid)} grid cells, 0 violations"
             if not violations else str(violations[:3]))
 
 

@@ -14,7 +14,6 @@ from edgeideals import betti, sdepth
 from edgeideals.ideals import faces_of, graph_parts
 from edgeideals.errors import (NonPrimeCharacteristicError,
                                SizeLimitError)
-from oracles import colon_by
 
 
 def cycle_ideal(n):
@@ -34,13 +33,6 @@ def disjoint_union(g, h):
     k = g.n_vertices
     return LabeledGraph.from_edge_list(
         k + h.n_vertices, list(g.edges) + [(a + k, b + k) for a, b in h.edges])
-
-
-def random_edge_ideal(rng, max_v=8, max_e=12):
-    nv = rng.randint(2, max_v)
-    possible = [(i, j) for i in range(nv) for j in range(i + 1, nv)]
-    ne = rng.randint(1, min(max_e, len(possible)))
-    return edge_ideal(LabeledGraph.from_edge_list(nv, rng.sample(possible, ne)))
 
 
 # frozen tables, cross-checked against the generator-resolution oracle
@@ -155,24 +147,6 @@ def test_free_variables_shift_depth_not_reg():
     assert b.depth == a.depth + 3
 
 
-def test_colon_depth_monotone():
-    rng = random.Random(41)
-    for _ in range(15):
-        ideal = random_edge_ideal(rng, max_v=6, max_e=8)
-        v = rng.choice([i for i in range(ideal.n_vars)
-                        if any(g >> i & 1 for g in ideal.gens)])
-        quo = colon_by(ideal, 1 << v)
-        assert invariants(quo).depth >= invariants(ideal).depth
-
-
-def test_auslander_buchsbaum_bookkeeping():
-    rng = random.Random(53)
-    for _ in range(15):
-        ideal = random_edge_ideal(rng)
-        inv = invariants(ideal)
-        assert inv.depth + inv.projective_dimension == ideal.n_vars
-
-
 def test_cycle_symmetry_of_tables():
     # relabeling a cycle must not change the table
     rng = random.Random(61)
@@ -190,17 +164,6 @@ def test_independence_complex_faces():
     g = LabeledGraph.from_edge_list(3, [(0, 1), (1, 2)])
     faces = faces_of(3, edge_ideal(g).gens)
     assert faces == [0b000, 0b001, 0b010, 0b100, 0b101]
-
-
-def test_taylor_agrees_on_random_corpus():
-    rng = random.Random(20240820)
-    checked = 0
-    while checked < 200:
-        ideal = random_edge_ideal(rng)
-        if len(ideal.gens) > 12:
-            continue
-        checked += 1
-        assert betti_table(ideal).as_dict() == betti_table_taylor(ideal).as_dict()
 
 
 def test_taylor_generator_cap():
@@ -252,16 +215,6 @@ def test_split_equals_scan_and_taylor_on_random_corpus(char):
         killed += any(g.bit_count() == 1 for g in ideal.gens)
         assert_all_engines_agree(ideal, char)
     assert killed >= 50  # the corpus really exercises the Koszul factor
-
-
-def test_fold_off_agrees():
-    # denser edge ideals on few vertices: the scan with and without the
-    # dominated-vertex folds, the split engine and Taylor all agree
-    rng = random.Random(17)
-    for _ in range(25):
-        ideal = random_edge_ideal(rng, max_v=6, max_e=9)
-        for char in (2, 3):
-            assert_all_engines_agree(ideal, char)
 
 
 # x0x1x2, x2x3, x3x4x5 and a killed x6
