@@ -35,8 +35,8 @@ ranking the same sparse rows of signs with gf.gfp_rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .errors import DEFAULT_HOCHSTER_CAP, SizeLimitError
 from .gf import check_prime, gfp_rank
@@ -234,8 +234,7 @@ def _split(ideal: MonomialIdeal, char: int) -> dict[tuple[int, int], int]:
 # public results
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(NamedTuple):
     """Total Betti numbers beta_{i,j}(S/I) over one field."""
 
     n_vars: int

@@ -28,7 +28,7 @@ nothing at all.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import MembershipError
 from .families import (FamilySpec, build_extended, bristled, family_key,
@@ -38,16 +38,14 @@ from .graphs import (LabeledGraph, apex, component_masks, induced_adjacency,
                      path_vertex, vars_of)
 
 
-@dataclass(frozen=True)
-class DecompositionRule:
+class DecompositionRule(NamedTuple):
     rule_id: str
     family: str  # "tsnake", "brs-tsnake-star", ...
     kind: str  # "colon" or "add"
     pivot_desc: str  # a key of _PIVOTS
     # the parent's (n, p, q), q None when unbristled -> (expected factor
     # specs, expected count of freed variables)
-    outcome: Callable[[int, int, int | None], tuple[list[FamilySpec], int]] = \
-        field(repr=False)
+    outcome: Callable[[int, int, int | None], tuple[list[FamilySpec], int]]
     min_n: int = 1
 
 
@@ -158,15 +156,13 @@ def expected_outcome(rule: DecompositionRule,
     return rule.outcome(*_params(spec))
 
 
-@dataclass(frozen=True)
-class FactorReport:
+class FactorReport(NamedTuple):
     expected: str
     matched: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     rule_id: str
     spec: FamilySpec
     pivot: str

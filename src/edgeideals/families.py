@@ -19,9 +19,8 @@ reads a spec string in one pass over its tokens.
 from __future__ import annotations
 
 import re
-from collections import namedtuple
-from dataclasses import dataclass
 from functools import partial
+from typing import Callable, NamedTuple
 
 from .errors import FamilySpecParseError, InvalidParameterError, SizeLimitError
 from .graphs import LabeledGraph, VertexLabel, anonymous, apex, path_vertex
@@ -32,8 +31,7 @@ from .graphs import LabeledGraph, VertexLabel, anonymous, apex, path_vertex
 MAX_BUILD_VERTICES = 20_000
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """Immutable family description; brs wraps an inner spec."""
 
     kind: str
@@ -126,7 +124,12 @@ def _tsnake_graph(n: int, p: int, close: bool = False, stars: int = 0
 # order, its builder, which takes the parameters in that order, and its
 # closed-form (vertices, edges).  An ouroboros needs n >= 3: a shorter
 # spine would close up into multi-edges or loops.
-_Kind = namedtuple("_Kind", "least build counts")
+class _Kind(NamedTuple):
+    least: dict[str, int]
+    build: Callable[..., Parts]
+    counts: Callable[..., tuple[int, int]]
+
+
 _KINDS = {
     "path": _Kind({"n": 1}, lambda n: _tsnake_graph(n - 1, 0),
                   lambda n: (n, n - 1)),

@@ -7,8 +7,7 @@ so gens == (0,) is the unit ideal and gens == () the zero ideal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .graphs import LabeledGraph, vars_of
 
@@ -89,8 +88,7 @@ def graph_faces(adj: Sequence[int]) -> list[int]:
     return faces_of(len(adj), _edge_gens(adj))
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(NamedTuple):
     n_vars: int
     gens: tuple[int, ...]
 
@@ -104,18 +102,6 @@ class MonomialIdeal:
             raise ValueError("generator uses a variable outside the ring")
         return cls(n_vars, gens)
 
-    @classmethod
-    def zero(cls, n_vars: int) -> "MonomialIdeal":
-        return cls.make(n_vars, [])
-
-    @classmethod
-    def unit(cls, n_vars: int) -> "MonomialIdeal":
-        return cls.make(n_vars, [0])
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.gens
-
     @property
     def is_unit(self) -> bool:
         return self.gens == (0,)
@@ -126,10 +112,6 @@ class MonomialIdeal:
         for g in self.gens:
             m |= g
         return m
-
-    def contains(self, monomial: int) -> bool:
-        """Membership test: some generator divides the monomial."""
-        return any(g & monomial == g for g in self.gens)
 
 
 def edge_ideal(graph: LabeledGraph) -> MonomialIdeal:

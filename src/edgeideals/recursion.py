@@ -23,7 +23,7 @@ at most STEP_BUDGET steps and raises SizeLimitError (limit
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SizeLimitError
 from .graphs import component_masks, induced_adjacency, live_vertices, vars_of
@@ -32,8 +32,7 @@ from .ideals import MonomialIdeal, graph_parts
 STEP_BUDGET = 200_000  # recursion nodes per call
 
 
-@dataclass(frozen=True)
-class RegInterval:
+class RegInterval(NamedTuple):
     lo: int
     hi: int
 
@@ -47,6 +46,7 @@ class RegInterval:
             raise ValueError(f"range [{self.lo}, {self.hi}] is not a point")
         return self.lo
 
+    # the sum of two ranges, in place of tuple concatenation
     def __add__(self, other: "RegInterval") -> "RegInterval":
         return RegInterval(self.lo + other.lo, self.hi + other.hi)
 

@@ -43,8 +43,7 @@ sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import DEFAULT_EXACT_CAP, SizeLimitError
 from .graphs import (induced_adjacency, is_isomorphic, live_vertices, mask_of,
@@ -66,8 +65,7 @@ def face_poset(ideal: MonomialIdeal, cap: int = DEFAULT_POSET_CAP) -> tuple[int,
     return tuple(faces_of(ideal.n_vars, ideal.gens))
 
 
-@dataclass(frozen=True)
-class IntervalPartition:
+class IntervalPartition(NamedTuple):
     """Disjoint intervals [bottom, top] covering a face poset."""
 
     n_vars: int

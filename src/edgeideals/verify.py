@@ -29,7 +29,7 @@ import itertools
 import math
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .betti import betti_table, check_size
 from .decompositions import replay_family
@@ -50,20 +50,26 @@ SCHEMA_VERSION = 2
 GRID_LIMIT = 10000
 
 
-@dataclass(frozen=True)
 class RunConfig:
-    characteristic: int = 2
-    cross_field: bool = False
-    hochster_cap: int = DEFAULT_HOCHSTER_CAP
-    sdepth_cap: int = DEFAULT_EXACT_CAP
-    include_durations: bool = False
+    """How a verify run computes its routes; checked when it is made."""
 
-    def __post_init__(self):
-        for name in ("hochster_cap", "sdepth_cap"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be 0 or more, "
-                                 f"got {getattr(self, name)}")
-        check_prime(self.characteristic)
+    __slots__ = ("characteristic", "cross_field", "hochster_cap",
+                 "sdepth_cap", "include_durations")
+
+    def __init__(self, characteristic: int = 2, cross_field: bool = False,
+                 hochster_cap: int = DEFAULT_HOCHSTER_CAP,
+                 sdepth_cap: int = DEFAULT_EXACT_CAP,
+                 include_durations: bool = False):
+        for name, cap in (("hochster_cap", hochster_cap),
+                          ("sdepth_cap", sdepth_cap)):
+            if cap < 0:
+                raise ValueError(f"{name} must be 0 or more, got {cap}")
+        check_prime(characteristic)
+        self.characteristic = characteristic
+        self.cross_field = cross_field
+        self.hochster_cap = hochster_cap
+        self.sdepth_cap = sdepth_cap
+        self.include_durations = include_durations
 
     def as_dict(self) -> dict:
         return {
@@ -74,8 +80,7 @@ class RunConfig:
         }
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """Closed forms for one family.  forms takes the family's parameters
     in the order of param_names.  The forms are stated for every spec
     the family builds, unless least names a higher least value for some
@@ -83,7 +88,7 @@ class Claim:
 
     claim_id: str
     family: str  # a family key: "star", "brs-tsnake", ...
-    forms: Callable[..., dict[str, int]] = field(repr=False)
+    forms: Callable[..., dict[str, int]]
     default_cells: tuple[tuple[int, ...], ...]
     least: tuple[tuple[str, int], ...] = ()
     formula: str = ""
@@ -143,9 +148,7 @@ CLAIMS: dict[str, Claim] = {c.claim_id: c for c in [
 _CLAIM_OF_FAMILY = {c.family: c for c in CLAIMS.values()}
 
 
-@dataclass(frozen=True)
-class ClosedForm:
-    spec: FamilySpec
+class ClosedForm(NamedTuple):
     stated: bool
     values: dict[str, int]  # keys among depth, sdepth, reg, pdim
 
@@ -170,7 +173,7 @@ def closed_form(spec: FamilySpec, allow_observational: bool = False) -> ClosedFo
         for part in parts:
             for key, value in closed_form(part).values.items():
                 values[key] += value
-        return ClosedForm(spec, True, values)
+        return ClosedForm(True, values)
     validate_spec(spec)
     claim = _CLAIM_OF_FAMILY.get(family_key(spec))
     if claim is None:
@@ -184,11 +187,10 @@ def closed_form(spec: FamilySpec, allow_observational: bool = False) -> ClosedFo
             + " and ".join(f"{name} >= {least}" for name, least in claim.least)
             + ", got " + ", ".join(f"{name}={got[name]}"
                                    for name, _ in claim.least))
-    return ClosedForm(spec, stated, claim.forms(*params))
+    return ClosedForm(stated, claim.forms(*params))
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     claim: str
     family: str
     params: tuple[tuple[str, int], ...]
@@ -206,11 +208,16 @@ class CheckRow:
         }
 
 
-@dataclass
 class VerificationReport:
-    config: RunConfig
-    rows: list[CheckRow] = field(default_factory=list)
-    durations: dict[str, float] = field(default_factory=dict)
+    """The rows of a run and each claim's wall time; run_claims fills
+    them in."""
+
+    __slots__ = ("config", "rows", "durations")
+
+    def __init__(self, config: RunConfig):
+        self.config = config
+        self.rows: list[CheckRow] = []
+        self.durations: dict[str, float] = {}
 
     @property
     def ok(self) -> bool:

@@ -247,7 +247,7 @@ MUTANTS = {
         "json_text writes reports without json's pure-Python encoder"),
     "runconfig-field-unchecked": Mutant(
         "verify.py",
-        "        check_prime(self.characteristic)\n",
+        "        check_prime(characteristic)\n",
         "",
         ("tests/test_verify.py::test_run_config_refuses_a_bad_field",),
         "RunConfig checks the field once per verify run"),
@@ -266,6 +266,14 @@ MUTANTS = {
          "test_a_grid_past_the_limit_is_refused_before_its_first_cell",
          "tests/test_cli.py::test_a_grid_past_the_limit_exits_two_at_once"),
         "verify counts a run's cells and refuses past GRID_LIMIT"),
+    "record-on-dataclasses": Mutant(
+        "recursion.py",
+        "class RegInterval(NamedTuple):",
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass(frozen=True)\nclass RegInterval:",
+        ("tests/test_exports.py::"
+         "test_no_cli_call_imports_dataclasses_or_inspect",),
+        "every record is a NamedTuple or a slotted class"),
 }
 
 

@@ -1,8 +1,54 @@
-"""Independent references that the engines are tested against."""
+"""Independent references that the engines are tested against, and the
+small graphs and ideals the tests share."""
 
-from edgeideals import (MembershipError, MonomialIdeal, bristled, mask_of,
-                        ouroboros, replay_family, tsnake, tsnake_star,
-                        tsnake_starstar, vars_of)
+from edgeideals import (LabeledGraph, MembershipError, MonomialIdeal, bristled,
+                        edge_ideal, is_isomorphic, mask_of, ouroboros,
+                        replay_family, tsnake, tsnake_star, tsnake_starstar,
+                        vars_of)
+
+
+def zero_ideal(n_vars):
+    return MonomialIdeal.make(n_vars, [])
+
+
+def unit_ideal(n_vars):
+    return MonomialIdeal.make(n_vars, [0])
+
+
+def is_zero(ideal):
+    return not ideal.gens
+
+
+def contains(ideal, monomial):
+    """Membership test: some generator divides the monomial."""
+    return any(g & monomial == g for g in ideal.gens)
+
+
+def cycle_ideal(n):
+    return edge_ideal(LabeledGraph.from_edge_list(n, [(i, (i + 1) % n) for i in range(n)]))
+
+
+def path_ideal(n):
+    return edge_ideal(LabeledGraph.from_edge_list(n, [(i, i + 1) for i in range(n - 1)]))
+
+
+def disjoint_union(g, h):
+    """g beside h, h's vertices numbered after g's."""
+    k = g.n_vertices
+    return LabeledGraph.from_edge_list(
+        k + h.n_vertices, list(g.edges) + [(a + k, b + k) for a, b in h.edges])
+
+
+def iso(g, h):
+    return is_isomorphic(g.adjacency, h.adjacency)
+
+
+def nx_graph(nx, g):
+    """g as a networkx graph on the vertices 0..n-1."""
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n_vertices))
+    out.add_edges_from(g.edges)
+    return out
 
 
 def colon_by(ideal, monomial):
@@ -12,7 +58,7 @@ def colon_by(ideal, monomial):
     Colon by 1 returns the ideal unchanged.  The ideal-level route that
     the replay's mask rule, decompositions._quotient, stands for.
     """
-    if ideal.contains(monomial):
+    if contains(ideal, monomial):
         raise MembershipError("colon pivot lies in the ideal; quotient is the unit ideal")
     return MonomialIdeal.make(ideal.n_vars, (g & ~monomial for g in ideal.gens))
 

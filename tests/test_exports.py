@@ -19,6 +19,7 @@ import edgeideals
 from edgeideals.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = str(Path(edgeideals.__file__).resolve().parent.parent)  # under test
 BENCH = ROOT / "perfbench"
 PIN = BENCH / "pin.py"
 
@@ -44,10 +45,15 @@ def _loaded_after(code, package="edgeideals"):
     probe = ("import sys, io, contextlib\n" + code + "\n"
              "print(' '.join(sorted(m.partition('.')[2] for m in sys.modules\n"
              f"                      if m.startswith({package + '.'!r}))))")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return set(_fresh(probe).split())
+
+
+def _fresh(probe):
+    """The stdout of probe, run in a fresh interpreter on the package."""
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, env=env, check=True)
-    return set(done.stdout.split())
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC),
+                          check=True)
+    return done.stdout
 
 
 def test_importing_the_package_or_the_cli_loads_no_engine():
@@ -76,6 +82,28 @@ def test_each_subcommand_loads_only_its_engines(argv, absent):
         f"    assert edgeideals.cli.main({argv!r}) == 0")
     assert "families" in loaded  # the op ran
     assert loaded & absent == set()
+
+
+def test_no_cli_call_imports_dataclasses_or_inspect():
+    # every record is a NamedTuple or a slotted class: importing
+    # dataclasses, with the inspect module it loads, took about 6 ms of
+    # each CLI call's start-up
+    watched = ("dataclasses", "inspect")
+    calls = [["gen", "tsnake(n=2,p=1)"], ["inv", "tsnake(n=3,p=2)"],
+             ["sdepth", "path(4)"], ["decomp", "brs(q=1,tsnake(n=2,p=1))"],
+             ["verify", "all"]]
+    loaded = f"[m for m in {watched!r} if m in sys.modules]"
+    floor = set(_fresh(f"import sys; print(*{loaded})").split())
+    probe = ("import sys, io, contextlib\n"
+             "import edgeideals.cli\n"
+             f"for argv in {calls!r}:\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        code = edgeideals.cli.main(argv)\n"
+             f"    print(code, *{loaded})")
+    lines = [line.split() for line in _fresh(probe).splitlines()]
+    assert [line[0] for line in lines] == ["0"] * len(calls)  # each call ran
+    added = [(argv[0], set(line[1:]) - floor) for argv, line in zip(calls, lines)]
+    assert added == [(argv[0], set()) for argv in calls]
 
 
 def test_readme_entry_points_resolve():

@@ -14,6 +14,7 @@ from edgeideals.graphs import (anonymous, apex, component_masks,
                                induced_adjacency, live_vertices, mask_of,
                                path_bristle, path_vertex, vars_of)
 from edgeideals.ideals import MonomialIdeal, graph_parts
+from oracles import disjoint_union, iso, nx_graph
 
 
 def k_path(n):
@@ -25,22 +26,11 @@ def k_cycle(n):
     return LabeledGraph.from_edge_list(n, edges)
 
 
-def iso(g, h):
-    return is_isomorphic(g.adjacency, h.adjacency)
-
-
 def random_graph(rng, max_v):
     nv = rng.randint(1, max_v)
     possible = [(i, j) for i in range(nv) for j in range(i + 1, nv)]
     ne = rng.randint(0, len(possible))
     return LabeledGraph.from_edge_list(nv, rng.sample(possible, ne))
-
-
-def disjoint_union(g, h):
-    """g beside h, h's vertices numbered after g's."""
-    k = g.n_vertices
-    return LabeledGraph.from_edge_list(
-        k + h.n_vertices, list(g.edges) + [(a + k, b + k) for a, b in h.edges])
 
 
 def corona_with_leaves(g, q):
@@ -447,13 +437,6 @@ def test_path_bristle_label_names():
 
 # ---------------------------------------------------------------------------
 # networkx as an independent isomorphism oracle
-
-
-def nx_graph(nx, g):
-    out = nx.Graph()
-    out.add_nodes_from(range(g.n_vertices))
-    out.add_edges_from(g.edges)
-    return out
 
 
 def from_nx(nx_g):

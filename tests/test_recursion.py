@@ -12,11 +12,7 @@ from edgeideals.errors import SizeLimitError
 from edgeideals.graphs import path_vertex, vars_of
 from edgeideals.ideals import graph_parts
 from edgeideals.recursion import _combine, _intersect
-from oracles import compact
-
-
-def cycle_ideal(n):
-    return edge_ideal(LabeledGraph.from_edge_list(n, [(i, (i + 1) % n) for i in range(n)]))
+from oracles import compact, cycle_ideal, unit_ideal, zero_ideal
 
 
 def test_interval_arithmetic():
@@ -36,7 +32,7 @@ def test_combine_trichotomy():
 
 
 def test_zero_and_single_edge():
-    assert regularity_by_recursion(MonomialIdeal.zero(3)) == RegInterval(0, 0)
+    assert regularity_by_recursion(zero_ideal(3)) == RegInterval(0, 0)
     single = edge_ideal(LabeledGraph.from_edge_list(2, [(0, 1)]))
     assert regularity_by_recursion(single) == RegInterval(1, 1)
 
@@ -105,7 +101,7 @@ def test_cubic_generator_rejected():
 def test_unit_ideal_rejected():
     # graph_parts refuses the degree-0 generator before any recursion
     with pytest.raises(ValueError, match="unit ideal"):
-        regularity_by_recursion(MonomialIdeal.unit(3))
+        regularity_by_recursion(unit_ideal(3))
 
 
 def test_step_cap(monkeypatch):

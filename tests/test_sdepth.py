@@ -9,17 +9,17 @@ from pathlib import Path
 
 import pytest
 
-from edgeideals import (LabeledGraph, MonomialIdeal, build_extended,
-                        edge_ideal, face_poset, invariants, parse_family,
-                        stanley_depth, validate_partition)
+from edgeideals import (MonomialIdeal, build_extended, edge_ideal, face_poset,
+                        invariants, parse_family, stanley_depth,
+                        validate_partition)
 from edgeideals import recursion as recursion_module
 from edgeideals import sdepth as sdepth_module
 from edgeideals.cli import main
 from edgeideals.errors import SizeLimitError
 from edgeideals.graphs import induced_adjacency, live_vertices
 from edgeideals.ideals import graph_faces, graph_parts
-from oracles import (colon_by, least_maximal_independent_set,
-                     reduce_by_compact)
+from oracles import (colon_by, contains, least_maximal_independent_set,
+                     path_ideal, reduce_by_compact, zero_ideal)
 from edgeideals.sdepth import (IntervalPartition, _colon_bound, _Exact,
                                _Search)
 from edgeideals.verify import CLAIMS, RunConfig, run_cell
@@ -28,10 +28,6 @@ from edgeideals.verify import CLAIMS, RunConfig, run_cell
 WORKLOAD_CELLS = ["tsnake(n=4,p=1)", "path(9)", "cycle(10)", "star(u=10)",
                   "brs(q=1,tsnake(n=2,p=2))", "cycle(11)",
                   "ouroboros(n=3,p=2)", "bstar(u=4,q=1)"]
-
-
-def path_ideal(n):
-    return edge_ideal(LabeledGraph.from_edge_list(n, [(i, i + 1) for i in range(n - 1)]))
 
 
 def family_ideal(text):
@@ -64,7 +60,7 @@ def test_bristled_snake_cell():
 
 
 def test_zero_ideal_full_depth():
-    assert stanley_depth(MonomialIdeal.zero(4))[0] == 4
+    assert stanley_depth(zero_ideal(4))[0] == 4
 
 
 def test_killed_variable_reduces():
@@ -187,7 +183,7 @@ class _OracleSearch:
 
 def oracle_sdepth(ideal):
     """Binary search from 0 to the largest face size, on the full poset."""
-    faces = [w for w in range(1 << ideal.n_vars) if not ideal.contains(w)]
+    faces = [w for w in range(1 << ideal.n_vars) if not contains(ideal, w)]
     faces.sort(key=lambda f: (f.bit_count(), f))
     lo, hi = 0, max(f.bit_count() for f in faces)
     while lo < hi:

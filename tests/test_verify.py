@@ -1,6 +1,5 @@
 """Claim registry and verification reports."""
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -130,7 +129,7 @@ def test_json_report_shape_and_determinism():
     assert doc["schema_version"] == 2
     assert set(doc["config"]) == {"characteristic", "cross_field",
                                   "hochster_cap", "sdepth_cap"}
-    assert [f.name for f in dataclasses.fields(RunConfig)] == [
+    assert list(RunConfig.__slots__) == [
         "characteristic", "cross_field", "hochster_cap", "sdepth_cap",
         "include_durations"]
     assert "durations" not in doc
@@ -280,8 +279,7 @@ def break_reg_form(monkeypatch):
 
     def broken(spec, allow_observational=False):
         cf = real(spec, allow_observational)
-        return dataclasses.replace(
-            cf, values={**cf.values, "reg": cf.values["reg"] + 1})
+        return cf._replace(values={**cf.values, "reg": cf.values["reg"] + 1})
 
     monkeypatch.setattr(verify, "closed_form", broken)
 
