@@ -263,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--q", type=_parse_range, help="range like 1..2")
     p_ver.add_argument("--u", type=_parse_range, help="range like 1..6")
     p_ver.add_argument("--cross-field", action="store_true",
-                       help="also compute over GF(3) and compare")
+                       help="also compute the Betti table over GF(3), or over "
+                       "GF(2) when --field is not 2, and compare")
     p_ver.add_argument("--durations", action="store_true",
                        help="include wall-clock durations in the report")
     _add_common(p_ver, ["json", "text", "csv"], _FLAGS)

@@ -219,6 +219,35 @@ def induced_adjacency(adjacency: Sequence[int], comp: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def is_chordal(adjacency: Sequence[int]) -> bool:
+    """Whether the graph has no induced cycle of length 4 or more.
+
+    Maximum cardinality search (Tarjan and Yannakakis 1984) visits next
+    an unvisited vertex with the most visited neighbours.  The graph is
+    chordal exactly when, for each vertex, its visited neighbours less
+    the last visited one are all adjacent to that last one; then they
+    form a clique, by induction along the visit order.
+    """
+    n = len(adjacency)
+    weight = [0] * n
+    order = [0] * n  # order[v]: v's place in the visit order
+    unvisited = (1 << n) - 1
+    visited = 0
+    for step in range(n):
+        v = max(vars_of(unvisited), key=weight.__getitem__)
+        earlier = adjacency[v] & visited
+        if earlier:
+            last = max(vars_of(earlier), key=order.__getitem__)
+            if earlier & ~adjacency[last] != 1 << last:
+                return False
+        order[v] = step
+        visited |= 1 << v
+        unvisited ^= 1 << v
+        for w in vars_of(adjacency[v] & unvisited):
+            weight[w] += 1
+    return True
+
+
 # ---------------------------------------------------------------------------
 # isomorphism testing
 

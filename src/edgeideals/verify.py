@@ -11,7 +11,11 @@ request and are then flagged observational.
 For every grid cell the runner builds the edge ideal and runs each
 route once: the Betti table, the exact Stanley depth search when the
 instance is small enough, the colon/add regularity recursion, the other
-field's Betti table and the decomposition replay.  Each comparison, of
+field's Betti table and the decomposition replay.  The other field's
+table is computed afresh only on a graph that is not chordal: on a
+chordal graph every induced subgraph has a simplicial vertex (Dirac
+1961), so the Betti split never reaches its subset scan, no field enters
+and the table is the same over every field.  Each comparison, of
 a route with the Betti table or of a value with its closed form, is one
 report row, and one rule decides its status:
 
@@ -40,6 +44,7 @@ from .families import (FamilySpec, build_extended, expected_counts, family_key,
                        family_params, resolve, spec_of, spec_params,
                        validate_spec)
 from .gf import check_prime
+from .graphs import is_chordal
 from .ideals import edge_ideal
 from .recursion import regularity_by_recursion
 from .render import csv_line, json_text
@@ -325,7 +330,12 @@ def run_cell(claim: Claim, cell: tuple[int, ...],
         row("reg-recursion", shown, table.regularity)
         if config.cross_field:
             other = 3 if config.characteristic == 2 else 2
-            twin = betti_table(ideal, other, max_vars=config.hochster_cap)
+            if is_chordal(graph.adjacency):
+                # each induced subgraph has a simplicial vertex (Dirac), so
+                # the split makes no scan and no rank call: no field enters
+                twin = table._replace(characteristic=other)
+            else:
+                twin = betti_table(ideal, other, max_vars=config.hochster_cap)
             row("field-agree",
                 f"GF({other}):reg={twin.regularity},"
                 f"pdim={twin.projective_dimension}",

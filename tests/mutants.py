@@ -274,6 +274,19 @@ MUTANTS = {
         ("tests/test_exports.py::"
          "test_no_cli_call_imports_dataclasses_or_inspect",),
         "every record is a NamedTuple or a slotted class"),
+    "twin-reused-off-chordal": Mutant(
+        "verify.py",
+        "if is_chordal(graph.adjacency):",
+        "if True:",
+        ("tests/test_verify.py::"
+         "test_cross_field_recomputes_the_twin_only_off_chordal_cells",),
+        "--cross-field reuses the first table on chordal graphs alone"),
+    "chordal-skips-clique-check": Mutant(
+        "graphs.py",
+        "if earlier & ~adjacency[last] != 1 << last:",
+        "if False:",
+        ("tests/test_corpus.py::test_is_chordal_is_networkx_on_every_graph",),
+        "is_chordal checks each vertex's visited neighbours for a clique"),
 }
 
 

@@ -31,6 +31,8 @@ from edgeideals import (BettiTable, LabeledGraph, MonomialIdeal, betti_table,
                         betti_table_taylor, invariants, is_isomorphic, mask_of,
                         regularity_by_recursion, stanley_depth,
                         validate_partition, vars_of)
+from edgeideals import betti
+from edgeideals.graphs import is_chordal
 from edgeideals.ideals import faces_of
 from oracles import (colon_by, independence_number,
                      least_maximal_independent_set)
@@ -165,6 +167,33 @@ def test_split_table_is_the_pin_and_the_subset_scan(char):
             assert scan_table(g.ideal, char, fold=False) == split, g.adj
             unfolded += 1
     assert unfolded == 208
+
+
+def test_is_chordal_is_networkx_on_every_graph():
+    nx = pytest.importorskip("networkx")
+    for g in corpus():
+        graph = nx.from_dict_of_lists(dict(enumerate(map(vars_of, g.adj))))
+        assert is_chordal(g.adj) == nx.is_chordal(graph), g.adj
+    assert sum(is_chordal(g.adj) for g in corpus()) == 531
+
+
+def test_the_split_scans_exactly_the_graphs_that_are_not_chordal(monkeypatch):
+    # Dirac: every induced subgraph of a chordal graph has a simplicial
+    # vertex, so the split never scans it and its table is field-free;
+    # on any other graph it removes simplicial vertices down to a core
+    # that has none, which keeps an induced cycle of length 4 or more
+    def scan(killed, adj, char):
+        raise LookupError("scanned")
+
+    monkeypatch.setattr(betti, "_scan", scan)
+    for g in corpus():
+        try:
+            table = betti_table(g.ideal, 3)
+        except LookupError:
+            assert not is_chordal(g.adj), g.adj
+        else:
+            assert is_chordal(g.adj), g.adj
+            assert table.as_dict() == g.table.as_dict(), g.adj
 
 
 @functools.cache

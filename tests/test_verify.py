@@ -257,6 +257,9 @@ def test_run_config_refuses_a_bad_field(capsys):
 # cycle-snake formula's stated range, so its reg row is observational.
 STATED = ("tsnake-reg", {"n": [2], "p": [1]})
 OBSERVATIONAL = ("ouroboros-reg", {"n": [3], "p": [1]})
+# ouroboros(n=4,p=1) is observational too; its spine C4 makes it the
+# smallest cell whose graph is not chordal
+NOT_CHORDAL = ("ouroboros-reg", {"n": [4], "p": [1]})
 
 
 def statuses(claim_id, override, config=RunConfig(cross_field=True)):
@@ -325,6 +328,13 @@ def other_field_shifted(monkeypatch):
     monkeypatch.setattr(verify, "betti_table", shifted)
 
 
+def other_field_shifted_off_chordal(monkeypatch):
+    # STATED and OBSERVATIONAL are chordal, and run_cell reuses the first
+    # table there; taken for non-chordal, they run the shifted twin
+    other_field_shifted(monkeypatch)
+    monkeypatch.setattr(verify, "is_chordal", lambda adjacency: False)
+
+
 def wrong_outcome(monkeypatch):
     monkeypatch.setattr(decompositions, "expected_outcome",
                         lambda rule, spec: ([], 0))
@@ -332,7 +342,7 @@ def wrong_outcome(monkeypatch):
 
 @pytest.mark.parametrize("route, patch", [
     ("reg-recursion", off_by_one_recursion),
-    ("field-agree", other_field_shifted),
+    ("field-agree", other_field_shifted_off_chordal),
     ("decomp:", wrong_outcome),
 ], ids=["reg-recursion", "field-agree", "decomp"])
 @pytest.mark.parametrize("cell", [STATED, OBSERVATIONAL],
@@ -347,6 +357,38 @@ def test_a_disagreeing_route_fails_on_any_cell(monkeypatch, capsys, route,
     assert failing and all(inv.startswith(route) for inv in failing)
     assert not ok
     assert verify_exit(*cell, capsys) == 1
+
+
+def test_a_disagreeing_twin_fails_a_cell_that_is_not_chordal(monkeypatch,
+                                                            capsys):
+    other_field_shifted(monkeypatch)
+    got, ok = statuses(*NOT_CHORDAL)
+    assert {inv for inv, s in got.items() if s == "fail"} == {"field-agree"}
+    assert not ok
+    assert verify_exit(*NOT_CHORDAL, capsys) == 1
+    # on a chordal cell the twin is the first table, so no shift shows
+    got, ok = statuses(*STATED)
+    assert got["field-agree"] == "pass" and ok
+
+
+def test_cross_field_recomputes_the_twin_only_off_chordal_cells(monkeypatch,
+                                                               capsys):
+    calls = []
+    real = verify.betti_table
+
+    def counted(ideal, characteristic=2, max_vars=DEFAULT_HOCHSTER_CAP):
+        calls.append((ideal, characteristic))
+        return real(ideal, characteristic, max_vars)
+
+    monkeypatch.setattr(verify, "betti_table", counted)
+    assert main(["verify", "all", "--cross-field"]) == 0
+    capsys.readouterr()
+    twins = [ideal for ideal, characteristic in calls if characteristic == 3]
+    # 46 first tables, and twins for the two cells whose spine is C4
+    assert (len(calls), len(twins)) == (48, 2)
+    assert twins == [edge_ideal(build_extended(spec_of("ouroboros",
+                                                       {"n": 4, "p": p})))
+                     for p in (1, 2)]
 
 
 def test_a_refused_build_leaves_a_skipped_row(capsys):
