@@ -24,9 +24,8 @@ _HOME = {
     "FamilySpec": "families",
     "FamilySpecParseError": "errors", "IntervalPartition": "sdepth",
     "InvalidParameterError": "errors", "LabeledGraph": "graphs",
-    "MembershipError": "errors", "MonomialIdeal": "ideals",
-    "NonPrimeCharacteristicError": "errors", "OutOfStatedRangeError": "errors",
-    "RegInterval": "recursion", "RunConfig": "verify",
+    "MonomialIdeal": "ideals", "RegInterval": "recursion",
+    "RunConfig": "verify",
     "SizeLimitError": "errors", "VerificationReport": "verify",
     "VertexLabel": "graphs", "betti_table": "betti",
     "betti_table_taylor": "taylor", "bristled": "families",

@@ -280,10 +280,9 @@ def betti_table(ideal: MonomialIdeal, characteristic: int = 2,
     """Betti table of S/I by splitting at simplicial vertices.
 
     Induced subgraphs without a simplicial vertex fall back to the
-    subset scan; a generator of degree 3 or more raises ValueError.
+    subset scan.  I is read by graph_parts, so the unit ideal or a
+    generator of degree 3 or more raises InvalidParameterError.
     """
-    if ideal.is_unit:
-        raise ValueError("S/I is the zero module; its Betti table is empty")
     check_size(ideal.n_vars, characteristic, max_vars)
     entries = _split(ideal, characteristic)
     return BettiTable.from_dict(ideal.n_vars, characteristic, entries)

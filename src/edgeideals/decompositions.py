@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import NamedTuple
 
-from .errors import MembershipError
+from .errors import InvalidParameterError
 from .families import (FamilySpec, build_extended, bristled, family_key,
                        resolve, spec_params, star, tsnake_star, tsnake_starstar)
 from .graphs import (LabeledGraph, apex, component_masks, induced_adjacency,
@@ -192,14 +192,14 @@ def _quotient(adj: tuple[int, ...], pivot: int,
 
     The components come as local adjacency masks, lowest vertex first.
     A colon pivot that is not independent lies in the ideal, so the
-    quotient is the unit ideal: that raises MembershipError.
+    quotient is the unit ideal: that raises InvalidParameterError.
     """
     if kind == "colon":
         killed = 0
         for v in vars_of(pivot):
             killed |= adj[v]
         if killed & pivot:
-            raise MembershipError(
+            raise InvalidParameterError(
                 "colon pivot lies in the ideal; quotient is the unit ideal")
     else:
         killed = pivot

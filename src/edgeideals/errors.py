@@ -1,9 +1,15 @@
 """Exception types shared across the package, and the default caps.
 
-Every size limit raises SizeLimitError, naming the limit.  The caps are
-the defaults of the two limits the CLI flags set; betti and sdepth
-export them under the same names.  They live here so the argument
-parser can read them without loading either engine.
+A refused argument raises one of two types under EdgeIdealsError:
+InvalidParameterError for a value the call cannot take, and
+SizeLimitError for an input past a named limit.  Both are ValueErrors,
+and the CLI answers either with exit status 2 and the message.  A fault
+of the package itself, such as a search that contradicts itself, stays
+a plain exception, so the CLI never reports a bug as a refusal.
+
+The caps are the defaults of the two limits the CLI flags set; betti
+and sdepth export them under the same names.  They live here so the
+argument parser can read them without loading either engine.
 """
 
 from __future__ import annotations
@@ -15,14 +21,14 @@ DEFAULT_EXACT_CAP = 10
 
 
 class EdgeIdealsError(Exception):
-    """Base class for all package errors."""
+    """Base class of the two refusal types."""
 
 
 class InvalidParameterError(EdgeIdealsError, ValueError):
-    """A family parameter is outside its structurally valid range."""
+    """An argument holds a value the call cannot take."""
 
 
-class FamilySpecParseError(EdgeIdealsError, ValueError):
+class FamilySpecParseError(InvalidParameterError):
     """A compact family-spec string failed to parse.
 
     Carries the character offset where parsing stopped.
@@ -31,10 +37,6 @@ class FamilySpecParseError(EdgeIdealsError, ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-class MembershipError(EdgeIdealsError, ValueError):
-    """A monomial was required to lie outside the ideal but does not."""
 
 
 class SizeLimitError(EdgeIdealsError, ValueError):
@@ -51,11 +53,3 @@ class SizeLimitError(EdgeIdealsError, ValueError):
     def __init__(self, message: str, limit: str):
         super().__init__(message)
         self.limit = limit
-
-
-class NonPrimeCharacteristicError(EdgeIdealsError, ValueError):
-    """Field characteristic must be a prime number."""
-
-
-class OutOfStatedRangeError(EdgeIdealsError, ValueError):
-    """Closed-form values were requested outside the stated parameter range."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .errors import NonPrimeCharacteristicError, SizeLimitError
+from .errors import InvalidParameterError, SizeLimitError
 
 # Strong-probable-prime tests to the first 13 prime bases decide
 # primality exactly below this bound (Sorenson and Webster, 2015).
@@ -40,7 +40,7 @@ def check_prime(p: int) -> None:
             f"characteristic {p} is not below {MILLER_RABIN_LIMIT}, "
             f"where primality is decided exactly", limit="primality_bound")
     if not _is_prime(p):
-        raise NonPrimeCharacteristicError(f"characteristic {p} is not prime")
+        raise InvalidParameterError(f"characteristic {p} is not prime")
 
 
 def gfp_rank(rows: list[dict[int, int]], p: int) -> int:

@@ -18,6 +18,8 @@ from functools import partial
 from operator import itemgetter
 from typing import Iterable, Sequence
 
+from .errors import InvalidParameterError
+
 # Canonical role order: spine, apexes, spine bristles, apex bristles, anonymous.
 _ROLES = ("path", "apex", "path_bristle", "apex_bristle", "anon")
 _ROLE_RANK = {role: rank for rank, role in enumerate(_ROLES)}
@@ -53,7 +55,7 @@ class VertexLabel(tuple):
     def __new__(cls, role: str, indices: tuple[int, ...]):
         rank = _ROLE_RANK.get(role)
         if rank is None:
-            raise ValueError(f"unknown vertex role {role!r}")
+            raise InvalidParameterError(f"unknown vertex role {role!r}")
         return tuple.__new__(cls, (rank, indices))
 
     def __getnewargs__(self):
@@ -112,15 +114,16 @@ class LabeledGraph:
         ordered = sorted(labels)
         index = dict(zip(ordered, range(len(ordered))))
         if len(index) != len(ordered):
-            raise ValueError("duplicate vertex labels")
+            raise InvalidParameterError("duplicate vertex labels")
         adj = [0] * len(ordered)
         for a, b in edges:
             if a == b:
-                raise ValueError(f"loop at {a.name}")
+                raise InvalidParameterError(f"loop at {a.name}")
             try:
                 ia, ib = index[a], index[b]
             except KeyError as exc:
-                raise ValueError(f"edge endpoint {exc.args[0]!r} not a vertex") from None
+                raise InvalidParameterError(
+                    f"edge endpoint {exc.args[0]!r} not a vertex") from None
             adj[ia] |= 1 << ib
             adj[ib] |= 1 << ia
         self.labels: tuple[VertexLabel, ...] = tuple(ordered)
@@ -135,8 +138,8 @@ class LabeledGraph:
         edges = []
         for a, b in pairs:
             if not (0 <= a < n_vertices and 0 <= b < n_vertices):
-                raise ValueError(f"edge ({a}, {b}) has an endpoint outside "
-                                 f"range({n_vertices})")
+                raise InvalidParameterError(
+                    f"edge ({a}, {b}) has an endpoint outside range({n_vertices})")
             edges.append((labels[a], labels[b]))
         return cls(labels, edges)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
+from .errors import InvalidParameterError
 from .graphs import LabeledGraph, vars_of
 
 
@@ -95,11 +96,11 @@ class MonomialIdeal(NamedTuple):
     @classmethod
     def make(cls, n_vars: int, gens: Iterable[int]) -> "MonomialIdeal":
         if n_vars < 0:
-            raise ValueError(f"n_vars must be at least 0, got {n_vars}")
+            raise InvalidParameterError(f"n_vars must be at least 0, got {n_vars}")
         gens = minimize(gens)
         top = 1 << n_vars
         if any(g >= top for g in gens):
-            raise ValueError("generator uses a variable outside the ring")
+            raise InvalidParameterError("generator uses a variable outside the ring")
         return cls(n_vars, gens)
 
     @property
@@ -126,19 +127,21 @@ def graph_parts(ideal: MonomialIdeal) -> tuple[int, tuple[int, ...], int]:
     v's neighbours in the graph of the degree-2 ones, one entry per
     variable.  free holds the variables missing from every generator.
     This is the one check that an ideal has the form I(G) + (x_K): a
-    generator of degree 0 or of degree 3 or more raises ValueError.
+    generator of degree 0 or of degree 3 or more raises
+    InvalidParameterError.
     """
     killed = 0
     adj = [0] * ideal.n_vars
     for g in ideal.gens:
         if g == 0:
-            raise ValueError("unit ideal has no graph form")
+            raise InvalidParameterError("unit ideal has no graph form")
         low = g & -g
         high = g ^ low  # every variable of g but the lowest
         if not high:
             killed |= g
         elif high & (high - 1):
-            raise ValueError(f"generator of degree {g.bit_count()} has no graph form")
+            raise InvalidParameterError(
+                f"generator of degree {g.bit_count()} has no graph form")
         else:
             adj[low.bit_length() - 1] |= high
             adj[high.bit_length() - 1] |= low

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import SizeLimitError
+from .errors import InvalidParameterError, SizeLimitError
 from .graphs import component_masks, induced_adjacency, live_vertices, vars_of
 from .ideals import MonomialIdeal, graph_parts
 
@@ -43,7 +43,8 @@ class RegInterval(NamedTuple):
     @property
     def value(self) -> int:
         if not self.is_point:
-            raise ValueError(f"range [{self.lo}, {self.hi}] is not a point")
+            raise InvalidParameterError(
+                f"range [{self.lo}, {self.hi}] is not a point")
         return self.lo
 
     # the sum of two ranges, in place of tuple concatenation
@@ -119,7 +120,7 @@ def regularity_by_recursion(ideal: MonomialIdeal) -> RegInterval:
     """reg(S/I) for an edge-type ideal by the colon/add trichotomy.
 
     The unit ideal, or a generator of degree 3 or more, raises
-    ValueError.
+    InvalidParameterError.
     """
     killed, adj, _free = graph_parts(ideal)
     return _Engine(adj).reg(((1 << ideal.n_vars) - 1) & ~killed)

@@ -6,11 +6,11 @@ outside I) into boolean intervals [sigma, tau].
 
 The search takes I in the form ideals.graph_parts reads, the edge ideal
 of a graph plus some variables: a generator of degree 3 or more raises
-ValueError.  Free variables and killed variables both factor out: sdepth
-goes up by one per free variable and is untouched by a variable that is
-itself a generator, so the search runs on the graph induced on the live
-vertices, those with a neighbour outside the killed set, renumbered in
-order (graphs.induced_adjacency).
+InvalidParameterError.  Free variables and killed variables both factor
+out: sdepth goes up by one per free variable and is untouched by a
+variable that is itself a generator, so the search runs on the graph
+induced on the live vertices, those with a neighbour outside the killed
+set, renumbered in order (graphs.induced_adjacency).
 
 The exact search rests on two known results.  Colon monotonicity
 (Rauf, Comm. Algebra 38, 2010): sdepth(S/I) <= sdepth(S/(I : x_v)) for
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .errors import DEFAULT_EXACT_CAP, SizeLimitError
+from .errors import DEFAULT_EXACT_CAP, InvalidParameterError, SizeLimitError
 from .graphs import (induced_adjacency, is_isomorphic, live_vertices, mask_of,
                      vars_of)
 from .ideals import MonomialIdeal, faces_of, graph_faces, graph_parts
@@ -57,7 +57,7 @@ SEARCH_NODE_BUDGET = 200_000
 def face_poset(ideal: MonomialIdeal, cap: int = DEFAULT_POSET_CAP) -> tuple[int, ...]:
     """The faces outside I, sorted by (size, mask), the empty face first."""
     if ideal.is_unit:
-        raise ValueError("the unit ideal has an empty face poset")
+        raise InvalidParameterError("the unit ideal has an empty face poset")
     if ideal.n_vars > cap:
         raise SizeLimitError(
             f"face poset capped at {cap} variables, got {ideal.n_vars}",
@@ -336,14 +336,12 @@ def stanley_depth(ideal: MonomialIdeal, exact_cap: int = DEFAULT_EXACT_CAP
                   ) -> tuple[int, IntervalPartition]:
     """Exact Stanley depth of S/I with an interval-partition witness.
 
-    I is read by graph_parts, so a generator of degree 3 or more raises
-    ValueError.  The cap applies to the live vertices: the variables
-    left after stripping free and killed ones.  A search that runs past
-    SEARCH_NODE_BUDGET nodes raises SizeLimitError, as an instance
-    over the cap does.
+    I is read by graph_parts, so the unit ideal or a generator of
+    degree 3 or more raises InvalidParameterError.  The cap applies to
+    the live vertices: the variables left after stripping free and
+    killed ones.  A search that runs past SEARCH_NODE_BUDGET nodes
+    raises SizeLimitError, as an instance over the cap does.
     """
-    if ideal.is_unit:
-        raise ValueError("S/I is the zero module")
     killed, adj, free = graph_parts(ideal)
     live = live_vertices(adj, ((1 << ideal.n_vars) - 1) & ~killed)
     check_live(live.bit_count(), exact_cap)

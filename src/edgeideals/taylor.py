@@ -13,7 +13,7 @@ DEFAULT_MAX_GENS generators raise SizeLimitError (limit "taylor_cap").
 
 from __future__ import annotations
 
-from .errors import SizeLimitError
+from .errors import InvalidParameterError, SizeLimitError
 from .gf import check_prime, gfp_rank
 from .ideals import MonomialIdeal
 from .betti import BettiTable
@@ -25,7 +25,8 @@ def betti_table_taylor(ideal: MonomialIdeal, characteristic: int = 2
                        ) -> BettiTable:
     check_prime(characteristic)
     if ideal.is_unit:
-        raise ValueError("S/I is the zero module; its Betti table is empty")
+        raise InvalidParameterError(
+            "S/I is the zero module; its Betti table is empty")
     gens = sorted(ideal.gens, key=lambda g: (g.bit_count(), g))
     r = len(gens)
     if r > DEFAULT_MAX_GENS:

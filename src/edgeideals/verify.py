@@ -38,8 +38,7 @@ from typing import NamedTuple
 from .betti import betti_table, check_size
 from .decompositions import replay_family
 from .errors import (DEFAULT_EXACT_CAP, DEFAULT_HOCHSTER_CAP, EdgeIdealsError,
-                     InvalidParameterError, OutOfStatedRangeError,
-                     SizeLimitError)
+                     InvalidParameterError, SizeLimitError)
 from .families import (FamilySpec, build_extended, expected_counts, family_key,
                        family_params, resolve, spec_of, spec_params,
                        validate_spec)
@@ -68,7 +67,7 @@ class RunConfig:
         for name, cap in (("hochster_cap", hochster_cap),
                           ("sdepth_cap", sdepth_cap)):
             if cap < 0:
-                raise ValueError(f"{name} must be 0 or more, got {cap}")
+                raise InvalidParameterError(f"{name} must be 0 or more, got {cap}")
         check_prime(characteristic)
         self.characteristic = characteristic
         self.cross_field = cross_field
@@ -164,7 +163,7 @@ def closed_form(spec: FamilySpec, allow_observational: bool = False) -> ClosedFo
     A starred snake at a degenerate index n <= 0 stands for stars,
     bristled stars, loose polynomial variables or nothing at all
     (families.resolve); its values are the sums of those parts' values.
-    Raises OutOfStatedRangeError when the parameters fall outside the
+    Raises InvalidParameterError when the parameters fall outside the
     range the forms are stated for, unless allow_observational is set,
     in which case the forms are evaluated anyway and the result is
     marked stated=False.
@@ -187,7 +186,7 @@ def closed_form(spec: FamilySpec, allow_observational: bool = False) -> ClosedFo
     got = dict(zip(claim.param_names, params))
     stated = all(got[name] >= least for name, least in claim.least)
     if not stated and not allow_observational:
-        raise OutOfStatedRangeError(
+        raise InvalidParameterError(
             f"{claim.formula} is only claimed for "
             + " and ".join(f"{name} >= {least}" for name, least in claim.least)
             + ", got " + ", ".join(f"{name}={got[name]}"

@@ -287,6 +287,25 @@ MUTANTS = {
         "if False:",
         ("tests/test_corpus.py::test_is_chordal_is_networkx_on_every_graph",),
         "is_chordal checks each vertex's visited neighbours for a clique"),
+    "refusal-as-plain-valueerror": Mutant(
+        "gf.py",
+        'raise InvalidParameterError(f"characteristic {p} is not prime")',
+        'raise ValueError(f"characteristic {p} is not prime")',
+        ("tests/test_cli.py::test_field_flag_rejects_composite",),
+        "every refused argument raises InvalidParameterError or SizeLimitError"),
+    "parse-error-outside-invalid": Mutant(
+        "errors.py",
+        "class FamilySpecParseError(InvalidParameterError):",
+        "class FamilySpecParseError(EdgeIdealsError, ValueError):",
+        ("tests/test_limits.py::"
+         "test_errors_define_the_two_refusal_types_under_one_base",),
+        "every refused argument raises InvalidParameterError or SizeLimitError"),
+    "verdict-as-refusal": Mutant(
+        "sdepth.py",
+        'raise ValueError("partition does not cover the face poset")',
+        'raise InvalidParameterError("partition does not cover the face poset")',
+        ("tests/test_limits.py::test_every_raise_is_a_refusal_or_a_listed_fault",),
+        "the witness checker's verdicts stay faults, not refusals"),
 }
 
 

@@ -1,10 +1,10 @@
 """Independent references that the engines are tested against, and the
 small graphs and ideals the tests share."""
 
-from edgeideals import (LabeledGraph, MembershipError, MonomialIdeal, bristled,
-                        edge_ideal, is_isomorphic, mask_of, ouroboros,
-                        replay_family, tsnake, tsnake_star, tsnake_starstar,
-                        vars_of)
+from edgeideals import (InvalidParameterError, LabeledGraph, MonomialIdeal,
+                        bristled, edge_ideal, is_isomorphic, mask_of,
+                        ouroboros, replay_family, tsnake, tsnake_star,
+                        tsnake_starstar, vars_of)
 
 
 def zero_ideal(n_vars):
@@ -59,7 +59,7 @@ def colon_by(ideal, monomial):
     the replay's mask rule, decompositions._quotient, stands for.
     """
     if contains(ideal, monomial):
-        raise MembershipError("colon pivot lies in the ideal; quotient is the unit ideal")
+        raise InvalidParameterError("colon pivot lies in the ideal; quotient is the unit ideal")
     return MonomialIdeal.make(ideal.n_vars, (g & ~monomial for g in ideal.gens))
 
 

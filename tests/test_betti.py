@@ -12,8 +12,7 @@ from edgeideals import (BettiTable, LabeledGraph, MonomialIdeal, betti_table,
                         stanley_depth)
 from edgeideals import betti, sdepth
 from edgeideals.ideals import faces_of, graph_parts
-from edgeideals.errors import (NonPrimeCharacteristicError,
-                               SizeLimitError)
+from edgeideals.errors import InvalidParameterError, SizeLimitError
 from oracles import (cycle_ideal, disjoint_union, path_ideal, unit_ideal,
                      zero_ideal)
 
@@ -78,7 +77,7 @@ def test_zero_ideal_has_unit_table():
 
 
 def test_unit_ideal_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameterError, match="unit ideal"):
         betti_table(unit_ideal(3))
 
 
@@ -90,7 +89,8 @@ def test_variable_cap_enforced():
 
 
 def test_characteristic_must_be_prime():
-    with pytest.raises(NonPrimeCharacteristicError):
+    with pytest.raises(InvalidParameterError,
+                       match="characteristic 4 is not prime"):
         betti_table(cycle_ideal(3), characteristic=4)
 
 

@@ -11,7 +11,7 @@ from edgeideals import (bristled, bristled_star, closed_form, edge_ideal,
                         build_extended, expected_counts, invariants,
                         ouroboros, parse_family, star, tsnake, tsnake_star,
                         tsnake_starstar)
-from edgeideals.errors import InvalidParameterError, OutOfStatedRangeError
+from edgeideals.errors import InvalidParameterError
 
 
 def test_star_values():
@@ -37,7 +37,8 @@ def test_snake_regularities():
 def test_ouroboros_stated_range():
     cf = closed_form(ouroboros(4, 3))
     assert cf.stated and cf.values["reg"] == 2
-    with pytest.raises(OutOfStatedRangeError):
+    with pytest.raises(InvalidParameterError,
+                       match=r"only claimed for n >= 3 and p >= 3, got n=3, p=2$"):
         closed_form(ouroboros(3, 2))
     obs = closed_form(ouroboros(3, 2), allow_observational=True)
     assert not obs.stated and obs.values["reg"] == 1

@@ -6,7 +6,7 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from edgeideals.errors import NonPrimeCharacteristicError, SizeLimitError
+from edgeideals.errors import InvalidParameterError, SizeLimitError
 from edgeideals.gf import MILLER_RABIN_LIMIT, check_prime, gfp_rank
 
 
@@ -14,14 +14,16 @@ def test_check_prime():
     for p in (2, 3, 5, 7, 13):
         check_prime(p)
     for bad in (0, 1, 4, 6, 9, 15):
-        with pytest.raises(NonPrimeCharacteristicError):
+        with pytest.raises(InvalidParameterError,
+                           match=f"characteristic {bad} is not prime"):
             check_prime(bad)
 
 
 def is_prime(n):
     try:
         check_prime(n)
-    except NonPrimeCharacteristicError:
+    except InvalidParameterError as exc:
+        assert str(exc) == f"characteristic {n} is not prime"
         return False
     return True
 
@@ -40,7 +42,8 @@ def test_check_prime_rejects_pseudoprimes():
     # Carmichael numbers; strong pseudoprimes to the prime bases up to 7
     # and up to 23; the square of a prime
     for n in (561, 41041, 3215031751, 3825123056546413051, (2**31 - 1) ** 2):
-        with pytest.raises(NonPrimeCharacteristicError):
+        with pytest.raises(InvalidParameterError,
+                           match=f"characteristic {n} is not prime"):
             check_prime(n)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from edgeideals import (LabeledGraph, MonomialIdeal, edge_ideal, invariants,
                         mask_of, stanley_depth, vars_of)
-from edgeideals.errors import MembershipError
+from edgeideals.errors import InvalidParameterError
 from edgeideals.graphs import induced_adjacency
 from edgeideals.ideals import faces_of, graph_faces, graph_parts, minimize
 from oracles import (add_variable, colon_by, compact, contains, is_zero,
@@ -123,7 +123,7 @@ def test_colon_drops_pivot_from_generators():
 
 def test_colon_by_member_raises():
     ideal = MonomialIdeal.make(3, [0b011])
-    with pytest.raises(MembershipError):
+    with pytest.raises(InvalidParameterError, match="colon pivot lies in the ideal"):
         colon_by(ideal, 0b011)
 
 

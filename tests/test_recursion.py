@@ -8,7 +8,7 @@ from edgeideals import (LabeledGraph, MonomialIdeal, RegInterval,
                         build_extended, edge_ideal, invariants, parse_family,
                         regularity_by_recursion)
 from edgeideals import recursion
-from edgeideals.errors import SizeLimitError
+from edgeideals.errors import InvalidParameterError, SizeLimitError
 from edgeideals.graphs import path_vertex, vars_of
 from edgeideals.ideals import graph_parts
 from edgeideals.recursion import _combine, _intersect
@@ -100,7 +100,7 @@ def test_cubic_generator_rejected():
 
 def test_unit_ideal_rejected():
     # graph_parts refuses the degree-0 generator before any recursion
-    with pytest.raises(ValueError, match="unit ideal"):
+    with pytest.raises(InvalidParameterError, match="unit ideal"):
         regularity_by_recursion(unit_ideal(3))
 
 

@@ -15,11 +15,11 @@ from edgeideals import (MonomialIdeal, build_extended, edge_ideal, face_poset,
 from edgeideals import recursion as recursion_module
 from edgeideals import sdepth as sdepth_module
 from edgeideals.cli import main
-from edgeideals.errors import SizeLimitError
+from edgeideals.errors import InvalidParameterError, SizeLimitError
 from edgeideals.graphs import induced_adjacency, live_vertices
 from edgeideals.ideals import graph_faces, graph_parts
 from oracles import (colon_by, contains, least_maximal_independent_set,
-                     path_ideal, reduce_by_compact, zero_ideal)
+                     path_ideal, reduce_by_compact, unit_ideal, zero_ideal)
 from edgeideals.sdepth import (IntervalPartition, _colon_bound, _Exact,
                                _Search)
 from edgeideals.verify import CLAIMS, RunConfig, run_cell
@@ -61,6 +61,12 @@ def test_bristled_snake_cell():
 
 def test_zero_ideal_full_depth():
     assert stanley_depth(zero_ideal(4))[0] == 4
+
+
+def test_unit_ideal_rejected():
+    # graph_parts refuses the degree-0 generator before any search
+    with pytest.raises(InvalidParameterError, match="unit ideal"):
+        stanley_depth(unit_ideal(3))
 
 
 def test_killed_variable_reduces():

@@ -12,7 +12,7 @@ from edgeideals import decompositions, recursion, verify
 from edgeideals.cli import main
 from edgeideals.decompositions import RULES_BY_ID
 from edgeideals.errors import (DEFAULT_HOCHSTER_CAP, InvalidParameterError,
-                               NonPrimeCharacteristicError, SizeLimitError)
+                               SizeLimitError)
 from edgeideals.families import (expected_counts, family_key, spec_of,
                                  spec_params)
 from edgeideals.gf import MILLER_RABIN_LIMIT
@@ -241,7 +241,8 @@ def test_run_config_refuses_a_negative_cap(cap):
 def test_run_config_refuses_a_bad_field(capsys):
     # checked once per run: tsnake(n=0,p=1) is a refused build, so no
     # cell of this grid reaches the Betti engine
-    with pytest.raises(NonPrimeCharacteristicError):
+    with pytest.raises(InvalidParameterError,
+                       match="characteristic 4 is not prime"):
         RunConfig(characteristic=4)
     with pytest.raises(SizeLimitError) as info:
         RunConfig(characteristic=MILLER_RABIN_LIMIT)
