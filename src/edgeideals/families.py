@@ -193,12 +193,29 @@ def spec_of(key: str, params: dict[str, int]) -> FamilySpec:
     return bristled(params["q"], spec) if kind != key else spec
 
 
+def _check_q(spec: FamilySpec) -> None:
+    """Refuse a brs spec whose q is missing or below 1.
+
+    brs(q,star(u)) is the family bstar(u,q), and is refused under that
+    name, as validate_spec refuses its u.
+    """
+    if spec.q is None or spec.q < 1:
+        name = "bstar" if _is_bstar(spec) else "brs"
+        raise InvalidParameterError(f"{name} needs q >= 1")
+
+
+def _is_bstar(spec: FamilySpec) -> bool:
+    return spec.inner is not None and spec.inner.kind == "star"
+
+
 def validate_spec(spec: FamilySpec) -> None:
     """Raise InvalidParameterError unless spec is buildable."""
     kind = spec.kind
     if kind == "brs":
-        if spec.q is None or spec.q < 1:
-            raise InvalidParameterError("brs needs q >= 1")
+        # bstar(u,q) checks its parameters in their own order, u first
+        if _is_bstar(spec) and (spec.inner.u is None or spec.inner.u < 1):
+            raise InvalidParameterError("bstar needs u >= 1")
+        _check_q(spec)
         validate_spec(_inner(spec))
     elif kind not in _KINDS:
         raise InvalidParameterError(f"unknown family kind {kind!r}")
@@ -264,8 +281,7 @@ def resolve(spec: FamilySpec) -> tuple[list[FamilySpec], int]:
     """
     if spec.kind == "brs":
         parts, loose = resolve(_inner(spec))
-        if spec.q is None or spec.q < 1:
-            raise InvalidParameterError("brs needs q >= 1")
+        _check_q(spec)
         return [bristled(spec.q, s) for s in parts] + [star(spec.q)] * loose, 0
     kind, n, p = spec.kind, spec.n, spec.p
     if kind not in ("tsnake_star", "tsnake_starstar") or n is None or n >= 1:

@@ -12,27 +12,40 @@ variable that is itself a generator, so the search runs on the graph
 induced on the live vertices, those with a neighbour outside the killed
 set, renumbered in order (graphs.induced_adjacency).
 
-The exact search rests on two known results.  Colon monotonicity
-(Rauf, Comm. Algebra 38, 2010): sdepth(S/I) <= sdepth(S/(I : x_v)) for
-every variable v outside I.  For I = I(G) the colon is
+The exact search rests on three known results.  The skeleton reduction
+(Herzog-Vladoiu-Zheng, J. Algebra 322, 2009): sdepth(S/I) >= d exactly
+when the faces of size <= d split into intervals whose tops have
+exactly d elements, each larger face then being its own interval; a
+probe at d searches for that split.  A colon by a monomial never lowers
+sdepth (Rauf, Comm. Algebra 38, 2010; Cimpoeas 2012).  For a maximal
+independent set A of G, (I(G) : x_A) is generated by the variables of
+N(A), so sdepth(S/I) <= |A|; the independent set bound i(G) is the
+size of the first face, in (size, mask) order, whose closed
+neighbourhood is every vertex.  For a vertex v the colon is
 I(G - N[v]) + (N(v)): N(v) is killed, the live vertices of G - N(v)
 stay, and the other n - |N(v)| - |live| variables, v among them, are
 free.  Its value comes from the same search, recursively; the least
-colon value, capped by the largest face size, is the colon bound.  The
-skeleton reduction (Herzog-Vladoiu-Zheng, J. Algebra 322, 2009):
-sdepth(S/I) >= d exactly when the faces of size <= d split into
-intervals whose tops have exactly d elements, each larger face then
-being its own interval.  The colon bound is probed first, then each
-size below it in turn until a probe succeeds.  A probe covers the
-skeleton smallest face first; the lowest uncovered face must start an
-interval, failed cover states are memoised, and a state is dropped as
-soon as an uncovered face has too few uncovered faces above it to reach
-size d.  That prune is incremental: a step can only strand the faces one
-below the faces it covers, so it tests those, and the faces already
-stranded before anything is covered.  Only the top-level graph needs a
-witness: its faces above the skeleton cover are partitioned greedily
-once the value is known.  Every search stops with SizeLimitError
-(limit "node_budget") after SEARCH_NODE_BUDGET nodes.
+colon value is the colon bound.
+
+Each graph is first probed at i(G), on an allowance of as many search
+nodes as the probe has faces below size i(G).  A probe that succeeds
+settles the value, and no colon is solved.  Otherwise the colon bound
+is taken, capped by i(G) - 1 when the probe failed and by i(G) when it
+spent its allowance, and is probed, resuming the spent probe when it
+comes back to i(G); then each size below in turn until a probe
+succeeds.  The allowance bounds what the first probe can add to the
+colon route: unbounded, a probe at i(G) can run past the node budget on
+a graph whose colon bound answers in a few nodes.
+
+A probe covers the skeleton smallest face first; the lowest uncovered
+face must start an interval, failed cover states are memoised, and a
+state is dropped as soon as an uncovered face has too few uncovered
+faces above it to reach size d.  That prune is incremental: a step can
+only strand the faces one below the faces it covers, so it tests those,
+and the faces already stranded before anything is covered.  Only the
+top-level graph needs a witness: its faces above the skeleton cover are
+partitioned greedily once the value is known.  Every search stops with
+SizeLimitError (limit "node_budget") after SEARCH_NODE_BUDGET nodes.
 
 Colon values are memoised, for one call, on the colon's graph and on its
 isomorphism class, since Stanley depth does not change when the
@@ -43,6 +56,7 @@ sequence.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import DEFAULT_EXACT_CAP, InvalidParameterError, SizeLimitError
@@ -135,14 +149,20 @@ class _Search:
     """
 
     def __init__(self, faces: tuple[int, ...], d: int, solver: _Exact):
-        self.faces = [f for f in faces if f.bit_count() <= d]
-        index = self.index = {f: i for i, f in enumerate(self.faces)}
+        self.faces = faces  # only the faces of size <= d, a prefix, are used
+        skeleton = [f for f in faces if f.bit_count() <= d]
+        index = self.index = {f: i for i, f in enumerate(skeleton)}
         self.d = d
         self.solver = solver
         self.failed: set[int] = set()
-        covers = [0] * len(self.faces)  # bits of the faces one larger above
-        under = [0] * len(self.faces)  # bits of the faces one smaller below
-        for j, g in enumerate(self.faces):
+        # the depth-first stack, kept so that a run that spent its
+        # allowance can be resumed: (cover state, its candidates, or None
+        # until the state is first visited) and the intervals chosen
+        self.frames: list[tuple[int, Iterator | None]] = [(0, None)]
+        self.chosen: list[tuple[int, int]] = []
+        covers = [0] * len(skeleton)  # bits of the faces one larger above
+        under = [0] * len(skeleton)  # bits of the faces one smaller below
+        for j, g in enumerate(skeleton):
             rest = g
             while rest:
                 low = rest & -rest
@@ -154,7 +174,7 @@ class _Search:
         # per face below size d, in face order: its covers, and how many
         # of those it needs
         self.below = [(covers[i], d - f.bit_count())
-                      for i, f in enumerate(self.faces) if f.bit_count() < d]
+                      for i, f in enumerate(skeleton) if f.bit_count() < d]
         self.low = (1 << len(self.below)) - 1
         # faces with too few covers even before anything is covered; the
         # root state is never tested, so each step tests these as well
@@ -188,13 +208,28 @@ class _Search:
             near ^= low
         return True
 
-    def run(self) -> list[tuple[int, int]] | None:
+    def run(self, allowance: float = inf) -> list[tuple[int, int]] | None:
+        """A cover of the faces below size d by intervals with d-element
+        tops, or None.
+
+        The faces it leaves over (d-faces and all larger ones) form an
+        upper set, so any partition of them completes it to a partition
+        with every top of size >= d.  None with no frames left means
+        there is no such cover.  None with frames left means this run
+        made allowance nodes without an answer, which says nothing about
+        d; a later run resumes the search where it stopped.
+        """
         if self.low == 0:
             return []
-        frames = [(0, self._candidates(0))]
-        chosen: list[tuple[int, int]] = []
+        frames, chosen = self.frames, self.chosen
+        stop = self.solver.nodes + allowance
         while frames:
             covered, candidates = frames[-1]
+            if candidates is None:
+                if self.solver.nodes >= stop:
+                    return None
+                candidates = self._candidates(covered)
+                frames[-1] = (covered, candidates)
             for sigma, top, bits in candidates:
                 step = covered | bits
                 if step & self.low == self.low:
@@ -202,7 +237,7 @@ class _Search:
                 if step in self.failed or not self._open(step, bits):
                     continue
                 chosen.append((sigma, top))
-                frames.append((step, self._candidates(step)))
+                frames.append((step, None))
                 break
             else:
                 self.failed.add(covered)
@@ -251,15 +286,22 @@ class _Search:
         return grow(sigma, [sigma], 1 << i, 0, self.d - sigma.bit_count())
 
 
-def _feasible(faces: tuple[int, ...], d: int, solver: _Exact
-              ) -> list[tuple[int, int]] | None:
-    """A cover of the faces below size d by intervals with d-element tops.
+def _least_maximal_independent(adj: tuple[int, ...], faces: tuple[int, ...]
+                                ) -> int:
+    """Size of the first face, in (size, mask) order, that dominates G.
 
-    None when there is none.  The faces it leaves over (d-faces and all
-    larger ones) form an upper set, so any partition of them completes
-    it to a partition with every top of size >= d.
+    A face of I(G) is an independent set, and one whose closed
+    neighbourhood is every vertex is a maximal independent set A.  Then
+    (I : x_A) is generated by the variables of N(A), and a colon by a
+    monomial never lowers sdepth (Cimpoeas 2012), so sdepth(S/I) <= |A|.
     """
-    return _Search(faces, d, solver).run()
+    full = (1 << len(adj)) - 1
+    for face in faces:
+        closed = face
+        for v in vars_of(face):
+            closed |= adj[v]
+        if closed == full:
+            return face.bit_count()
 
 
 def _colon_bound(adj: tuple[int, ...], upper: int,
@@ -312,13 +354,23 @@ class _Exact:
               ) -> tuple[int, tuple[int, ...], list[tuple[int, int]]]:
         """(value, faces, skeleton cover at the value)."""
         faces = tuple(graph_faces(adj))
-        d = _colon_bound(adj, faces[-1].bit_count(), self.value)
-        # the colon bound is only an upper bound: step down from it, where
-        # d = 0 always succeeds
-        found = _feasible(faces, d, self)
+        # probe the independent set bound on an allowance of one node per
+        # face below it: success settles the value with no colon solved
+        probe = _Search(faces, _least_maximal_independent(adj, faces), self)
+        found = probe.run(len(probe.below))
+        if found is not None:
+            return probe.d, faces, found
+        # a probe with no frames left failed, so sdepth < probe.d; one
+        # with frames left spent its allowance and is resumed if the
+        # colon bound comes back to its size
+        d = _colon_bound(adj, probe.d if probe.frames else probe.d - 1,
+                         self.value)
+        search = probe if d == probe.d else _Search(faces, d, self)
+        found = search.run()
+        # both are only upper bounds: step down, where d = 0 always succeeds
         while found is None:
             d -= 1
-            found = _feasible(faces, d, self)
+            found = _Search(faces, d, self).run()
         return d, faces, found
 
 

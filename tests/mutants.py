@@ -130,7 +130,9 @@ MUTANTS = {
         "sdepth.py",
         "if is_isomorphic(adj, other):",
         "if True:",
-        ("tests/test_sdepth.py::test_search_matches_its_pinned_nodes_and_witnesses",),
+        ("tests/test_sdepth.py::test_search_matches_its_pinned_nodes_and_witnesses",
+         "tests/test_sdepth.py::"
+         "test_one_solver_tells_apart_graphs_with_one_degree_sequence"),
         "the search memoises colon values on their isomorphism class"),
     "node-budget-dropped": Mutant(
         "sdepth.py",
@@ -149,7 +151,8 @@ MUTANTS = {
         "free = n - adj[v].bit_count() - live.bit_count()",
         "free = n - live.bit_count()",
         ("tests/test_sdepth.py::test_search_matches_its_pinned_nodes_and_witnesses",
-         "tests/test_sdepth.py::test_paths_match_the_closed_form"),
+         "tests/test_sdepth.py::test_paths_match_the_closed_form",
+         "tests/test_sdepth.py::test_mask_colon_matches_colon_then_compact"),
         "the search takes each colon on the graph's adjacency masks"),
     "homology-signs-dropped": Mutant(
         "betti.py",
@@ -162,7 +165,28 @@ MUTANTS = {
         "d -= 1",
         "d -= 2",
         ("tests/test_sdepth.py::test_probes_step_down_one_size_at_a_time",),
-        "the exact search steps down from the colon bound one size at a time"),
+        "the exact search steps down from its bound one size at a time"),
+    "spent-probe-as-infeasible": Mutant(
+        "sdepth.py",
+        "probe.d if probe.frames else probe.d - 1",
+        "probe.d - 1",
+        ("tests/test_sdepth.py::test_search_matches_its_pinned_nodes_and_witnesses",),
+        "a probe that spends its allowance decides nothing"),
+    "spent-probe-restarted": Mutant(
+        "sdepth.py",
+        "search = probe if d == probe.d else _Search(faces, d, self)",
+        "search = _Search(faces, d, self)",
+        ("tests/test_sdepth.py::test_search_matches_its_pinned_nodes_and_witnesses",
+         "tests/test_sdepth.py::test_probes_step_down_one_size_at_a_time"),
+        "a probe that spends its allowance is resumed, not restarted"),
+    "probe-at-largest-face": Mutant(
+        "sdepth.py",
+        "if closed == full:",
+        "if face == faces[-1]:",
+        ("tests/test_sdepth.py::test_search_matches_its_pinned_nodes_and_witnesses",
+         "tests/test_corpus.py::"
+         "test_the_probe_size_is_the_least_maximal_independent_set"),
+        "the first probe is at the least maximal independent set"),
     "edge-pairs-reversed": Mutant(
         "graphs.py",
         "for b in vars_of(m) if b > a)",

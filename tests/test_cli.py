@@ -308,6 +308,9 @@ SPEC_REFUSALS = [
     ("brs(q=0,tsnake_star(n=0,p=1))", "error: brs needs q >= 1\n"),
     ("brs(q=0,tsnake_starstar(n=0,p=0))", "error: tsnake_starstar needs p >= 1\n"),
     ("brs(q=1,brs(q=0,tsnake(n=1,p=1)))", "error: brs needs q >= 1\n"),
+    # bstar(u,q) is read as brs(q,star(u)) and refused under its own name
+    ("bstar(u=0,q=1)", "error: bstar needs u >= 1\n"),
+    ("bstar(u=1,q=0)", "error: bstar needs q >= 1\n"),
     ("tsnake_star(n=-1,p=1)", "error: expected an integer (at position 14)\n"),
     pytest.param("path(" + "9" * 5000 + ")",
                  "error: integer of 5000 digits is too long (at position 5)\n",

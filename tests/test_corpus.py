@@ -32,6 +32,7 @@ from edgeideals import (BettiTable, LabeledGraph, MonomialIdeal, betti_table,
                         regularity_by_recursion, stanley_depth,
                         validate_partition, vars_of)
 from edgeideals import betti
+from edgeideals import sdepth as sdepth_module
 from edgeideals.graphs import is_chordal
 from edgeideals.ideals import faces_of
 from oracles import (colon_by, independence_number,
@@ -226,6 +227,15 @@ def test_exact_sdepth_is_the_pin_between_depth_and_the_independent_set_bound():
         assert value == g.sdepth, g.adj
         validate_partition(faces_of(len(g.adj), g.ideal.gens), witness)
         assert g.table.depth <= value <= least_maximal_independent_set(g.adj), g.adj
+
+
+def test_the_probe_size_is_the_least_maximal_independent_set():
+    # the first dominating face in (size, mask) order, against the
+    # branch and bound of the oracle
+    for g in corpus():
+        faces = tuple(faces_of(len(g.adj), g.ideal.gens))
+        assert (sdepth_module._least_maximal_independent(g.adj, faces)
+                == least_maximal_independent_set(g.adj)), g.adj
 
 
 @functools.cache

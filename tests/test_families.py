@@ -211,6 +211,11 @@ REFUSALS = [
     (FamilySpec("brs", q=0), "brs needs q >= 1"),
     (FamilySpec("brs", q=1), "brs needs an inner family"),
     (bristled(2, FamilySpec("cycle", n=2)), "cycle needs n >= 3"),
+    (bristled_star(0, 1), "bstar needs u >= 1"),
+    (bristled_star(1, 0), "bstar needs q >= 1"),
+    (bristled_star(0, 0), "bstar needs u >= 1"),
+    (bristled(1, FamilySpec("star")), "bstar needs u >= 1"),
+    (bristled(1, bristled_star(1, 0)), "bstar needs q >= 1"),
     (bristled(1, bristled(1, FamilySpec("foo"))), "unknown family kind 'foo'"),
 ]
 

@@ -233,44 +233,53 @@ def test_engine_matches_the_unseeded_full_poset_search():
         assert value == oracle_sdepth(ideal), ideal
 
 
+def spy_on_runs(monkeypatch):
+    """Record (search, outcome) for every _Search.run: True for a cover,
+    False for none, None for a run that spent its allowance first."""
+    runs = []
+    run = _Search.run
+
+    def spy(search, *allowance):
+        found = run(search, *allowance)
+        runs.append((search, None if found is None and search.frames
+                     else found is not None))
+        return found
+
+    monkeypatch.setattr(_Search, "run", spy)
+    return runs
+
+
 def test_search_steps_down_from_a_seed_that_fails(monkeypatch):
     # seeded with the largest face size alone, the first probe fails on
     # many ideals and the probes below it must still land on the value
-    probes = []
-    feasible = sdepth_module._feasible
-
-    def counting(faces, d, solver):
-        found = feasible(faces, d, solver)
-        probes.append(found is not None)
-        return found
-
-    monkeypatch.setattr(sdepth_module, "_feasible", counting)
+    runs = spy_on_runs(monkeypatch)
+    monkeypatch.setattr(sdepth_module, "_least_maximal_independent",
+                        lambda adj, faces: faces[-1].bit_count())
     monkeypatch.setattr(sdepth_module, "_colon_bound",
                         lambda reduced, upper, value_of: upper)
     for ideal in random_ideals(5, 60) + [family_ideal("path(9)")]:
         value, witness = stanley_depth(ideal)
         validate_partition(face_poset(ideal), witness)
         assert value == witness.value == oracle_sdepth(ideal), ideal
+    probes = [ok for _, ok in runs if ok is not None]
     assert not all(probes)
 
 
 def test_probes_step_down_one_size_at_a_time(monkeypatch):
-    # C_7 has colon bound 3 and Stanley depth 2: the probe at the bound
-    # fails and the next size down answers
-    probes = []
-    feasible = sdepth_module._feasible
-
-    def spy(faces, d, solver):
-        found = feasible(faces, d, solver)
-        probes.append((faces, d, found is not None))
-        return found
-
-    monkeypatch.setattr(sdepth_module, "_feasible", spy)
+    # C_7 has independent set bound 3, colon bound 3 and Stanley depth 2:
+    # the probe at 3 spends its allowance, the colon bound comes back to
+    # 3, so the same search resumes and fails, and the next size down
+    # answers
+    runs = spy_on_runs(monkeypatch)
     ideal = family_ideal("cycle(7)")
     assert stanley_depth(ideal)[0] == 2
     top = tuple(graph_faces(graph_parts(ideal)[1]))
-    assert [(d, ok) for faces, d, ok in probes if faces == top] == [
+    mine = [(search, ok) for search, ok in runs if search.faces == top]
+    assert [(search.d, ok) for search, ok in mine if ok is not None] == [
         (3, False), (2, True)]
+    assert [(search.d, ok) for search, ok in mine] == [
+        (3, None), (3, False), (2, True)]
+    assert mine[0][0] is mine[1][0]
 
 
 @pytest.mark.parametrize("n", range(1, 15))
@@ -299,18 +308,11 @@ def test_snake_cells_past_the_old_reach(text):
 
 @pytest.mark.parametrize("text", WORKLOAD_CELLS)
 def test_one_feasibility_probe_per_ideal(monkeypatch, text):
-    probes = []
-    feasible = sdepth_module._feasible
-
-    def counting(faces, d, solver):
-        found = feasible(faces, d, solver)
-        probes.append((faces, found is not None))
-        return found
-
-    monkeypatch.setattr(sdepth_module, "_feasible", counting)
+    runs = spy_on_runs(monkeypatch)
     ideal = family_ideal(text)
     stanley_depth(ideal, exact_cap=14)
     reduced, _, _ = reduce_by_compact(ideal)
+    probes = [(search.faces, ok) for search, ok in runs if ok is not None]
     per_ideal = Counter(faces for faces, _ in probes)
     assert per_ideal[face_poset(reduced)] == 1
     assert set(per_ideal.values()) == {1}
@@ -394,6 +396,41 @@ def test_independent_set_bound_meets_the_pinned_values_but_two_cycles():
         if record["value"] != bound:
             gaps[record["cell"]] = (record["value"], bound)
     assert gaps == {"cycle(4)": (1, 2), "cycle(7)": (2, 3)}
+
+
+# connected, 16 vertices: the colon bound's schedule spent the node budget
+# here, and the probe at its least maximal independent set answers
+SIXTEEN = [(0, 3), (0, 10), (0, 14), (1, 2), (1, 4), (1, 15), (2, 8), (2, 15),
+           (3, 5), (3, 7), (3, 8), (3, 10), (3, 11), (4, 15), (5, 7), (5, 15),
+           (6, 10), (6, 15), (7, 9), (7, 14), (8, 12), (8, 14), (9, 10),
+           (9, 13), (9, 14), (10, 14), (11, 14)]
+
+
+def test_the_independent_set_probe_settles_a_graph_past_the_old_budget():
+    # the witness proves sdepth >= 4 and a maximal independent set of
+    # size 4 proves sdepth <= 4
+    ideal = MonomialIdeal.make(16, [1 << a | 1 << b for a, b in SIXTEEN])
+    value, witness = stanley_depth(ideal, 20)
+    validate_partition(face_poset(ideal, 16), witness)
+    assert value == witness.value == 4 == independent_set_bound(ideal)
+
+
+def test_a_resumed_search_ends_as_an_unbroken_one():
+    # stopped every k nodes and resumed, a search makes the same nodes
+    # and finds the same cover, or none, as one run without a stop
+    for ideal in prune_corpus()[:120]:
+        faces = face_poset(reduce_by_compact(ideal)[0])
+        for d in range(1, faces[-1].bit_count() + 1):
+            whole = _Exact()
+            want = _Search(faces, d, whole).run()
+            for k in (1, 3):
+                parts = _Exact()
+                search = _Search(faces, d, parts)
+                found = search.run(k)
+                while found is None and search.frames:
+                    assert parts.nodes % k == 0
+                    found = search.run(k)
+                assert (found, parts.nodes) == (want, whole.nodes), ideal
 
 
 # the cells whose search is pinned: the benchmark's sdepth cells at its

@@ -405,6 +405,18 @@ def test_a_refused_build_leaves_a_skipped_row(capsys):
         "computed=tsnake needs n >= 1 predicted=None")
 
 
+def test_a_refused_bstar_cell_names_bstar(capsys):
+    # the claim's cells are built as brs(q,star(u)), and refused as bstar
+    assert main(["verify", "bstar", "--u", "0", "--q", "1",
+                 "--format", "text"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "[skipped      ] bstar(q=1,u=0) build: "
+        "computed=bstar needs u >= 1 predicted=None")
+    report = run_claims(["bstar"], RunConfig(), {"u": [1], "q": [0]})
+    assert [(r.invariant, r.computed) for r in report.rows] == [
+        ("build", "bstar needs q >= 1")]
+
+
 def test_a_cell_past_the_build_limit_leaves_a_skipped_row(monkeypatch, capsys):
     # a cap raised past the build limit: the other cells carry on, and
     # the cell past it is refused before anything is built
