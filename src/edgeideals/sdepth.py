@@ -46,12 +46,7 @@ and the faces already stranded before anything is covered.  Only the
 top-level graph needs a witness: its faces above the skeleton cover are
 partitioned greedily once the value is known.  Every search stops with
 SizeLimitError (limit "node_budget") after SEARCH_NODE_BUDGET nodes.
-
-Colon values are memoised, for one call, on the colon's graph and on its
-isomorphism class, since Stanley depth does not change when the
-variables are renamed: a graph is compared, with graphs.is_isomorphic,
-against the graphs solved with the same vertex count and sorted degree
-sequence.
+Colon values are memoised, for one call, on the colon's graph.
 """
 
 from __future__ import annotations
@@ -60,8 +55,7 @@ from math import inf
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import DEFAULT_EXACT_CAP, InvalidParameterError, SizeLimitError
-from .graphs import (induced_adjacency, is_isomorphic, live_vertices, mask_of,
-                     vars_of)
+from .graphs import induced_adjacency, live_vertices, mask_of, vars_of
 from .ideals import MonomialIdeal, faces_of, graph_faces, graph_parts
 
 DEFAULT_POSET_CAP = 14
@@ -323,31 +317,17 @@ def _colon_bound(adj: tuple[int, ...], upper: int,
 class _Exact:
     """Exact Stanley depth of graphs' edge ideals, memoised for one call.
 
-    Graphs come as adjacency masks.  memo is keyed on the adjacency;
-    classes maps (vertex count, sorted degree sequence) to the adjacency
-    and value of each graph solved.
+    Graphs come as adjacency masks, and memo is keyed on the adjacency.
     """
 
     def __init__(self):
         self.memo: dict[tuple[int, ...], int] = {}
-        self.classes: dict[tuple[int, tuple[int, ...]],
-                           list[tuple[tuple[int, ...], int]]] = {}
         self.nodes = 0
 
     def value(self, adj: tuple[int, ...]) -> int:
         hit = self.memo.get(adj)
-        if hit is not None:
-            return hit
-        key = (len(adj), tuple(sorted(m.bit_count() for m in adj)))
-        bucket = self.classes.setdefault(key, [])
-        for other, known in bucket:
-            if is_isomorphic(adj, other):
-                hit = known
-                break
-        else:
-            hit = self.solve(adj)[0]
-            bucket.append((adj, hit))
-        self.memo[adj] = hit
+        if hit is None:
+            hit = self.memo[adj] = self.solve(adj)[0]
         return hit
 
     def solve(self, adj: tuple[int, ...]
@@ -420,7 +400,9 @@ def _lift_partition(n_vars: int, free: int, live_vars: list[int],
 
 
 def _greedy_partition(faces: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Smallest-face-first cover, always extending to a largest valid top."""
+    """Smallest-face-first cover, each top grown in one pass over the
+    variables.  A variable refused once stays refused, since a larger
+    top only adds members to [sigma, top | x_v]."""
     face_set = set(faces)
     index = {f: i for i, f in enumerate(faces)}
     support = 0
@@ -433,19 +415,12 @@ def _greedy_partition(faces: tuple[int, ...]) -> list[tuple[int, int]]:
         if covered >> i & 1:
             continue
         top = sigma
-        grown = True
-        while grown:
-            grown = False
-            for v in variables:
-                cand = top | (1 << v)
-                if cand == top or cand not in face_set:
-                    continue
-                ok = all(m in face_set and not covered >> index[m] & 1
-                         for m in _interval_members(sigma, cand))
-                if ok:
-                    top = cand
-                    grown = True
-                    break
+        for v in variables:
+            cand = top | (1 << v)
+            if cand != top and cand in face_set and all(
+                    m in face_set and not covered >> index[m] & 1
+                    for m in _interval_members(sigma, cand)):
+                top = cand
         for m in _interval_members(sigma, top):
             covered |= 1 << index[m]
         out.append((sigma, top))

@@ -126,14 +126,34 @@ MUTANTS = {
         "if value < -5:",
         ("tests/test_cli.py::test_a_negative_cap_exits_two_naming_its_flag",),
         "the cap flags refuse a negative value"),
-    "bucket-hit-unchecked": Mutant(
+    "memo-keyed-on-degrees": Mutant(
         "sdepth.py",
-        "if is_isomorphic(adj, other):",
-        "if True:",
-        ("tests/test_sdepth.py::test_search_matches_its_pinned_nodes_and_witnesses",
-         "tests/test_sdepth.py::"
-         "test_one_solver_tells_apart_graphs_with_one_degree_sequence"),
-        "the search memoises colon values on their isomorphism class"),
+        "        hit = self.memo.get(adj)\n"
+        "        if hit is None:\n"
+        "            hit = self.memo[adj] = self.solve(adj)[0]",
+        "        key = (len(adj), tuple(sorted(m.bit_count() for m in adj)))\n"
+        "        hit = self.memo.get(key)\n"
+        "        if hit is None:\n"
+        "            hit = self.memo[key] = self.solve(adj)[0]",
+        ("tests/test_sdepth.py::"
+         "test_one_solver_tells_apart_graphs_with_one_degree_sequence",
+         "tests/test_sdepth.py::test_search_matches_its_pinned_nodes_and_witnesses"),
+        "the search memoises colon values on the colon graph alone"),
+    "greedy-overlaps-covered": Mutant(
+        "sdepth.py",
+        "m in face_set and not covered >> index[m] & 1",
+        "m in face_set",
+        ("tests/test_outputs.py::test_cli_outputs_match_the_pins",
+         "tests/test_sdepth.py::test_search_matches_its_pinned_nodes_and_witnesses"),
+        "the greedy witness grows each top in one pass over the variables"),
+    "greedy-stops-at-one-variable": Mutant(
+        "sdepth.py",
+        "                top = cand\n",
+        "                top = cand\n"
+        "                break\n",
+        ("tests/test_outputs.py::test_cli_outputs_match_the_pins",
+         "tests/test_sdepth.py::test_search_matches_its_pinned_nodes_and_witnesses"),
+        "the greedy witness grows each top in one pass over the variables"),
     "node-budget-dropped": Mutant(
         "sdepth.py",
         "if self.solver.nodes > SEARCH_NODE_BUDGET:",
