@@ -10,10 +10,11 @@ contain y gives the exact recursion
       + sum_{u in N(y)} sum_a C(deg u - 1, a) beta_{i-1-a, j-2-a}(G - N[u]),
 
 the binomial counting the neighbours of u other than y that a subset
-may add.  Isolated vertices are free variables and are dropped first.
-Induced subgraphs with no simplicial vertex left go to the subset scan
-as their renumbered adjacency; its private entry point _scan is also the
-oracle the split engine is tested against.
+may add.  Isolated vertices are free variables and are dropped first,
+and y is the first simplicial vertex in one breadth-first order of the
+graph.  Induced subgraphs with none left go to the subset scan as their
+renumbered adjacency; its private entry point _scan is also the oracle
+the split engine is tested against.
 
 The scan: for a squarefree ideal I and a vertex subset W, the induced
 subcomplex of the Stanley-Reisner complex contributes its reduced
@@ -173,28 +174,23 @@ def _scan(killed: int, adj: tuple[int, ...],
 # splitting at simplicial vertices
 
 
-def _simplicial_vertex(verts: int, adj: tuple[int, ...]) -> int | None:
-    """The simplicial vertex of least degree, lowest index first."""
-    best, best_deg = None, 0
-    for v in vars_of(verts):
-        nv = adj[v] & verts
-        d = nv.bit_count()
-        if best is not None and d >= best_deg:
-            continue
-        # N(v) is a clique iff each u in it sees all of N(v) but itself
-        if all(nv & ~adj[u] == 1 << u for u in vars_of(nv)):
-            best, best_deg = v, d
-            if d == 1:
-                break
-    return best
-
-
 def _split(ideal: MonomialIdeal, char: int) -> dict[tuple[int, int], int]:
     """Betti numbers of S/I by the simplicial-vertex recursion.
 
-    Memoised on the induced vertex mask, for this call only.
+    Each state pivots on its first simplicial vertex in one order fixed
+    before the split: breadth-first from vertex 0 layer by layer, lowest
+    index first, then again from the lowest unvisited vertex.  Memoised
+    on the induced vertex mask, for this call only.
     """
     killed, adj, _free = graph_parts(ideal)
+    order, seen = [], 0
+    for s in range(len(adj)):
+        layer = (1 << s) & ~seen
+        while layer:
+            seen |= layer
+            order += vars_of(layer)
+            layer = sum(1 << v for v, nv in enumerate(adj)
+                        if nv & layer and not seen >> v & 1)
     memo: dict[int, dict[tuple[int, int], int]] = {}
 
     def table(verts: int) -> dict[tuple[int, int], int]:
@@ -204,19 +200,22 @@ def _split(ideal: MonomialIdeal, char: int) -> dict[tuple[int, int], int]:
         cached = memo.get(verts)
         if cached is not None:
             return cached
-        y = _simplicial_vertex(verts, adj)
-        if y is None:
+        for y in order:
+            ny = adj[y] & verts
+            # N(y) is a clique iff each u in it sees all of N(y) but itself
+            if verts >> y & 1 and all(ny & ~adj[u] == 1 << u for u in vars_of(ny)):
+                out = dict(table(verts ^ (1 << y)))
+                for u in vars_of(ny):
+                    nu = adj[u] & verts
+                    d = nu.bit_count() - 1
+                    for (i, j), b in table(verts & ~(nu | 1 << u)).items():
+                        for a in range(d + 1):
+                            key = (i + 1 + a, j + 2 + a)
+                            out[key] = out.get(key, 0) + comb(d, a) * b
+                break
+        else:
             # the killed variables are left to the Koszul step below
             out = _scan(0, induced_adjacency(adj, verts), char)
-        else:
-            out = dict(table(verts ^ (1 << y)))
-            for u in vars_of(adj[y] & verts):
-                nu = adj[u] & verts
-                d = nu.bit_count() - 1
-                for (i, j), b in table(verts & ~(nu | 1 << u)).items():
-                    for a in range(d + 1):
-                        key = (i + 1 + a, j + 2 + a)
-                        out[key] = out.get(key, 0) + comb(d, a) * b
         memo[verts] = out
         return out
 

@@ -349,7 +349,9 @@ def parse_family(text: str) -> FamilySpec:
 
     Positional values fill a name's parameters in order, name=value
     sets one, and brs also takes one nested family.  A value is a run of
-    ASCII digits.
+    ASCII digits.  Each brs or bstar level at least doubles a base of at
+    least one vertex, so a spec nested MAX_BUILD_VERTICES.bit_length()
+    levels deep is refused with SizeLimitError before it is read further.
     """
     tokens = _TOKENS.findall(text) + [("", "")]  # (word, mark); end last
     i = 0
@@ -381,7 +383,8 @@ def parse_family(text: str) -> FamilySpec:
         i += 1
         return value
 
-    def call():
+    def call(levels=0):
+        """One family, inside `levels` brs or bstar levels."""
         nonlocal i
         name = tokens[i][0]
         if not name:
@@ -390,6 +393,11 @@ def parse_family(text: str) -> FamilySpec:
             if not i:  # a top-level name is refused at 0, spaces and all
                 raise FamilySpecParseError(f"unknown family {name!r}", 0)
             fail(f"unknown family {name!r}", i)
+        levels += name in ("brs", "bstar")
+        if levels >= MAX_BUILD_VERTICES.bit_length():
+            raise SizeLimitError(
+                f"family spec nested {levels} deep exceeds the build limit "
+                f"of {MAX_BUILD_VERTICES} vertices", limit="build_limit")
         i += 1
         expect("(")
         scalars, positional, inner = {}, list(_PARAMS[name]), None
@@ -415,7 +423,7 @@ def parse_family(text: str) -> FamilySpec:
             elif inner is not None:
                 fail("duplicate inner family", i)
             else:
-                inner = call()
+                inner = call(levels)
             more = tokens[i][1] == ","
             i += more
         expect(")")

@@ -61,6 +61,19 @@ MUTANTS = {
         "comb(d + 1, a)",
         ("tests/test_betti.py::test_split_equals_scan_and_taylor_on_random_corpus",),
         "the Betti split at simplicial vertices"),
+    "pivot-by-least-degree": Mutant(
+        "betti.py",
+        "for y in order:",
+        "for y in sorted(order, key=lambda v: (adj[v] & verts).bit_count()):",
+        ("tests/test_betti.py::"
+         "test_split_states_grow_linearly_along_a_bristled_snake",),
+        "the Betti split pivots in one breadth-first order fixed before it"),
+    "pivot-not-simplicial": Mutant(
+        "betti.py",
+        "all(ny & ~adj[u] == 1 << u",
+        "any(ny & ~adj[u] == 1 << u",
+        ("tests/test_corpus.py::test_split_table_is_the_pin_and_the_subset_scan",),
+        "the Betti split pivots only on simplicial vertices"),
     "koszul-factor-dropped": Mutant(
         "betti.py",
         "range(killed.bit_count())",

@@ -281,6 +281,32 @@ def test_chordal_snake_never_reaches_the_scan(monkeypatch):
     assert invariants(ideal, max_vars=64).regularity == 11
 
 
+def split_states(spec):
+    """The memo states of one split: the distinct non-empty masks that
+    live_vertices returns during one betti_table call on spec."""
+    states = set()
+    live = betti.live_vertices
+
+    def counted(adj, verts):
+        out = live(adj, verts)
+        states.add(out)
+        return out
+
+    with patch.object(betti, "live_vertices", counted):
+        betti_table(edge_ideal(build_extended(parse_family(spec))), max_vars=200)
+    return len(states - {0})
+
+
+def test_split_states_grow_linearly_along_a_bristled_snake():
+    # the pivots follow one breadth-first order out along the spine; a
+    # pivot of least degree per state jumps along it and visits 5344
+    # states at k = 10, so k = 10 runs first and such an order fails fast
+    at_10 = split_states("brs(q=1,tsnake(n=10,p=2))")
+    assert at_10 <= 100
+    at_20 = split_states("brs(q=1,tsnake(n=20,p=2))")
+    assert at_20 - at_10 <= 12 * (20 - 10)
+
+
 def test_killed_variables_tensor_with_koszul_factors():
     # C5 with three killed variables: beta(S/I) is beta(C5) times (1 + t)^3
     ideal = MonomialIdeal.make(8, cycle_ideal(5).gens + (1 << 5, 1 << 6, 1 << 7))

@@ -302,6 +302,20 @@ def test_gen_builds_a_starred_snake_at_n_zero_under_nested_bristles(capsys):
     assert (doc["vertices"], doc["edges"]) == (want["vertices"], want["edges"])
 
 
+def nested(depth, base):
+    return "brs(q=1," * depth + base + ")" * depth
+
+
+# each brs or bstar level at least doubles a base of at least one vertex,
+# and 2^15 > 20000, so the parser stops at the 15th level, well before a
+# spec 1200 levels deep would pass Python's recursion limit
+NESTED_REFUSAL = ("error: family spec nested 15 deep exceeds the build limit "
+                  "of 20000 vertices\n"
+                  "hint: no cap flag lifts this limit; pick smaller parameters\n")
+BUILD_32768 = ("error: 32768 vertices exceeds the build limit of 20000\n"
+               "hint: no cap flag lifts this limit; pick smaller parameters\n")
+
+
 # Every refusal of a spec the CLI reads, parse errors at their position
 SPEC_REFUSALS = [
     ("tsnake_star(n=0,p=0)", "error: tsnake_star needs p >= 1\n"),
@@ -343,6 +357,10 @@ SPEC_REFUSALS = [
     ("brs(q=1,tsnake(n=1,p=1),)",
      "error: expected a family or parameter name (at position 24)\n"),
     ("path(3) x", "error: trailing input after family spec (at position 8)\n"),
+    pytest.param(nested(1200, "path(1)"), NESTED_REFUSAL, id="brs-1200-deep"),
+    pytest.param(nested(15, "path(1)"), NESTED_REFUSAL, id="brs-15-deep"),
+    pytest.param(nested(14, "bstar(u=1,q=1)"), NESTED_REFUSAL,
+                 id="bstar-as-15th-level"),
 ]
 
 
@@ -350,6 +368,16 @@ SPEC_REFUSALS = [
 def test_degenerate_refusals_keep_their_message(capsys, spec, err):
     for command in ("gen", "inv", "sdepth", "decomp"):
         assert run(capsys, command, spec) == (2, "", err)
+
+
+def test_a_spec_nested_14_deep_is_read_and_refused_by_size(capsys):
+    for spec in (nested(14, "path(2)"), nested(13, "bstar(u=1,q=1)")):
+        assert run(capsys, "gen", spec) == (2, "", BUILD_32768)
+        assert run(capsys, "decomp", spec) == (2, "", BUILD_32768)
+        code, _, err = run(capsys, "inv", spec)
+        assert code == 2 and err.startswith("error: 32768 variables exceeds")
+        code, _, err = run(capsys, "sdepth", spec)
+        assert code == 2 and "got 32768" in err
 
 
 def test_every_parse_message_has_a_pinned_refusal():
@@ -558,6 +586,17 @@ def test_inv_answers_past_64_variables_when_the_cap_allows(capsys):
     assert doc["n_vars"] == 67
     assert (doc["reg"], doc["pdim"], doc["depth"]) == (12, 56, 11)
     assert doc["reg"] == closed_form(parse_family(INV_67[1])).values["reg"]
+
+
+def test_inv_answers_a_bristled_snake_of_74_variables(capsys):
+    spec = "brs(q=1,tsnake(n=12,p=2))"
+    code, out, _ = run(capsys, "inv", spec, "--hochster-cap", "80",
+                       "--sdepth-cap", "0")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["depth"], doc["reg"], doc["pdim"]) == (37, 24, 37)
+    values = closed_form(parse_family(spec)).values
+    assert (values["depth"], values["reg"], values["pdim"]) == (37, 24, 37)
 
 
 def test_sdepth_past_64_variables_names_its_flag(capsys):
